@@ -32,9 +32,6 @@ class RSplitType:
     parameter_links: tuple[int, ...]  # per x coordinate: index into A, or -1
     realizations: frozenset[tuple[int, ...]]
 
-    def supports_m_array(self, m: int) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:
-        return supports_m_array(self, m)
-
 
 def _split_parts(arity: int, x_positions: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     xs = tuple(sorted(set(x_positions)))

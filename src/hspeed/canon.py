@@ -38,6 +38,20 @@ def identity_perm(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1))
 
 
+def orbit(points, generators) -> set[int]:
+    """Closure of ``points`` under the permutations in ``generators``."""
+    seen = set(points)
+    queue = list(seen)
+    while queue:
+        p = queue.pop()
+        for g in generators:
+            q = g[p - 1]
+            if q not in seen:
+                seen.add(q)
+                queue.append(q)
+    return seen
+
+
 def group_order(generators, n: int) -> int:
     """Exact order of the permutation group generated by ``generators``.
 
@@ -192,21 +206,8 @@ def _search(struct: "Structure"):
             best_enc[0], best_map[0] = enc, mapping
 
     def pruned(v, explored, prefix):
-        if not explored or not gens:
-            return False
         fixing = [g for g in gens if all(g[p - 1] == p for p in prefix)]
-        if not fixing:
-            return False
-        seen = set(explored)
-        queue = list(explored)
-        while queue:
-            p = queue.pop()
-            for g in fixing:
-                q = g[p - 1]
-                if q not in seen:
-                    seen.add(q)
-                    queue.append(q)
-        return v in seen
+        return v in orbit(explored, fixing)
 
     def rec(colors, prefix):
         by_color: dict[int, list[int]] = {}

@@ -64,6 +64,13 @@ def _pretty(payload, indent: int = 0) -> str:
     return f"{pad}{payload}"
 
 
+def _require(args, *names) -> None:
+    """Usage error when a per-action argument was not given."""
+    for name in names:
+        if getattr(args, name) is None:
+            raise UsageError(f"{args.command} {args.action} needs --{name}")
+
+
 def _load_property(args) -> property_mod.PropertySpec:
     if getattr(args, "property", None):
         name = args.property
@@ -124,6 +131,7 @@ def _cmd_probe(args):
 
 
 def _cmd_template(args):
+    _require(args, "window" if args.action == "fit" else "n")
     paths = args.template.split(",")
     templates = [template_mod.load_template(p) for p in paths]
     if args.action == "count":
@@ -212,6 +220,7 @@ def _cmd_arrays(args):
         ]}
         _emit(payload, args, csv_text=csv_text)
         return 0
+    _require(args, "structure")
     struct = load_structure(args.structure)
     positions = _parse_positions(args.split)
     params = _parse_elements(args.A)
@@ -247,7 +256,8 @@ def _cmd_osc(args):
             "strictly_balanced": True,
         }
     elif args.action == "member":
-        g = osc_mod.hypergraph_from_json(json.load(open(args.hypergraph)))
+        _require(args, "hypergraph")
+        g = osc_mod.load_hypergraph(args.hypergraph)
         c = _frac(args.c)
         if args.mode == "q":
             value = osc_mod.in_Q(g, c)
@@ -258,7 +268,8 @@ def _cmd_osc(args):
             value = osc_mod.in_P(g, nu, c)
         payload = {"mode": args.mode, "c": _frac_str(c), "member": value}
     elif args.action == "blowup":
-        h = osc_mod.hypergraph_from_json(json.load(open(args.hypergraph)))
+        _require(args, "hypergraph", "n")
+        h = osc_mod.load_hypergraph(args.hypergraph)
         result = osc_mod.blowup_members(h, args.n, count_only=not args.materialize)
         payload = {
             "n": args.n,
@@ -268,6 +279,7 @@ def _cmd_osc(args):
         if result.members is not None:
             payload["members"] = [osc_mod.hypergraph_to_json(m) for m in result.members]
     elif args.action == "sample":
+        _require(args, "n")
         cert = osc_mod.sample_dense_member(
             args.r, args.k, _frac(args.c), args.n, _frac(args.delta), seed=args.seed
         )

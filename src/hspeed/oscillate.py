@@ -2,14 +2,15 @@
 blow-up lower-bound construction, the random dense-member sampler, and the
 greedy oscillation sequence builder.
 
-All density comparisons are exact rationals; the parametric max-flow
-check clears denominators so capacities stay integral.  Randomized paths
+All density comparisons are exact rationals; the min-cut excess check
+clears denominators so capacities stay integral.  Randomized paths
 take explicit seeds and are reproducible.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -73,6 +74,11 @@ def hypergraph_from_json(obj: dict) -> Hypergraph:
     return hypergraph(int(obj["r"]), int(obj["v"]), obj.get("edges", ()))
 
 
+def load_hypergraph(path: str) -> Hypergraph:
+    with open(path) as fh:
+        return hypergraph_from_json(json.load(fh))
+
+
 def density(g: Hypergraph) -> Fraction:
     if g.v < 1:
         raise EmptyVertexSet("density needs at least one vertex")
@@ -80,7 +86,7 @@ def density(g: Hypergraph) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# densest subgraph: subset brute force and parametric max-flow
+# densest subgraph: subset brute force and Dinkelbach min-cut iteration
 
 
 def _subset_edge_counts(g: Hypergraph) -> list[int]:
@@ -204,43 +210,25 @@ def _excess_subgraph(g: Hypergraph, threshold: Fraction) -> frozenset[int] | Non
 
 
 def max_subgraph_density(g: Hypergraph) -> tuple[Fraction, frozenset[int]]:
-    """Exact max over nonempty U of e(G[U])/|U| with a witness set.
+    """Exact max over nonempty U of e(G[U])/|U| with the largest densest set.
 
-    Parametric max-flow with binary search over candidate densities e'/v';
-    cross-checked against the subset brute force whenever v <= 14.
+    Dinkelbach iteration: from U = [v], replace U by a set with positive
+    excess over the density of U until no set has any; that last min cut
+    certifies optimality.  Cross-checked against the subset brute force
+    whenever v <= 14.
     """
     if g.v < 1:
         raise EmptyVertexSet("no vertices")
-    if g.e == 0:
-        result = (Fraction(0), frozenset([1]))
-    else:
-        candidates = sorted({Fraction(ep, vp) for vp in range(1, g.v + 1) for ep in range(0, g.e + 1)})
-        lo, hi = 0, len(candidates) - 1  # invariant: density >= candidates[lo]
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            gap = (candidates[mid - 1] + candidates[mid]) / 2
-            if _excess_subgraph(g, gap) is not None:
-                lo = mid
-            else:
-                hi = mid - 1
-        if lo == 0:
-            witness = max_subgraph_density_brute(g)[1] if g.v <= BRUTE_CROSSCHECK_LIMIT else frozenset([1])
-            result = (candidates[0], witness)
-        else:
-            gap = (candidates[lo - 1] + candidates[lo]) / 2
-            witness = _excess_subgraph(g, gap)
-            assert witness is not None
-            result = (candidates[lo], witness)
+    witness = frozenset(range(1, g.v + 1))
+    value = density(g)
+    while (denser := _excess_subgraph(g, value)) is not None:
+        witness = denser
+        value = Fraction(g.edge_count_within(witness), len(witness))
     if g.v <= BRUTE_CROSSCHECK_LIMIT:
         brute_value, _ = max_subgraph_density_brute(g)
-        if brute_value != result[0]:
-            raise RuntimeError(
-                f"flow density {result[0]} disagrees with brute force {brute_value}"
-            )
-    value, witness = result
-    if witness and Fraction(g.edge_count_within(witness), len(witness)) != value:
-        raise RuntimeError("witness does not achieve the maximum density")
-    return result
+        if brute_value != value:
+            raise RuntimeError(f"flow density {value} disagrees with brute force {brute_value}")
+    return value, witness
 
 
 def is_strictly_balanced(g: Hypergraph) -> bool:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .canon import canonical_data
+from .canon import canonical_data, orbit
 from .errors import BudgetExceeded, LanguageMismatch, NonHereditaryPredicate, TooFewRows
 from .simclass import class_count
 from .structures import GRAPH, Language, Structure, graph, induced_substructure
@@ -52,7 +52,7 @@ class PropertySpec:
             raise LanguageMismatch("candidate over a different language")
         if not self._base_ok(struct):
             return False
-        if self.forbidden and self._has_forbidden(struct):
+        if self.forbidden and _has_forbidden(self, struct):
             return False
         if self.templates and not any(in_age(struct, t) for t in self.templates):
             return False
@@ -74,22 +74,35 @@ class PropertySpec:
                     return False
         return True
 
-    def _has_forbidden(self, struct: Structure) -> bool:
-        for forb in self.forbidden:
-            m = forb.n
-            if m > struct.n:
-                continue
-            target = canonical_data(forb).form
-            counts = _tuple_counts(forb)
-            for xs in itertools.combinations(struct.elements(), m):
-                sub, _ = induced_substructure(struct, xs)
-                if _tuple_counts(sub) == counts and canonical_data(sub).form == target:
-                    return True
-        return False
-
 
 def _tuple_counts(struct: Structure) -> tuple[int, ...]:
     return tuple(len(ts) for ts in struct.rel_tuples)
+
+
+def _is_forbidden(spec: PropertySpec, sub: Structure) -> bool:
+    """Is ``sub`` isomorphic to a forbidden structure?  Tuple counts filter
+    the candidates before any canonical form is computed."""
+    counts = _tuple_counts(sub)
+    candidates = [f for f in spec.forbidden if f.n == sub.n and _tuple_counts(f) == counts]
+    if not candidates:
+        return False
+    form = canonical_data(sub).form
+    return any(canonical_data(f).form == form for f in candidates)
+
+
+def _has_forbidden(spec: PropertySpec, struct: Structure, anchor: int | None = None) -> bool:
+    """Does some induced substructure, containing ``anchor`` when given,
+    match a forbidden structure?  Each subset is visited once."""
+    others = [e for e in struct.elements() if e != anchor]
+    extra = () if anchor is None else (anchor,)
+    for m in sorted({f.n for f in spec.forbidden}):
+        if m > struct.n:
+            break
+        for xs in itertools.combinations(others, m - len(extra)):
+            sub, _ = induced_substructure(struct, xs + extra)
+            if _is_forbidden(spec, sub):
+                return True
+    return False
 
 
 def forbid(structures: Iterable[Structure], base: str = BASE_GRAPH) -> PropertySpec:
@@ -263,7 +276,7 @@ def generate_levels(spec: PropertySpec, n_max: int, budget: int | None = None):
                     continue
                 added = n + 1
                 deleted = next(e for e, lab in data.relabel.items() if lab == added)
-                if _same_orbit(data, added, deleted):
+                if deleted in orbit([added], data.aut_generators):
                     seen.add(data.form)
                     nxt.append((data.form, data.aut_order))
         nxt.sort(key=lambda pair: _sort_key(pair[0]))
@@ -273,23 +286,6 @@ def generate_levels(spec: PropertySpec, n_max: int, budget: int | None = None):
 
 def _sort_key(struct: Structure):
     return tuple(tuple(sorted(ts)) for ts in struct.rel_tuples)
-
-
-def _same_orbit(data, a: int, b: int) -> bool:
-    if a == b:
-        return True
-    seen = {a}
-    queue = [a]
-    while queue:
-        p = queue.pop()
-        for g in data.aut_generators:
-            q = g[p - 1]
-            if q == b:
-                return True
-            if q not in seen:
-                seen.add(q)
-                queue.append(q)
-    return False
 
 
 def _level_one(spec: PropertySpec) -> list[tuple[Structure, int]]:
@@ -353,12 +349,7 @@ def _extensions(spec: PropertySpec, parent: Structure):
             ),
             (),
         )
-        counts = _tuple_counts(sub)
-        candidates = [f for f in spec.forbidden if f.n == len(sub_elems) and _tuple_counts(f) == counts]
-        if not candidates:
-            return True
-        target = canonical_data(sub).form
-        return all(canonical_data(f).form != target for f in candidates)
+        return not _is_forbidden(spec, sub)
 
     results: list[Structure] = []
 
@@ -402,17 +393,8 @@ def _group_alternatives(spec: PropertySpec, group: list[tuple[int, tuple[int, ..
 
 def _leaf_ok(spec: PropertySpec, child: Structure, v: int) -> bool:
     # the parent is a member, so only configurations involving v need checking
-    if spec.forbidden:
-        for forb in spec.forbidden:
-            m = forb.n
-            if m > child.n:
-                continue
-            target = canonical_data(forb).form
-            counts = _tuple_counts(forb)
-            for rest in itertools.combinations(range(1, v), m - 1):
-                sub, _ = induced_substructure(child, rest + (v,))
-                if _tuple_counts(sub) == counts and canonical_data(sub).form == target:
-                    return False
+    if spec.forbidden and _has_forbidden(spec, child, anchor=v):
+        return False
     if spec.templates and not any(in_age(child, t) for t in spec.templates):
         return False
     if spec.predicate is not None:

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import OutOfRange
-from .structures import Structure, apply_bijection
+from .structures import Structure
 
 
 @dataclass(frozen=True)
@@ -106,9 +106,16 @@ def sim_related(struct: Structure, a: int, b: int) -> bool:
             raise OutOfRange(f"element {e} outside [{struct.n}]")
     if a == b:
         return True
-    swap = {e: e for e in struct.elements()}
-    swap[a], swap[b] = b, a
-    return apply_bijection(struct, swap) == struct
+    if a in struct.constant_elements or b in struct.constant_elements:
+        return False
+    # the swap only moves tuples touching a or b, and it is a bijection, so
+    # the relation is preserved iff each such tuple's image is in it
+    swap = {a: b, b: a}
+    for tuples in struct.rel_tuples:
+        for t in tuples:
+            if (a in t or b in t) and tuple(swap.get(e, e) for e in t) not in tuples:
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -165,23 +172,17 @@ def class_count(struct: Structure) -> int:
 
 
 def _sim_classes(struct: Structure) -> list[frozenset[int]]:
-    parent = list(range(struct.n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    elems = list(struct.elements())
-    for i, a in enumerate(elems):
-        for b in elems[i + 1:]:
-            if find(a) != find(b) and sim_related(struct, a, b):
-                parent[find(a)] = find(b)
-    groups: dict[int, set[int]] = {}
-    for e in elems:
-        groups.setdefault(find(e), set()).add(e)
-    return sorted((frozenset(g) for g in groups.values()), key=lambda c: (len(c), min(c)))
+    # one representative per class suffices: the relation is transitive,
+    # since the swap (a c) is the conjugate (a b)(b c)(a b)
+    classes: list[list[int]] = []
+    for e in struct.elements():
+        for cls in classes:
+            if sim_related(struct, cls[0], e):
+                cls.append(e)
+                break
+        else:
+            classes.append([e])
+    return sorted((frozenset(c) for c in classes), key=lambda c: (len(c), min(c)))
 
 
 def reconstruct_atom(
@@ -199,12 +200,19 @@ def reconstruct_atom(
     return tuples
 
 
+def reconstruct_relations(language, classes, sigma) -> tuple[frozenset[tuple[int, ...]], ...]:
+    """Relation tuple sets, aligned with ``language.relations``, rebuilt
+    from classes (or ordered parts) and per-atom class-index signatures."""
+    rebuilt: dict[str, set[tuple[int, ...]]] = {name: set() for name, _ in language.relations}
+    for diff, entries in sigma:
+        rebuilt[diff.rel] |= reconstruct_atom(classes, entries, diff)
+    return tuple(frozenset(rebuilt[name]) for name, _ in language.relations)
+
+
 def _verify_reconstruction(struct: Structure, decomp: Decomposition):
-    rebuilt: dict[str, set[tuple[int, ...]]] = {name: set() for name, _ in struct.language.relations}
-    for diff, entries in decomp.sigma:
-        rebuilt[diff.rel] |= reconstruct_atom(decomp.classes, entries, diff)
-    for (name, _), tuples in zip(struct.language.relations, struct.rel_tuples):
-        if rebuilt[name] != set(tuples):
+    rebuilt = reconstruct_relations(struct.language, decomp.classes, decomp.sigma)
+    for (name, _), tuples, again in zip(struct.language.relations, struct.rel_tuples, rebuilt):
+        if again != tuples:
             raise RuntimeError(
                 f"signature reconstruction mismatch for {name}: "
                 "the swap-equivalence classes do not induce full slices"

@@ -155,11 +155,6 @@ def graph(n: int, edges: Iterable[tuple[int, int]]) -> Structure:
     return make_structure(GRAPH, n, {"E": sym})
 
 
-def graph_edges(struct: Structure) -> set[frozenset[int]]:
-    """Undirected edge set of a graph-shaped structure."""
-    return {frozenset(t) for t in struct.tuples_of("E")}
-
-
 # ---------------------------------------------------------------------------
 # core operations
 
@@ -251,23 +246,12 @@ class AutomorphismGroup:
     n: int
 
     def orbits(self) -> list[frozenset[int]]:
-        parent = list(range(self.n + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for g in self.generators:
-            for e in range(1, self.n + 1):
-                ra, rb = find(e), find(g[e - 1])
-                if ra != rb:
-                    parent[ra] = rb
-        groups: dict[int, set[int]] = {}
+        """Orbits on [n], ordered by least element."""
+        out: list[frozenset[int]] = []
         for e in range(1, self.n + 1):
-            groups.setdefault(find(e), set()).add(e)
-        return [frozenset(v) for v in groups.values()]
+            if not any(e in o for o in out):
+                out.append(frozenset(orbit([e], self.generators)))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -423,21 +407,10 @@ def load_structure(path: str) -> Structure:
         return structure_from_json(json.load(fh))
 
 
-def load_structure_stream(path: str) -> list[Structure]:
-    """Newline-delimited JSON: one structure per line."""
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(structure_from_json(json.loads(line)))
-    return out
-
-
 def dump_structure(struct: Structure, path: str):
     with open(path, "w") as fh:
         json.dump(structure_to_json(struct), fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
-from .canon import canonical_data  # noqa: E402  (cycle: canon needs Structure)
+from .canon import canonical_data, orbit  # noqa: E402  (cycle: canon needs Structure)

@@ -27,7 +27,14 @@ from .errors import (
     NonIntegralCount,
 )
 from .linalg import poly_eval, solve_exact
-from .simclass import AtomicDiff, atomic_diff_from_key, atomic_diffs, decomposition
+from .simclass import (
+    AtomicDiff,
+    atomic_diff_from_key,
+    atomic_diffs,
+    decomposition,
+    realizations,
+    reconstruct_relations,
+)
 from .structures import Language, Structure, language_from_json, language_to_json
 
 INF = float("inf")
@@ -152,15 +159,8 @@ def template_of(struct: Structure, infinite_classes: set[int]) -> Template:
 
 def instantiate(template: Template, parts: tuple[frozenset[int], ...], n: int) -> Structure:
     """Concrete structure on [n] built from an ordered partition."""
-    rel_tuples: dict[str, set] = {name: set() for name, _ in template.language.relations}
-    for diff, entries in template.sigma:
-        for idx in entries:
-            pools = [parts[i - 1] for i in idx]
-            for values in itertools.product(*pools):
-                if len(set(values)) == len(values):
-                    rel_tuples[diff.rel].add(diff.expand(values))
-    aligned = tuple(frozenset(rel_tuples[name]) for name, _ in template.language.relations)
-    return Structure(template.language, n, aligned, ())
+    rel_tuples = reconstruct_relations(template.language, parts, template.sigma)
+    return Structure(template.language, n, rel_tuples, ())
 
 
 def is_compatible(struct: Structure, template: Template):
@@ -169,130 +169,64 @@ def is_compatible(struct: Structure, template: Template):
     Finite classes must be matched in size exactly; parts for infinite
     classes must exceed the threshold K.
     """
+    K = template.threshold
+    return _assign(struct, template, [int(s) if s != INF else K + 1 for s in template.sizes])
+
+
+def in_age(struct: Structure, template: Template) -> bool:
+    """Membership in the template's age: embeds with part sizes at most the
+    class sizes, with no minimum on parts for infinite classes."""
+    return _assign(struct, template, [0] * template.k) is not None
+
+
+def _assign(struct: Structure, template: Template, low: list[int]):
+    """First ordered partition instantiating the structure with part i of
+    size between low[i-1] and the i-th class size, or None.  Elements 1..n
+    try classes 1..k in turn, pruned by the signature and the part minimums."""
     if struct.language != template.language:
         raise LanguageMismatch("structure and template over different languages")
-    n = struct.n
-    k = template.k
-    K = template.threshold
-    if n < template.finite_total + template.ell * (K + 1):
+    n, k = struct.n, template.k
+    if n < sum(low):
         return None
-
     sigma = template.sigma_dict()
-    diffs = list(sigma)
-    caps = [int(s) if s != INF else None for s in template.sizes]
-
-    # tuples grouped by atom for incremental checks
-    want: dict[AtomicDiff, set[tuple[int, ...]]] = {
-        d: set() for d in diffs
-    }
-    from .simclass import realizations
-
-    for d in diffs:
-        want[d] = realizations(struct, d)
-
+    want = {d: realizations(struct, d) for d in sigma}
     assign: dict[int, int] = {}
-    counts = [0] * (k + 1)
+    counts = [0] * k
 
     def consistent_with(e: int) -> bool:
         # verify every atom tuple involving e against the signature, both directions
         seen = list(assign)
-        for d in diffs:
+        for d, allowed in sigma.items():
             v = d.num_vars
             if v > len(seen):
                 continue
-            pools = [seen] * v
-            for values in itertools.product(*pools):
+            for values in itertools.product(seen, repeat=v):
                 if e not in values or len(set(values)) != v:
                     continue
                 idx = tuple(assign[x] for x in values)
-                holds = values in want[d]
-                allowed = idx in sigma[d]
-                if holds != allowed:
+                if (values in want[d]) != (idx in allowed):
                     return False
         return True
 
-    order = list(struct.elements())
-
-    def rec(pos: int):
-        if pos == len(order):
-            for i in range(1, k + 1):
-                cap = caps[i - 1]
-                if cap is not None and counts[i] != cap:
-                    return None
-                if cap is None and counts[i] <= K:
-                    return None
-            return tuple(frozenset(e for e, c in assign.items() if c == i) for i in range(1, k + 1))
-        e = order[pos]
-        remaining = len(order) - pos
-        for i in range(1, k + 1):
-            cap = caps[i - 1]
-            if cap is not None and counts[i] >= cap:
+    def rec(e: int):
+        if e > n:
+            return tuple(frozenset(x for x, c in assign.items() if c == i) for i in range(1, k + 1))
+        for i in range(k):
+            if counts[i] >= template.sizes[i]:
                 continue
             counts[i] += 1
-            assign[e] = i
-            # feasibility: remaining elements must be able to fill deficits
-            deficit = 0
-            for j in range(1, k + 1):
-                cj = caps[j - 1]
-                need = (cj - counts[j]) if cj is not None else max(0, K + 1 - counts[j])
-                deficit += need
-            if deficit <= remaining - 1 and consistent_with(e):
-                res = rec(pos + 1)
+            assign[e] = i + 1
+            # the elements after e must still fill every part to its minimum
+            deficit = sum(max(0, lo - c) for lo, c in zip(low, counts))
+            if deficit <= n - e and consistent_with(e):
+                res = rec(e + 1)
                 if res is not None:
                     return res
             counts[i] -= 1
             del assign[e]
         return None
 
-    return rec(0)
-
-
-def in_age(struct: Structure, template: Template) -> bool:
-    """Membership in the template's age: embeds with part sizes at most the
-    class sizes, with no minimum on parts for infinite classes."""
-    if struct.language != template.language:
-        raise LanguageMismatch("structure and template over different languages")
-    k = template.k
-    caps = [int(s) if s != INF else None for s in template.sizes]
-    sigma = template.sigma_dict()
-    diffs = list(sigma)
-    from .simclass import realizations
-
-    want = {d: realizations(struct, d) for d in diffs}
-    assign: dict[int, int] = {}
-    counts = [0] * (k + 1)
-
-    def consistent_with(e: int) -> bool:
-        seen = list(assign)
-        for d in diffs:
-            v = d.num_vars
-            for values in itertools.product(seen, repeat=v):
-                if e not in values or len(set(values)) != v:
-                    continue
-                idx = tuple(assign[x] for x in values)
-                if (values in want[d]) != (idx in sigma[d]):
-                    return False
-        return True
-
-    order = list(struct.elements())
-
-    def rec(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        e = order[pos]
-        for i in range(1, k + 1):
-            cap = caps[i - 1]
-            if cap is not None and counts[i] >= cap:
-                continue
-            counts[i] += 1
-            assign[e] = i
-            if consistent_with(e) and rec(pos + 1):
-                return True
-            counts[i] -= 1
-            del assign[e]
-        return False
-
-    return rec(0)
+    return rec(1)
 
 
 # ---------------------------------------------------------------------------

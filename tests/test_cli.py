@@ -134,3 +134,32 @@ class TestReproducibility:
         assert code == 0
         assert out.splitlines()[0] == "n,labeled,unlabeled"
         assert out.splitlines()[8] == "8,764,5"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["template", "count", "--template", "{template}"],
+        ["template", "enumerate", "--template", "{template}"],
+        ["template", "union", "--template", "{template}"],
+        ["template", "fit", "--template", "{template}"],
+        ["osc", "member"],
+        ["osc", "blowup", "--n", "9"],
+        ["osc", "sample"],
+        ["osc", "blowup", "--hypergraph", "{hypergraph}"],
+        ["arrays", "types"],
+        ["arrays", "count"],
+    ],
+)
+def test_missing_action_argument_is_usage_error(capsys, tmp_path, argv):
+    from hspeed.corpus import symmetric_bipartite_template
+    from hspeed.template import template_to_json
+
+    files = {"template": tmp_path / "bip.json", "hypergraph": tmp_path / "edge3.json"}
+    files["template"].write_text(json.dumps(template_to_json(symmetric_bipartite_template())))
+    files["hypergraph"].write_text(json.dumps({"r": 3, "v": 3, "edges": [[1, 2, 3]]}))
+    argv = [a.format(**files) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "usage"

@@ -98,14 +98,31 @@ class TestMaxSubgraphDensity:
         assert value == F(1, 3) and witness == frozenset({1, 2, 3})
 
     def test_random_corpus_vs_brute(self):
+        corpus = []
         for seed in range(40):
             r = 2 if seed % 2 == 0 else 3
-            g = random_hypergraph(r, 6 + seed % 5, 0.35, seed)
+            corpus.append(random_hypergraph(r, 6 + seed % 5, 0.35, seed))
+        # a complete core planted in a sparse host: the densest set is a
+        # proper subset, so the Dinkelbach loop needs at least two flows
+        planted = []
+        for seed in range(6):
+            r = 2 + seed % 2
+            v, core = 10 + seed % 5, r + 3
+            host = random_hypergraph(r, v, 0.08 if r == 2 else 0.02, seed)
+            planted.append(hypergraph(r, v, set(host.edges) | {
+                frozenset(e) for e in itertools.combinations(range(1, core + 1), r)}))
+        # K4 next to a sparser ring and two isolated vertices: the first cut
+        # keeps the ring, so the loop runs three flows
+        ring = [(5 + i, 5 + (i + 1) % 8) for i in range(8)] + [(5, 9), (7, 11)]
+        planted.append(hypergraph(2, 14, list(itertools.combinations(range(1, 5), 2)) + ring))
+        for g in corpus + planted:
             value, witness = max_subgraph_density(g)
             oracle_value, _ = loop_max_density(g)
             assert value == oracle_value
             if g.e:
                 assert F(g.edge_count_within(witness), len(witness)) == value
+            if g in planted:
+                assert witness < frozenset(range(1, g.v + 1))
 
     def test_edgeless(self):
         value, witness = max_subgraph_density(hypergraph(2, 5, []))

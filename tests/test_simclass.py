@@ -64,6 +64,19 @@ class TestSimRelated:
                 for a in g.elements():
                     for b in g.elements():
                         assert sim_related(g, a, b) == qftp_swap_oracle(g, a, b)
+        # arity 3 with diagonal tuples, binary relations with loops, and a
+        # constant; dense and sparse draws so that some swaps do hold
+        with_constant = Language((("R", 2),), ("c",))
+        for seed in range(30):
+            n = 2 + seed % 4
+            p = (0.1, 0.5, 0.9)[seed % 3]
+            ternary = random_structure(seed, n, arity=3, p=p)
+            binary = random_structure(seed, n, arity=2, p=p)
+            named = make_structure(with_constant, n, {"R": binary.tuples_of("R")}, {"c": 1 + seed % n})
+            for m in (ternary, binary, named):
+                for a in m.elements():
+                    for b in m.elements():
+                        assert sim_related(m, a, b) == qftp_swap_oracle(m, a, b)
 
     def test_constants_break_relation(self):
         lang = Language((("E", 2),), ("c",))
@@ -111,6 +124,9 @@ class TestDecomposition:
                         for c in g.elements():
                             if rel[(a, b)] and rel[(b, c)]:
                                 assert rel[(a, c)]
+                # the decomposition's classes are exactly the relation's classes
+                classes = {frozenset(b for b in g.elements() if rel[(a, b)]) for a in g.elements()}
+                assert set(decomposition(g).classes) == classes
 
     def test_reconstruction_exhaustive(self):
         # decomposition() verifies sigma reconstruction internally; run it on

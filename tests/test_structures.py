@@ -188,6 +188,18 @@ class TestAutomorphisms:
             m = random_structure(seed, 5)
             assert automorphisms(m).order == brute_automorphism_count(m)
 
+    def test_orbits_match_permutation_scan(self, structured_graphs):
+        corpus = [random_structure(seed, 1 + seed % 6, p=(0.1, 0.5, 0.9)[seed % 3]) for seed in range(24)]
+        corpus += [m for m in structured_graphs.values() if m.n <= 6]
+        for m in corpus:
+            images = {e: set() for e in m.elements()}
+            for perm in itertools.permutations(m.elements()):
+                if apply_bijection(m, dict(zip(m.elements(), perm))) == m:
+                    for e, image in zip(m.elements(), perm):
+                        images[e].add(image)
+            brute = sorted(sorted(o) for o in {frozenset(o) for o in images.values()})
+            assert sorted(sorted(o) for o in automorphisms(m).orbits()) == brute
+
     def test_orbit_stabilizer(self, structured_graphs):
         for name in ("M3", "C6", "star5"):
             m = structured_graphs[name]

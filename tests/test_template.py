@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import all_graphs
 from hspeed.corpus import (
     BUILTIN_TEMPLATES,
     asymmetric_two_class_template,
@@ -70,6 +71,21 @@ def brute_compatible_structures(template: Template, n: int) -> set:
     return out
 
 
+def brute_age(template: Template, n: int) -> set:
+    """Oracle: instantiations of every assignment [n] -> [k] whose part
+    sizes stay within the finite class sizes."""
+    k = template.k
+    out = set()
+    for assignment in itertools.product(range(1, k + 1), repeat=n):
+        parts = tuple(
+            frozenset(e for e, c in zip(range(1, n + 1), assignment) if c == i)
+            for i in range(1, k + 1)
+        )
+        if all(len(part) <= size for size, part in zip(template.sizes, parts)):
+            out.add(instantiate(template, parts, n))
+    return out
+
+
 class TestTemplateOf:
     def test_empty_graph(self):
         t = template_of(graph(5, []), {1})
@@ -123,6 +139,14 @@ class TestCompatibility:
             k26 not in brute_compatible_structures(symmetric_bipartite_template(), 8)
             for _ in [0]
         )
+
+    def test_matches_brute_force_on_all_small_graphs(self):
+        for name, factory in BUILTIN_TEMPLATES.items():
+            t = factory()
+            for n in range(1, 6):
+                compatible = brute_compatible_structures(t, n)
+                for g in all_graphs(n):
+                    assert (is_compatible(g, t) is not None) == (g in compatible), (name, g)
 
     def test_witness_parts_are_swap_classes(self):
         for factory in BUILTIN_TEMPLATES.values():
@@ -272,6 +296,14 @@ class TestEquivalence:
 
 
 class TestAge:
+    def test_matches_brute_force_on_all_small_graphs(self):
+        for name, factory in BUILTIN_TEMPLATES.items():
+            t = factory()
+            for n in range(1, 6):
+                age = brute_age(t, n)
+                for g in all_graphs(n):
+                    assert in_age(g, t) == (g in age), (name, g)
+
     def test_clique_age(self):
         t = inf_clique_template()
         assert in_age(clique(4), t)
