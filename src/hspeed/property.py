@@ -1,10 +1,17 @@
 """Hereditary property specifications and exact speed enumeration.
 
-Members are generated one vertex at a time as unlabeled representatives:
-each canonical parent is extended by every admissible set of tuples
+Members are generated one vertex at a time as unlabeled representatives
+by canonical augmentation (McKay, "Isomorph-free exhaustive generation",
+1998): each canonical parent is extended by every admissible set of tuples
 touching the new vertex, pruned by the membership test, and a child is
 kept exactly when the added vertex lies in the automorphism orbit of the
-canonical deletion vertex.  Labeled counts follow as n!/|Aut| per class.
+canonical deletion vertex.  The deletion vertex is chosen among the
+elements whose incidence invariant (per relation and position, the number
+of tuples holding the element there) is lexicographically maximal, as the
+one with the largest canonical label.  A child whose new vertex is not
+invariant-maximal therefore cannot be kept and is rejected before it is
+built, tested or canonized; only a predicate's heredity certificate still
+checks it.  Labeled counts follow as n!/|Aut| per class.
 """
 
 from __future__ import annotations
@@ -270,13 +277,12 @@ def generate_levels(spec: PropertySpec, n_max: int, budget: int | None = None):
         nxt = []
         for parent, _ in level:
             seen: set = set()
-            for child in _extensions(spec, parent):
+            for child, candidates in _extensions(spec, parent):
                 data = canonical_data(child)
                 if data.form in seen:
                     continue
-                added = n + 1
-                deleted = next(e for e, lab in data.relabel.items() if lab == added)
-                if deleted in orbit([added], data.aut_generators):
+                deleted = max(candidates, key=data.relabel.__getitem__)
+                if deleted in orbit([n + 1], data.aut_generators):
                     seen.add(data.form)
                     nxt.append((data.form, data.aut_order))
         nxt.sort(key=lambda pair: _sort_key(pair[0]))
@@ -306,10 +312,25 @@ def _level_one(spec: PropertySpec) -> list[tuple[Structure, int]]:
 
 
 def _extensions(spec: PropertySpec, parent: Structure):
-    """All members on [n+1] extending the parent by vertex n+1."""
+    """Members on [n+1] extending the parent by vertex n+1 whose new vertex
+    is invariant-maximal, each paired with the elements sharing that maximal
+    invariant: the candidates for the canonical deletion vertex.  The
+    invariants are updated as tuples are chosen, before any child is built.
+    """
     lang = spec.language
     n = parent.n
     v = n + 1
+    offsets = list(itertools.accumulate((arity for _, arity in lang.relations), initial=0))
+    counts = [[0] * offsets[-1] for _ in range(v)]  # counts[x - 1] is the invariant of x
+
+    def tally(ri: int, t: tuple[int, ...], step: int):
+        for p, x in enumerate(t):
+            counts[x - 1][offsets[ri] + p] += step
+
+    for ri, ts in enumerate(parent.rel_tuples):
+        for t in ts:
+            tally(ri, t, 1)
+
     groups: dict[frozenset, list[tuple[int, tuple[int, ...]]]] = {}
     for ri, (name, arity) in enumerate(lang.relations):
         for t in itertools.product(range(1, v + 1), repeat=arity):
@@ -351,22 +372,31 @@ def _extensions(spec: PropertySpec, parent: Structure):
         )
         return not _is_forbidden(spec, sub)
 
-    results: list[Structure] = []
+    results: list[tuple[Structure, list[int]]] = []
 
     def rec(gi: int):
         if gi == len(supports):
+            inv = [tuple(c) for c in counts]
+            maximal = inv[n] == max(inv)
+            # a predicate's heredity certificate still sees every child: a
+            # child whose new vertex is not maximal may be the only one
+            # with a non-member deletion
+            if not maximal and spec.predicate is None:
+                return
             child = build_child()
-            if _leaf_ok(spec, child, v):
-                results.append(child)
+            if _leaf_ok(spec, child, v) and maximal:
+                results.append((child, [x for x in child.elements() if inv[x - 1] == inv[n]]))
             return
         support = supports[gi]
         for alt in alternatives[gi]:
             for ri, t in alt:
                 chosen[ri].add(t)
+                tally(ri, t, 1)
             if induced_ok(support):
                 rec(gi + 1)
             for ri, t in alt:
                 chosen[ri].discard(t)
+                tally(ri, t, -1)
 
     rec(0)
     return results

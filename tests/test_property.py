@@ -4,11 +4,13 @@ import math
 import pytest
 
 from conftest import all_graphs
+from hspeed.canon import canonical_data
 from hspeed.corpus import inf_clique_template
 from hspeed.errors import BudgetExceeded, NonHereditaryPredicate, TooFewRows
 from hspeed.property import (
     BASE_GRAPH,
     BASE_UNIFORM,
+    BUILTIN_PROPERTIES,
     Consistent,
     K2,
     K3,
@@ -26,6 +28,7 @@ from hspeed.property import (
     is_totally_bounded_upto,
     matching_property,
     speed,
+    _sort_key,
 )
 from hspeed.structures import GRAPH, graph, induced_substructure, make_structure, uniform_language
 
@@ -40,6 +43,82 @@ def involution_numbers(n_max: int) -> list[int]:
 
 def brute_labeled_count(spec: PropertySpec, n: int) -> int:
     return sum(1 for g in all_graphs(n) if spec.member(g))
+
+
+def incidence_invariant(struct, x: int) -> tuple[int, ...]:
+    """Per (relation, position): how many tuples hold x at that position."""
+    return tuple(
+        sum(1 for t in tuples if t[p] == x)
+        for (_, arity), tuples in zip(struct.language.relations, struct.rel_tuples)
+        for p in range(arity)
+    )
+
+
+# OEIS A000088 (graphs), A000595 (binary relations), A000665 (3-uniform hypergraphs)
+UNLABELED_GRAPHS = [1, 2, 4, 11, 34, 156, 1044, 12346]
+UNLABELED_BINARY_RELATIONS = [2, 10, 104, 3044]
+UNLABELED_3_UNIFORM = [1, 1, 2, 5, 34]
+
+
+class TestCanonicalAugmentation:
+    """Orderly generation with the invariant-maximal deletion vertex against
+    counts and representatives computed without it."""
+
+    def test_all_graphs_oeis(self):
+        table = speed(all_graphs_property(), 7)
+        assert [r.unlabeled for r in table.rows] == UNLABELED_GRAPHS[:7]
+        assert [r.labeled for r in table.rows] == [2 ** math.comb(n, 2) for n in range(1, 8)]
+
+    def test_binary_relations_with_loops_oeis(self):
+        spec = PropertySpec(language=uniform_language(2), base="none")
+        table = speed(spec, 4, budget=4)
+        assert [r.unlabeled for r in table.rows] == UNLABELED_BINARY_RELATIONS
+        assert [r.labeled for r in table.rows] == [2 ** (n * n) for n in range(1, 5)]
+
+    def test_three_uniform_oeis(self):
+        spec = PropertySpec(language=uniform_language(3), base=BASE_UNIFORM)
+        table = speed(spec, 5, budget=5)
+        assert [r.unlabeled for r in table.rows] == UNLABELED_3_UNIFORM
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_PROPERTIES))
+    def test_representatives_match_brute_force(self, name):
+        spec = BUILTIN_PROPERTIES[name]()
+        for n in range(1, 6):
+            forms = {canonical_data(g).form for g in all_graphs(n) if spec.member(g)}
+            assert generate_members(spec, n) == sorted(forms, key=_sort_key), (name, n)
+
+    def test_only_invariant_maximal_children_are_canonized(self, monkeypatch):
+        import hspeed.property
+
+        canonized = []
+
+        def recording(struct):
+            canonized.append(struct)
+            return canonical_data(struct)
+
+        monkeypatch.setattr(hspeed.property, "canonical_data", recording)
+        speed(all_graphs_property(), 7)
+        for child in canonized:
+            invariants = [incidence_invariant(child, x) for x in child.elements()]
+            assert invariants[-1] == max(invariants), sorted(child.rel_tuples[0])
+        assert len(canonized) < 4000  # every one of 11,290 children without the prefilter
+
+    def test_heredity_witness_behind_non_maximal_vertex(self):
+        # the edgeless graph on 3 vertices is the only non-member; each
+        # 4-vertex member with it as a deletion (K2+2K1, P3+K1, K1,3) is a
+        # child of a member only through a vertex of less than maximal degree
+        spec = PropertySpec(
+            language=GRAPH,
+            base=BASE_GRAPH,
+            predicate=("not-edgeless-3", lambda s: s.n != 3 or bool(s.tuples_of("E"))),
+        )
+        with pytest.raises(NonHereditaryPredicate):
+            speed(spec, 4)
+
+    @pytest.mark.slow
+    def test_all_graphs_n8_oeis(self):
+        row = speed(all_graphs_property(), 8).rows[-1]
+        assert (row.unlabeled, row.labeled) == (UNLABELED_GRAPHS[7], 2 ** 28)
 
 
 class TestSpeed:
