@@ -183,10 +183,6 @@ class ProbeTable:
     rows: tuple[ProbeRow, ...]
     seed: int
 
-    def growing(self) -> bool:
-        vals = [r.max_count for r in self.rows]
-        return vals == sorted(vals) and vals[-1] > vals[0]
-
 
 def bounded_array_probe(
     spec: PropertySpec,

@@ -242,10 +242,8 @@ def is_strictly_balanced(g: Hypergraph) -> bool:
         f = _subset_edge_counts(g)
         full = (1 << g.v) - 1
         for mask in range(1, full):
-            size = mask.bit_count()
-            if f[mask] * rho.denominator * g.v >= rho.numerator * size * g.v:
-                if Fraction(f[mask], size) >= rho:
-                    return False
+            if f[mask] * rho.denominator >= rho.numerator * mask.bit_count():
+                return False
         return True
     for x in range(1, g.v + 1):
         sub = g.induced([y for y in range(1, g.v + 1) if y != x])
@@ -339,31 +337,67 @@ def in_S(g: Hypergraph, c: Fraction) -> bool:
     return g.e <= Fraction(c) * g.v
 
 
+def _connected_violation(g: Hypergraph, reach: int, c: Fraction, budget: int) -> frozenset[int] | None:
+    """The first set S with |S| <= reach, connected in the 2-section of g,
+    and e(S) > c*|S|, or None.  ESU (Wernicke 2006) visits each connected
+    set once: a set grows from its least vertex, and an added vertex brings
+    in only its neighbours outside the set's closed neighbourhood.
+    """
+    num, den = c.numerator, c.denominator
+    through: list[list[frozenset[int]]] = [[] for _ in range(g.v + 1)]
+    for edge in g.edges:
+        for x in edge:
+            through[x].append(edge)
+    nbrs = [set().union(*edges) for edges in through]  # closed neighbourhoods
+    visits = 0
+    for root in range(1, g.v + 1):
+        # frames: (set, its edge count, its closed neighbourhood, vertices left to add)
+        stack = [(frozenset(), 0, {root}, [root])]
+        while stack:
+            sub, count, closed, ext = stack[-1]
+            if not ext:
+                stack.pop()
+                continue
+            w = ext.pop()
+            grown = sub | {w}
+            count += sum(1 for edge in through[w] if edge <= grown)
+            visits += 1
+            if visits > budget:
+                raise BudgetExceeded(f"the connected-set search exceeds the budget of {budget} sets")
+            if count * den > num * len(grown):
+                return grown
+            if len(grown) < reach:
+                new = [u for u in nbrs[w] if u > root and u not in closed]
+                stack.append((grown, count, closed | nbrs[w], ext + new))
+    return None
+
+
 def in_P(g: Hypergraph, nu: Iterable[int], c: Fraction, subset_budget: int = SUBSET_BUDGET) -> bool:
-    """Density constraint enforced only at subgraph sizes listed in nu."""
+    """Every vertex set whose size is listed in nu spans at most c*|S| edges.
+
+    A size s binds unless C(s, r) <= c*s or e(G) <= c*s.  Edge and vertex
+    counts add over components, so below the least unlisted binding size
+    (the gap) a violating set exists exactly when a connected one does.
+    The connected-set search decides those sizes; each listed binding size
+    above the gap is decided by scanning all its subsets.  Both raise
+    BudgetExceeded when they would visit more than ``subset_budget`` sets.
+    """
     c = Fraction(c)
-    sizes = sorted({int(x) for x in nu if 1 <= int(x) <= g.v})
-    f = None
-    for size in sizes:
-        bound = c * size
-        if Fraction(math.comb(size, g.r)) <= bound:
-            continue  # constraint vacuous at this size
-        if g.e <= bound:
-            continue  # total edge count already below the bound
+    listed = {int(x) for x in nu if 1 <= int(x) <= g.v}
+    binding = [s for s in range(1, max(listed, default=0) + 1)
+               if math.comb(s, g.r) > c * s and g.e > c * s]
+    gap = min((s for s in binding if s not in listed), default=math.inf)
+    reach = max((s for s in binding if s < gap), default=0)
+    if reach and _connected_violation(g, reach, c, subset_budget) is not None:
+        return False
+    for size in (s for s in binding if s > gap and s in listed):
         if math.comb(g.v, size) > subset_budget:
             raise BudgetExceeded(
                 f"checking all {math.comb(g.v, size)} subsets of size {size} exceeds the budget"
             )
-        if g.v <= BRUTE_CROSSCHECK_LIMIT:
-            if f is None:
-                f = _subset_edge_counts(g)
-            for mask in range(1 << g.v):
-                if mask.bit_count() == size and f[mask] > bound:
-                    return False
-        else:
-            for subset in itertools.combinations(range(1, g.v + 1), size):
-                if g.edge_count_within(frozenset(subset)) > bound:
-                    return False
+        for subset in itertools.combinations(range(1, g.v + 1), size):
+            if g.edge_count_within(frozenset(subset)) > c * size:
+                return False
     return True
 
 
@@ -469,41 +503,14 @@ class SampleCertificate:
     edge_count: int
     attempts: int
     seed: int
-    p_float: float
-    verification: str  # "exhaustive" or "sampled:<count>"
     sub_member_log2: int  # the member certifies >= 2^edge_count members
+    verification: str = "exhaustive"  # in_P decides membership exactly
 
 
 def _edge_threshold_met(e: int, n: int, r: int, delta: Fraction) -> bool:
     """Exact check of e >= n^(-delta) * C(n, r) / 2 for rational delta."""
     a, b = delta.numerator, delta.denominator
-    lhs = (2 * e) ** b * n ** a
-    rhs = math.comb(n, r) ** b
-    return lhs >= rhs
-
-
-def _verify_p_membership(
-    g: Hypergraph, k: int, c: Fraction, rng: random.Random, exhaustive_limit: int = 5, samples: int = 400
-) -> tuple[bool, str]:
-    """P^{(k),c} membership; exhaustive for sizes <= exhaustive_limit, sampled above."""
-    c = Fraction(c)
-    modes = []
-    for size in range(1, min(k, g.v) + 1):
-        bound = c * size
-        if Fraction(math.comb(size, g.r)) <= bound or g.e <= bound:
-            continue
-        if size <= exhaustive_limit or math.comb(g.v, size) <= SUBSET_BUDGET:
-            for subset in itertools.combinations(range(1, g.v + 1), size):
-                if g.edge_count_within(frozenset(subset)) > bound:
-                    return False, "exhaustive"
-            modes.append("exhaustive")
-        else:
-            for _ in range(samples):
-                subset = frozenset(rng.sample(range(1, g.v + 1), size))
-                if g.edge_count_within(subset) > bound:
-                    return False, f"sampled:{samples}"
-            modes.append(f"sampled:{samples}")
-    return True, (max(modes, key=len) if modes else "exhaustive")
+    return (2 * e) ** b * n ** a >= math.comb(n, r) ** b
 
 
 def sample_dense_member(
@@ -516,7 +523,9 @@ def sample_dense_member(
     max_attempts: int = 2000,
 ) -> SampleCertificate:
     """Rejection-sample G(n, p), p = n^(-delta), until a member of P^{(k),c}_n
-    with e(G) >= p*C(n,r)/2 appears; both conditions verified exactly."""
+    with e(G) >= p*C(n,r)/2 appears.  Both conditions are decided exactly,
+    membership by in_P; a draw whose membership check exceeds its budget is
+    rejected and still counts as an attempt."""
     c = Fraction(c)
     delta = Fraction(delta)
     if delta * c <= 1:
@@ -526,24 +535,17 @@ def sample_dense_member(
     rng = random.Random(seed)
     p = float(n) ** (-float(delta))
     for attempt in range(1, max_attempts + 1):
-        edges = [
-            frozenset(e)
-            for e in itertools.combinations(range(1, n + 1), r)
-            if rng.random() < p
-        ]
-        g = Hypergraph(r, n, frozenset(edges))
+        drawn = [e for e in itertools.combinations(range(1, n + 1), r) if rng.random() < p]
+        g = hypergraph(r, n, drawn)
         if not _edge_threshold_met(g.e, n, r, delta):
             continue
-        ok, mode = _verify_p_membership(g, k, c, rng)
-        if ok:
+        try:
+            member = in_P(g, range(1, k + 1), c)
+        except BudgetExceeded:
+            continue  # an unchecked draw is never certified
+        if member:
             return SampleCertificate(
-                graph=g,
-                edge_count=g.e,
-                attempts=attempt,
-                seed=seed,
-                p_float=p,
-                verification=mode,
-                sub_member_log2=g.e,
+                graph=g, edge_count=g.e, attempts=attempt, seed=seed, sub_member_log2=g.e
             )
     raise SampleBudgetExceeded(
         f"no qualifying member of P^{{({k}),{c}}}_{n} in {max_attempts} attempts (p = {p:.3g})"
@@ -588,6 +590,8 @@ def _threshold_met(e: int, n: int, r: int, eps: Fraction) -> bool:
 def default_estimator(r: int, c: Fraction, eps: Fraction, seed: int, attempts: int = 8):
     """Certified lower bound log2 |P^{nu,c}_n| >= e via sample_dense_member.
 
+    The certificate graph is a member of P^{(k),c}_n with k = max(nu_prefix),
+    hence of P^{nu,c}_n, and in_P decides that membership exactly.
     Returns a callable (nu_prefix, n) -> (e, certificate dict) or None.
     The sampler's preconditions (k*r <= n) and a deterministic
     hopelessness bound (expected edges far below the threshold) make it

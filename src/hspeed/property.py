@@ -274,6 +274,15 @@ def generate_levels(spec: PropertySpec, n_max: int, budget: int | None = None):
     level = _level_one(spec)
     yield level
     for n in range(1, n_max):
+        if not level and spec.predicate is not None:
+            # no child reaches _leaf_ok: a member of size n+1 has only non-member deletions
+            base = PropertySpec(spec.language, spec.base)
+            if any(spec.member(s) for s in generate_members(base, n + 1, cap)):
+                raise NonHereditaryPredicate(
+                    f"predicate {spec.predicate[0]}: members of size {n + 1}, none of size {n}"
+                )
+            yield from ([] for _ in range(n + 1, n_max + 1))
+            return
         nxt = []
         for parent, _ in level:
             seen: set = set()

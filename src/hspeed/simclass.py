@@ -129,21 +129,11 @@ class Decomposition:
     def k(self) -> int:
         return len(self.classes)
 
-    def class_of(self, element: int) -> int:
-        """1-based index of the class containing the element."""
-        for i, cls in enumerate(self.classes, start=1):
-            if element in cls:
-                return i
-        raise OutOfRange(f"element {element} in no class")
-
     def sigma_of(self, diff: AtomicDiff) -> frozenset[tuple[int, ...]]:
         for d, s in self.sigma:
             if d == diff:
                 return s
         raise KeyError(diff)
-
-    def sigma_dict(self) -> dict[AtomicDiff, frozenset[tuple[int, ...]]]:
-        return dict(self.sigma)
 
 
 def decomposition(struct: Structure) -> Decomposition:

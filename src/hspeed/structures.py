@@ -113,9 +113,6 @@ class Structure:
     def elements(self) -> range:
         return range(1, self.n + 1)
 
-    def total_tuples(self) -> int:
-        return sum(len(ts) for ts in self.rel_tuples)
-
 
 def make_structure(
     language: Language,

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hspeed.errors import (
     BudgetExceeded,
     EmptyVertexSet,
     InfeasibleDensity,
+    SampleBudgetExceeded,
     TooSmall,
 )
 from hspeed.oscillate import (
@@ -224,6 +226,33 @@ class TestMembership:
         with pytest.raises(BudgetExceeded):
             in_P(g, [15], F(1, 100), subset_budget=1000)
 
+    def test_in_p_matches_subset_scan(self):
+        rng = random.Random(2024)
+        violations = 0
+        for _ in range(1200):
+            r = rng.choice((2, 3))
+            v = rng.randint(1, 9)
+            p = rng.random()
+            g = hypergraph(r, v, [e for e in itertools.combinations(range(1, v + 1), r)
+                                  if rng.random() < p])
+            c = F(rng.randint(0, 12), rng.randint(1, 6))
+            if rng.random() < 0.5:
+                nu = range(1, rng.randint(1, v + 2))  # gap-free
+            else:
+                nu = rng.sample(range(1, v + 3), rng.randint(0, v + 1))
+            expected = brute_in_p(g, nu, c)
+            violations += not expected
+            assert in_P(g, nu, c) == expected, (r, v, sorted(map(sorted, g.edges)), list(nu), c)
+        assert 200 < violations < 1000  # both answers are well exercised
+
+    def test_connected_search_budget(self):
+        # C30 with c = 1: sizes 4..19 bind, no path violates, and there are
+        # 30 + 30 * 18 connected sets of size at most 19 to visit
+        cycle = hypergraph(2, 30, [(i, i % 30 + 1) for i in range(1, 31)])
+        assert in_P(cycle, range(1, 20), F(1), subset_budget=600)
+        with pytest.raises(BudgetExceeded):
+            in_P(cycle, range(1, 20), F(1), subset_budget=100)
+
 
 class TestBlowup:
     def test_three_edge(self):
@@ -261,6 +290,15 @@ class TestBlowup:
         result = blowup_members(h, 15, count_only=True)
         assert result.count == (math.factorial(3) ** 2) ** 2
         assert result.count >= result.guaranteed_lower_bound
+
+
+def brute_in_p(g, nu, c) -> bool:
+    """Scan every vertex set of every listed size."""
+    for size in {s for s in nu if 1 <= s <= g.v}:
+        for subset in itertools.combinations(range(1, g.v + 1), size):
+            if g.edge_count_within(frozenset(subset)) > c * size:
+                return False
+    return True
 
 
 def has_triangle(g) -> bool:
@@ -310,6 +348,23 @@ class TestSampler:
         with pytest.raises(ValueError):
             sample_dense_member(2, 20, F(2, 3), 30, F(8, 5), seed=0)
 
+    def test_certificate_is_exhaustive(self):
+        cert = sample_dense_member(2, 3, F(2, 3), 30, F(8, 5), seed=42)
+        assert cert.verification == "exhaustive"
+        assert brute_in_p(cert.graph, [1, 2, 3], F(2, 3))
+
+    def test_unchecked_draw_is_never_certified(self, monkeypatch):
+        checks = []
+
+        def over_budget(g, nu, c):
+            checks.append(g)
+            raise BudgetExceeded("over budget")
+
+        monkeypatch.setattr("hspeed.oscillate.in_P", over_budget)
+        with pytest.raises(SampleBudgetExceeded):
+            sample_dense_member(2, 3, F(2, 3), 30, F(8, 5), seed=42, max_attempts=5)
+        assert 1 <= len(checks) <= 5  # each rejected draw used up an attempt
+
 
 class TestSequence:
     def test_first_point_and_interleaving(self):
@@ -323,6 +378,17 @@ class TestSequence:
             assert cert["n"] == m
             # the certificate reaches the threshold 2^(n^(r-eps))
             assert cert["edges"] ** 2 >= m
+
+    def test_exhaustive_certificates(self):
+        seq = build_sequence(2, F(1), F(3, 2), steps=3, seed=0)
+        assert seq.nu == (3, 7, 15, 31)
+        assert seq.mu == (6, 14, 30)
+        assert [cert["verification"] for cert in seq.certificates] == ["exhaustive"] * 3
+
+    def test_six_steps(self):
+        seq = build_sequence(2, F(1), F(3, 2), steps=6, seed=0)
+        assert seq.nu == (3, 7, 15, 31, 63, 127, 255)
+        assert all(cert["verification"] == "exhaustive" for cert in seq.certificates)
 
     def test_reproducible(self):
         a = build_sequence(2, F(1), F(3, 2), steps=2, seed=7)

@@ -212,6 +212,18 @@ class TestSpeed:
         with pytest.raises(NonHereditaryPredicate):
             speed(spec, 4)
 
+    def test_non_hereditary_predicate_behind_empty_level(self):
+        # no graph on 3 vertices is a member, so no member child reaches the
+        # leaf certificate; every graph on 4 vertices satisfies the predicate
+        spec = PropertySpec(GRAPH, BASE_GRAPH, predicate=("not-3", lambda s: s.n != 3))
+        assert [r.labeled for r in speed(spec, 3).rows] == [1, 2, 0]
+        with pytest.raises(NonHereditaryPredicate):
+            speed(spec, 5)
+
+    def test_empty_level_of_hereditary_predicate(self):
+        spec = PropertySpec(GRAPH, BASE_GRAPH, predicate=("at-most-3", lambda s: s.n <= 3))
+        assert [r.labeled for r in speed(spec, 5).rows] == [1, 2, 8, 0, 0]
+
     def test_directed_base_none(self):
         lang = uniform_language(2)
         spec = PropertySpec(language=lang, base="none")
