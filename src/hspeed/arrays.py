@@ -19,6 +19,8 @@ from .errors import BadSplit, OutOfRange
 from .property import PropertySpec, generate_levels
 from .structures import Structure
 
+PROBE_RESTARTS = 4  # hill-climbing starts per member and parameter-set size above 3
+
 
 @dataclass(frozen=True)
 class RSplitType:
@@ -193,7 +195,6 @@ def bounded_array_probe(
     a_max: int = 6,
     seed: int = 0,
     budget: int | None = None,
-    restarts: int = 4,
 ) -> ProbeTable:
     """Per n, the max type count over generated members and parameter sets.
 
@@ -214,7 +215,7 @@ def bounded_array_probe(
                     if val > best:
                         best, best_struct, best_A = val, rep, A
             for size in range(4, min(a_max, len(elems)) + 1):
-                for _ in range(restarts):
+                for _ in range(PROBE_RESTARTS):
                     A = set(rng.sample(elems, size))
                     val = n_array_count(rep, rel, x_positions, m, A)
                     improved = True

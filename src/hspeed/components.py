@@ -13,6 +13,8 @@ from .errors import BudgetExceeded, InsufficientComponents, OutOfRange
 from .property import PropertySpec, generate_levels
 from .structures import Structure, apply_bijection, induced_substructure
 
+MATERIALIZE_LIMIT = 8  # largest n whose members component_lowerbound_members lists
+
 
 @dataclass(frozen=True)
 class ComponentReport:
@@ -166,7 +168,6 @@ def component_lowerbound_members(
     k: int,
     n: int,
     spec: PropertySpec | None = None,
-    materialize_limit: int = 8,
 ) -> LowerBoundMembers:
     """Distinct labeled members built by distributing size-k components over [n].
 
@@ -194,9 +195,9 @@ def component_lowerbound_members(
 
     aut = canonical_data(base).aut_order
     count = math.factorial(n) // aut
-    if n > materialize_limit:
+    if n > MATERIALIZE_LIMIT:
         raise BudgetExceeded(
-            f"n = {n} exceeds materialize limit {materialize_limit} (count would be {count})"
+            f"n = {n} exceeds materialize limit {MATERIALIZE_LIMIT} (count would be {count})"
         )
     seen: set[Structure] = set()
     for perm in itertools.permutations(range(1, n + 1)):

@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import (
     BudgetExceeded,
@@ -29,6 +29,11 @@ from .errors import (
 
 BRUTE_CROSSCHECK_LIMIT = 14
 SUBSET_BUDGET = 2_000_000
+BALANCED_V_BUDGET = 12  # find_strictly_balanced searches v <= this
+BALANCED_COMBO_BUDGET = 300_000  # ... and only edge sets of at most this many combinations
+MATERIALIZE_BUDGET = 5000  # most members blowup_members builds
+ESTIMATOR_ATTEMPTS = 8  # sampler calls per (nu prefix, n) in default_estimator
+SEQUENCE_SCAN_LIMIT = 600  # candidate n per build_sequence step
 
 
 @dataclass(frozen=True)
@@ -278,9 +283,7 @@ def _sunflower(r: int, k: int) -> Hypergraph:
     return hypergraph(r, 1 + k * (r - 1), edges)
 
 
-def find_strictly_balanced(
-    r: int, c: Fraction, v_budget: int = 12, combo_budget: int = 300_000
-) -> Hypergraph:
+def find_strictly_balanced(r: int, c: Fraction) -> Hypergraph:
     """A certified strictly balanced r-uniform hypergraph of density exactly c.
 
     Seeds known families first, then searches small vertex counts
@@ -307,20 +310,20 @@ def find_strictly_balanced(
         full = hypergraph(r, r + 1, itertools.combinations(range(1, r + 2), r))
         return certify(full)
     # incremental search over v with e = c*v integral
-    for v in range(r, v_budget + 1):
+    for v in range(r, BALANCED_V_BUDGET + 1):
         if (c * v).denominator != 1:
             continue
         e = int(c * v)
         if e < 1 or e > math.comb(v, r):
             continue
-        if math.comb(math.comb(v, r), e) <= combo_budget:
+        if math.comb(math.comb(v, r), e) <= BALANCED_COMBO_BUDGET:
             all_edges = list(itertools.combinations(range(1, v + 1), r))
             for combo in itertools.combinations(all_edges, e):
                 g = hypergraph(r, v, combo)
                 if is_strictly_balanced(g):
                     return certify(g)
     raise SearchBudgetExceeded(
-        f"no strictly balanced ({r}, {c}) hypergraph found within v <= {v_budget}"
+        f"no strictly balanced ({r}, {c}) hypergraph found within v <= {BALANCED_V_BUDGET}"
     )
 
 
@@ -460,9 +463,7 @@ class BlowupResult:
     guaranteed_lower_bound: int  # (floor(n/t)!)^((r-1) e(H))
 
 
-def blowup_members(
-    h: Hypergraph, n: int, count_only: bool = False, materialize_budget: int = 5000
-) -> BlowupResult:
+def blowup_members(h: Hypergraph, n: int, count_only: bool = False) -> BlowupResult:
     """Members of Q^c_n ∩ S^c_n (c = density of h) from per-edge maximal
     matchings compatible with a fixed equipartition of [n]."""
     t = h.v
@@ -477,8 +478,8 @@ def blowup_members(
     lower = math.factorial(n // t) ** ((h.r - 1) * h.e)
     if count_only:
         return BlowupResult(total, None, tuple(tuple(p) for p in parts), lower)
-    if total > materialize_budget:
-        raise BudgetExceeded(f"materializing {total} members exceeds budget {materialize_budget}")
+    if total > MATERIALIZE_BUDGET:
+        raise BudgetExceeded(f"materializing {total} members exceeds budget {MATERIALIZE_BUDGET}")
     per_edge_choices = [
         list(_maximal_matchings([parts[x - 1] for x in e])) for e in edge_list
     ]
@@ -587,7 +588,7 @@ def _threshold_met(e: int, n: int, r: int, eps: Fraction) -> bool:
     return e ** b >= n ** (r * b - a)
 
 
-def default_estimator(r: int, c: Fraction, eps: Fraction, seed: int, attempts: int = 8):
+def default_estimator(r: int, c: Fraction, eps: Fraction, seed: int):
     """Certified lower bound log2 |P^{nu,c}_n| >= e via sample_dense_member.
 
     The certificate graph is a member of P^{(k),c}_n with k = max(nu_prefix),
@@ -609,7 +610,7 @@ def default_estimator(r: int, c: Fraction, eps: Fraction, seed: int, attempts: i
         if mean + 6 * math.sqrt(mean) + 2 < need:
             return None  # certification out of reach at this n
         best = None
-        for i in range(attempts):
+        for i in range(ESTIMATOR_ATTEMPTS):
             try:
                 cert = sample_dense_member(r, k, c, n, delta, seed=seed * 100003 + n * 101 + i,
                                            max_attempts=40)
@@ -630,15 +631,7 @@ def default_estimator(r: int, c: Fraction, eps: Fraction, seed: int, attempts: i
     return estimate
 
 
-def build_sequence(
-    r: int,
-    c: Fraction,
-    eps: Fraction,
-    steps: int,
-    estimator: Callable | None = None,
-    seed: int = 0,
-    scan_limit: int = 600,
-) -> OscSequence:
+def build_sequence(r: int, c: Fraction, eps: Fraction, steps: int, seed: int = 0) -> OscSequence:
     """Greedy sequence: nu_0 = r+1; mu_k = least n > nu_k whose certified
     lower bound reaches 2^(n^(r-eps)); nu_{k+1} = mu_k + 1."""
     c = Fraction(c)
@@ -647,14 +640,13 @@ def build_sequence(
         raise ValueError("need c >= 1/(r-1)")
     if eps * c <= 1:
         raise ValueError("need eps > 1/c")
-    if estimator is None:
-        estimator = default_estimator(r, c, eps, seed)
+    estimator = default_estimator(r, c, eps, seed)
     nu = [r + 1]
     mu: list[int] = []
     certificates: list[dict] = []
     for _ in range(steps):
         found = None
-        for n in range(nu[-1] + 1, nu[-1] + 1 + scan_limit):
+        for n in range(nu[-1] + 1, nu[-1] + 1 + SEQUENCE_SCAN_LIMIT):
             result = estimator(tuple(nu), n)
             if result is None:
                 continue
@@ -664,7 +656,7 @@ def build_sequence(
                 break
         if found is None:
             raise EstimatorFailed(
-                f"no certified n in ({nu[-1]}, {nu[-1] + scan_limit}] reaches the threshold"
+                f"no certified n in ({nu[-1]}, {nu[-1] + SEQUENCE_SCAN_LIMIT}] reaches the threshold"
             )
         n, cert = found
         mu.append(n)

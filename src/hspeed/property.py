@@ -2,16 +2,19 @@
 
 Members are generated one vertex at a time as unlabeled representatives
 by canonical augmentation (McKay, "Isomorph-free exhaustive generation",
-1998): each canonical parent is extended by every admissible set of tuples
-touching the new vertex, pruned by the membership test, and a child is
-kept exactly when the added vertex lies in the automorphism orbit of the
-canonical deletion vertex.  The deletion vertex is chosen among the
+1998), starting from the 0-element structure: each canonical parent is
+extended by every admissible set of tuples touching the new vertex, and a
+child is kept exactly when the added vertex lies in the automorphism orbit
+of the canonical deletion vertex.  The deletion vertex is chosen among the
 elements whose incidence invariant (per relation and position, the number
 of tuples holding the element there) is lexicographically maximal, as the
 one with the largest canonical label.  A child whose new vertex is not
-invariant-maximal therefore cannot be kept and is rejected before it is
+invariant-maximal therefore cannot be kept and is dropped before it is
 built, tested or canonized; only a predicate's heredity certificate still
-checks it.  Labeled counts follow as n!/|Aut| per class.
+checks it.  Every other child gets one leaf test, the forbidden, template
+and predicate checks of the membership test with forbidden substructures
+probed only through the new vertex, before it is canonized.  Labeled
+counts follow as n!/|Aut| per class.
 """
 
 from __future__ import annotations
@@ -57,15 +60,7 @@ class PropertySpec:
     def member(self, struct: Structure) -> bool:
         if struct.language != self.language:
             raise LanguageMismatch("candidate over a different language")
-        if not self._base_ok(struct):
-            return False
-        if self.forbidden and _has_forbidden(self, struct):
-            return False
-        if self.templates and not any(in_age(struct, t) for t in self.templates):
-            return False
-        if self.predicate is not None and not self.predicate[1](struct):
-            return False
-        return True
+        return self._base_ok(struct) and _passes(self, struct)
 
     def _base_ok(self, struct: Structure) -> bool:
         if self.base == BASE_NONE:
@@ -86,20 +81,20 @@ def _tuple_counts(struct: Structure) -> tuple[int, ...]:
     return tuple(len(ts) for ts in struct.rel_tuples)
 
 
-def _is_forbidden(spec: PropertySpec, sub: Structure) -> bool:
-    """Is ``sub`` isomorphic to a forbidden structure?  Tuple counts filter
-    the candidates before any canonical form is computed."""
-    counts = _tuple_counts(sub)
-    candidates = [f for f in spec.forbidden if f.n == sub.n and _tuple_counts(f) == counts]
-    if not candidates:
+def _passes(spec: PropertySpec, struct: Structure, anchor: int | None = None) -> bool:
+    """The forbidden, template and predicate checks of ``spec.member``; with
+    ``anchor``, only forbidden substructures containing it are probed."""
+    if spec.forbidden and _has_forbidden(spec, struct, anchor):
         return False
-    form = canonical_data(sub).form
-    return any(canonical_data(f).form == form for f in candidates)
+    if spec.templates and not any(in_age(struct, t) for t in spec.templates):
+        return False
+    return spec.predicate is None or bool(spec.predicate[1](struct))
 
 
 def _has_forbidden(spec: PropertySpec, struct: Structure, anchor: int | None = None) -> bool:
     """Does some induced substructure, containing ``anchor`` when given,
-    match a forbidden structure?  Each subset is visited once."""
+    match a forbidden structure?  Each subset is visited once, and tuple
+    counts filter the candidates before any canonical form is computed."""
     others = [e for e in struct.elements() if e != anchor]
     extra = () if anchor is None else (anchor,)
     for m in sorted({f.n for f in spec.forbidden}):
@@ -107,8 +102,12 @@ def _has_forbidden(spec: PropertySpec, struct: Structure, anchor: int | None = N
             break
         for xs in itertools.combinations(others, m - len(extra)):
             sub, _ = induced_substructure(struct, xs + extra)
-            if _is_forbidden(spec, sub):
-                return True
+            counts = _tuple_counts(sub)
+            candidates = [f for f in spec.forbidden if f.n == m and _tuple_counts(f) == counts]
+            if candidates:
+                form = canonical_data(sub).form
+                if any(canonical_data(f).form == form for f in candidates):
+                    return True
     return False
 
 
@@ -265,23 +264,29 @@ def generate_members(spec: PropertySpec, n: int, budget: int | None = None) -> l
 
 
 def generate_levels(spec: PropertySpec, n_max: int, budget: int | None = None):
-    """Yield levels 1..n_max lazily; each level lists (canonical rep, |Aut|)."""
+    """Yield levels 1..n_max lazily; each level lists (canonical rep, |Aut|).
+
+    Generation starts from the 0-element structure.  Once a predicate
+    spec yields an empty level n, no child reaches the leaf certificate, so
+    the base levels n+1..n_max are checked for predicate members instead:
+    one base enumeration up to n_max, paid only by predicate specs with an
+    empty level.
+    """
     cap = default_budget(spec.language) if budget is None else budget
     if n_max > cap:
         raise BudgetExceeded(f"n_max = {n_max} exceeds budget {cap}")
-    if n_max < 1:
-        return
-    level = _level_one(spec)
-    yield level
-    for n in range(1, n_max):
+    root = Structure(spec.language, 0, tuple(frozenset() for _ in spec.language.relations), ())
+    # the leaf test assumes a member parent; only a 0-element forbidden structure rejects the root
+    level = [] if _has_forbidden(spec, root) else [(root, 1)]
+    for n in range(1, n_max + 1):
         if not level and spec.predicate is not None:
-            # no child reaches _leaf_ok: a member of size n+1 has only non-member deletions
             base = PropertySpec(spec.language, spec.base)
-            if any(spec.member(s) for s in generate_members(base, n + 1, cap)):
-                raise NonHereditaryPredicate(
-                    f"predicate {spec.predicate[0]}: members of size {n + 1}, none of size {n}"
-                )
-            yield from ([] for _ in range(n + 1, n_max + 1))
+            for m, reps in enumerate(generate_levels(base, n_max, cap), start=1):
+                if m >= n and any(spec.member(s) for s, _ in reps):
+                    raise NonHereditaryPredicate(
+                        f"predicate {spec.predicate[0]}: members of size {m}, none of size {n - 1}"
+                    )
+            yield from ([] for _ in range(n, n_max + 1))
             return
         nxt = []
         for parent, _ in level:
@@ -291,7 +296,7 @@ def generate_levels(spec: PropertySpec, n_max: int, budget: int | None = None):
                 if data.form in seen:
                     continue
                 deleted = max(candidates, key=data.relabel.__getitem__)
-                if deleted in orbit([n + 1], data.aut_generators):
+                if deleted in orbit([n], data.aut_generators):
                     seen.add(data.form)
                     nxt.append((data.form, data.aut_order))
         nxt.sort(key=lambda pair: _sort_key(pair[0]))
@@ -301,23 +306,6 @@ def generate_levels(spec: PropertySpec, n_max: int, budget: int | None = None):
 
 def _sort_key(struct: Structure):
     return tuple(tuple(sorted(ts)) for ts in struct.rel_tuples)
-
-
-def _level_one(spec: PropertySpec) -> list[tuple[Structure, int]]:
-    lang = spec.language
-    singleton_tuples = [
-        (ri, (1,) * arity) for ri, (name, arity) in enumerate(lang.relations)
-    ]
-    out = []
-    for bits in itertools.product([0, 1], repeat=len(singleton_tuples)):
-        rel_tuples = [set() for _ in lang.relations]
-        for (ri, t), b in zip(singleton_tuples, bits):
-            if b:
-                rel_tuples[ri].add(t)
-        cand = Structure(lang, 1, tuple(frozenset(ts) for ts in rel_tuples), ())
-        if spec.member(cand):
-            out.append((cand, 1))
-    return out
 
 
 def _extensions(spec: PropertySpec, parent: Structure):
@@ -348,7 +336,6 @@ def _extensions(spec: PropertySpec, parent: Structure):
     supports = sorted(groups, key=lambda s: (len(s), tuple(sorted(s))))
     alternatives = [_group_alternatives(spec, groups[s], s) for s in supports]
 
-    forbidden_sizes = sorted({f.n for f in spec.forbidden})
     parent_tuples = [set(ts) for ts in parent.rel_tuples]
 
     chosen: list[set[tuple[int, ...]]] = [set() for _ in lang.relations]
@@ -358,28 +345,6 @@ def _extensions(spec: PropertySpec, parent: Structure):
             frozenset(parent_tuples[ri] | chosen[ri]) for ri in range(len(lang.relations))
         )
         return Structure(lang, v, rel_tuples, ())
-
-    def induced_ok(support: frozenset) -> bool:
-        # all tuples inside `support` are decided once its group completes
-        if len(support) not in forbidden_sizes:
-            return True
-        sub_elems = sorted(support)
-        relabel = {e: i + 1 for i, e in enumerate(sub_elems)}
-        keep = set(sub_elems)
-        sub = Structure(
-            lang,
-            len(sub_elems),
-            tuple(
-                frozenset(
-                    tuple(relabel[e] for e in t)
-                    for t in (parent_tuples[ri] | chosen[ri])
-                    if set(t) <= keep
-                )
-                for ri in range(len(lang.relations))
-            ),
-            (),
-        )
-        return not _is_forbidden(spec, sub)
 
     results: list[tuple[Structure, list[int]]] = []
 
@@ -396,13 +361,11 @@ def _extensions(spec: PropertySpec, parent: Structure):
             if _leaf_ok(spec, child, v) and maximal:
                 results.append((child, [x for x in child.elements() if inv[x - 1] == inv[n]]))
             return
-        support = supports[gi]
         for alt in alternatives[gi]:
             for ri, t in alt:
                 chosen[ri].add(t)
                 tally(ri, t, 1)
-            if induced_ok(support):
-                rec(gi + 1)
+            rec(gi + 1)
             for ri, t in alt:
                 chosen[ri].discard(t)
                 tally(ri, t, -1)
@@ -431,15 +394,12 @@ def _group_alternatives(spec: PropertySpec, group: list[tuple[int, tuple[int, ..
 
 
 def _leaf_ok(spec: PropertySpec, child: Structure, v: int) -> bool:
-    # the parent is a member, so only configurations involving v need checking
-    if spec.forbidden and _has_forbidden(spec, child, anchor=v):
+    # the parent is a member, so only forbidden configurations involving v need checking
+    if not _passes(spec, child, v):
         return False
-    if spec.templates and not any(in_age(child, t) for t in spec.templates):
-        return False
-    if spec.predicate is not None:
-        if not spec.predicate[1](child):
-            return False
-        # heredity certificate: every one-point deletion must stay a member
+    if spec.predicate is not None and child.n > 1:
+        # heredity certificate: every one-point deletion must stay a member;
+        # the 0-element root is taken as given, so no predicate sees it
         for e in child.elements():
             sub, _ = induced_substructure(child, [x for x in child.elements() if x != e])
             if not spec.member(sub):

@@ -105,9 +105,6 @@ class Template:
                 return s
         raise KeyError(diff)
 
-    def sigma_dict(self) -> dict[AtomicDiff, frozenset[tuple[int, ...]]]:
-        return dict(self.sigma)
-
 
 def make_template(language: Language, sizes, sigma: dict) -> Template:
     """Build a template from a {atom-or-key: index tuples} signature dict.
@@ -188,7 +185,7 @@ def _assign(struct: Structure, template: Template, low: list[int]):
     n, k = struct.n, template.k
     if n < sum(low):
         return None
-    sigma = template.sigma_dict()
+    sigma = dict(template.sigma)
     want = {d: realizations(struct, d) for d in sigma}
     assign: dict[int, int] = {}
     counts = [0] * k
@@ -280,19 +277,21 @@ def aut_star(template: Template) -> tuple[tuple[tuple[int, ...], ...], int]:
     index i to sigma[i-1].
     """
     k = template.k
-    perms = []
-    for p in itertools.permutations(range(1, k + 1)):
-        if any(template.sizes[p[i] - 1] != template.sizes[i] for i in range(k)):
-            continue
-        ok = True
-        for _, entries in template.sigma:
-            mapped = frozenset(tuple(p[i - 1] for i in idx) for idx in entries)
-            if mapped != entries:
-                ok = False
-                break
-        if ok:
-            perms.append(p)
-    return tuple(perms), len(perms)
+    perms = tuple(
+        p
+        for p in itertools.permutations(range(1, k + 1))
+        if all(template.sizes[p[i] - 1] == template.sizes[i] for i in range(k))
+        and _carries_signature(p, template, template)
+    )
+    return perms, len(perms)
+
+
+def _carries_signature(p: tuple[int, ...], a: Template, b: Template) -> bool:
+    """Does the class permutation p (class i to p[i-1]) carry a's signature onto b's?"""
+    return all(
+        frozenset(tuple(p[i - 1] for i in idx) for idx in entries) == b.sigma_of(diff)
+        for diff, entries in a.sigma
+    )
 
 
 def count_compatible(template: Template, n: int) -> int:
@@ -451,11 +450,7 @@ def templates_equivalent_or_disjoint(a: Template, b: Template):
     k = a.k
     mixed = None
     for p in itertools.permutations(range(1, k + 1)):
-        sigma_match = all(
-            frozenset(tuple(p[i - 1] for i in idx) for idx in entries) == b.sigma_of(diff)
-            for diff, entries in a.sigma
-        )
-        if not sigma_match:
+        if not _carries_signature(p, a, b):
             continue
         if all(b.sizes[p[i - 1] - 1] == a.sizes[i - 1] for i in range(1, k + 1)):
             return Equivalent(p)

@@ -30,7 +30,16 @@ from hspeed.property import (
     speed,
     _sort_key,
 )
-from hspeed.structures import GRAPH, graph, induced_substructure, make_structure, uniform_language
+from hspeed.structures import (
+    GRAPH,
+    Language,
+    Structure,
+    apply_bijection,
+    graph,
+    induced_substructure,
+    make_structure,
+    uniform_language,
+)
 
 
 def involution_numbers(n_max: int) -> list[int]:
@@ -54,10 +63,40 @@ def incidence_invariant(struct, x: int) -> tuple[int, ...]:
     )
 
 
-# OEIS A000088 (graphs), A000595 (binary relations), A000665 (3-uniform hypergraphs)
+def brute_form(struct) -> tuple:
+    """Isomorphism-class key by permutation scan: the least sorted tuple
+    listing over every relabeling."""
+    elems = range(1, struct.n + 1)
+    return min(
+        tuple(tuple(sorted(ts)) for ts in apply_bijection(struct, dict(zip(elems, perm))).rel_tuples)
+        for perm in itertools.permutations(elems)
+    )
+
+
+def all_structures(lang: Language, n: int):
+    """Every structure on [n] over a constant-free language."""
+    slots = [
+        (ri, t)
+        for ri, (_, arity) in enumerate(lang.relations)
+        for t in itertools.product(range(1, n + 1), repeat=arity)
+    ]
+    for bits in itertools.product([0, 1], repeat=len(slots)):
+        rel_tuples = [set() for _ in lang.relations]
+        for (ri, t), b in zip(slots, bits):
+            if b:
+                rel_tuples[ri].add(t)
+        yield Structure(lang, n, tuple(frozenset(ts) for ts in rel_tuples), ())
+
+
+# OEIS A000088 (graphs), A000595 (binary relations), A000665 (3-uniform
+# hypergraphs), A000273 (loopless digraphs), A033995 / A047864 (bipartite
+# graphs, unlabeled / labeled)
 UNLABELED_GRAPHS = [1, 2, 4, 11, 34, 156, 1044, 12346]
 UNLABELED_BINARY_RELATIONS = [2, 10, 104, 3044]
 UNLABELED_3_UNIFORM = [1, 1, 2, 5, 34]
+UNLABELED_DIGRAPHS = [1, 3, 16, 218]
+UNLABELED_BIPARTITE = [1, 2, 3, 7, 13, 35, 88]
+LABELED_BIPARTITE = [1, 2, 7, 41, 376, 5177, 103237]
 
 
 class TestCanonicalAugmentation:
@@ -79,6 +118,38 @@ class TestCanonicalAugmentation:
         spec = PropertySpec(language=uniform_language(3), base=BASE_UNIFORM)
         table = speed(spec, 5, budget=5)
         assert [r.unlabeled for r in table.rows] == UNLABELED_3_UNIFORM
+
+    def test_unary_and_binary_relation_against_brute_force(self):
+        # level 1 alone has four classes: U and the loop R(1, 1) independently
+        lang = Language((("U", 1), ("R", 2)))
+        spec = PropertySpec(language=lang, base="none")
+        table = speed(spec, 3, budget=3)
+        assert [r.labeled for r in table.rows] == [2 ** n * 2 ** (n * n) for n in range(1, 4)]
+        for n in range(1, 4):
+            structures = list(all_structures(lang, n))
+            assert table.rows[n - 1].unlabeled == len({brute_form(s) for s in structures}), n
+            forms = {canonical_data(s).form for s in structures}
+            assert generate_members(spec, n, budget=3) == sorted(forms, key=_sort_key), n
+
+    def test_loopless_binary_relations_oeis(self):
+        # a forbidden structure on one element, smaller than the arity
+        lang = uniform_language(2)
+        loop = make_structure(lang, 1, {"R": [(1, 1)]})
+        spec = PropertySpec(language=lang, base="none", forbidden=(loop,))
+        table = speed(spec, 4, budget=4)
+        assert [r.unlabeled for r in table.rows] == UNLABELED_DIGRAPHS
+        assert [r.labeled for r in table.rows] == [2 ** (n * (n - 1)) for n in range(1, 5)]
+
+    def test_bipartite_oeis(self):
+        table = speed(bipartite_property(), 7)
+        assert [r.unlabeled for r in table.rows] == UNLABELED_BIPARTITE
+        assert [r.labeled for r in table.rows] == LABELED_BIPARTITE
+
+    def test_complete_bipartite_closed_form(self):
+        # K_{a,n-a} for 0 <= a <= n/2; labeled: the 2^(n-1) unordered bipartitions
+        table = speed(complete_bipartite_property(), 7)
+        assert [r.unlabeled for r in table.rows] == [n // 2 + 1 for n in range(1, 8)]
+        assert [r.labeled for r in table.rows] == [2 ** (n - 1) for n in range(1, 8)]
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_PROPERTIES))
     def test_representatives_match_brute_force(self, name):
@@ -164,6 +235,11 @@ class TestSpeed:
                 sub, _ = induced_substructure(member, [x for x in member.elements() if x != e])
                 assert spec.member(sub)
 
+    def test_forbid_empty_structure(self):
+        # every structure contains the 0-element structure, so nothing is a member
+        table = speed(forbid([graph(0, [])]), 4)
+        assert [r.labeled for r in table.rows] == [0, 0, 0, 0]
+
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             speed(all_graphs_property(), 10)
@@ -223,6 +299,14 @@ class TestSpeed:
     def test_empty_level_of_hereditary_predicate(self):
         spec = PropertySpec(GRAPH, BASE_GRAPH, predicate=("at-most-3", lambda s: s.n <= 3))
         assert [r.labeled for r in speed(spec, 5).rows] == [1, 2, 8, 0, 0]
+        assert [r.labeled for r in speed(spec, 7).rows] == [1, 2, 8, 0, 0, 0, 0]
+
+    def test_non_hereditary_predicate_behind_two_empty_levels(self):
+        # levels 3 and 4 are empty; every graph on 5 and 6 vertices is a member
+        spec = PropertySpec(GRAPH, BASE_GRAPH, predicate=("not-3-4", lambda s: s.n not in (3, 4)))
+        assert [r.labeled for r in speed(spec, 4).rows] == [1, 2, 0, 0]
+        with pytest.raises(NonHereditaryPredicate, match="members of size 5, none of size 3"):
+            speed(spec, 6)
 
     def test_directed_base_none(self):
         lang = uniform_language(2)
