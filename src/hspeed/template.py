@@ -7,6 +7,13 @@ signatures, and the threshold K; ordered partitions of [n] matching the
 finite sizes exactly and exceeding K on the infinite classes instantiate
 it as concrete structures.  Languages with constants are rejected here:
 the partition machinery never places named points.
+
+Counting is by inclusion-exclusion over the infinite classes that hold K
+or fewer elements: a fixed set of terms, independent of n, gives
+|Omega([n])| exactly for every n >= 0, and the same terms grouped by base
+give the closed form sum_i p_i(n) * i^n.  The composition sum
+``omega_count`` stays as the independent oracle that ``speed_form``
+checks its window against.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ from .errors import (
     MixedSizeCase,
     NonIntegralCount,
 )
-from .linalg import poly_eval, solve_exact
 from .simclass import (
     AtomicDiff,
     atomic_diff_from_key,
@@ -294,9 +300,48 @@ def _carries_signature(p: tuple[int, ...], a: Template, b: Template) -> bool:
     )
 
 
+def _terms(template: Template):
+    """Inclusion-exclusion terms of |Omega([n])| as (base, m, weight).
+
+    Choose j of the ell infinite classes to hold at most K elements each,
+    m elements in all; the other ell - j classes take the rest freely.
+    With c the finite total and N = n - c,
+
+        |Omega([n])| = sum weight * n! / ((N - m)! * prod f! * m!) * base^(N - m)
+
+    over the terms with m <= N (0^0 = 1), where base = ell - j and weight =
+    (-1)^j C(ell, j) times the number of ways to deal m labelled elements
+    into j classes of at most K, i.e. m! [x^m] (sum_{s<=K} x^s/s!)^j.  The
+    base-0 terms (j = ell) are nonzero only for N <= ell*K.  The terms
+    depend on the template only, never on n.
+    """
+    ell, K = template.ell, template.threshold
+    words = [1]  # words[m]: ways to deal m labelled elements into j classes of at most K
+    for j in range(ell + 1):
+        sign = (-1) ** j * math.comb(ell, j)
+        for m, w in enumerate(words):
+            yield ell - j, m, sign * w
+        # one more class takes s <= K of the m elements
+        words = [
+            sum(math.comb(m, s) * words[m - s] for s in range(min(K, m) + 1) if m - s < len(words))
+            for m in range(len(words) + K)
+        ]
+
+
 def count_compatible(template: Template, n: int) -> int:
-    """Exact |Omega([n])| / |Aut*|; raises NonIntegralCount on inexact division."""
-    omega = omega_count(template, n)
+    """Exact |Omega([n])| / |Aut*|; raises NonIntegralCount on inexact division.
+
+    |Omega([n])| comes from the inclusion-exclusion terms, exact for every
+    n >= 0; ``omega_count`` is the composition-sum oracle for the same value.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    c = template.finite_total
+    finite = math.prod(math.factorial(f) for f in template.finite_sizes)
+    omega = 0
+    for base, m, weight in _terms(template):
+        if c + m <= n:
+            omega += weight * (math.perm(n, c + m) // (finite * math.factorial(m))) * base ** (n - c - m)
     _, order = aut_star(template)
     q, r = divmod(omega, order)
     if r:
@@ -346,7 +391,7 @@ def enumerate_compatible(template: Template, n: int, budget: int = ENUMERATION_B
 
 @dataclass(frozen=True)
 class SpeedForm:
-    """Exact closed form sum_i p_i(n) * i^n valid for n >= n0."""
+    """Exact closed form sum_i p_i(n) * i^n, valid for n > n0."""
 
     polys: tuple[tuple[Fraction, ...], ...]  # polys[i-1] = coefficients of p_i, low to high
     n0: int
@@ -356,12 +401,19 @@ class SpeedForm:
         return len(self.polys)
 
     def evaluate(self, n: int) -> int:
-        total = Fraction(0)
-        for i, coeffs in enumerate(self.polys, start=1):
-            total += poly_eval(list(coeffs), n) * Fraction(i) ** n
+        total = self._value(n)
         if total.denominator != 1:
             raise ArithmeticError(f"closed form not integral at n = {n}")
         return int(total)
+
+    def _value(self, n: int) -> Fraction:
+        total = Fraction(0)
+        for i, coeffs in enumerate(self.polys, start=1):
+            p = Fraction(0)
+            for coeff in reversed(coeffs):
+                p = p * n + coeff
+            total += p * i**n
+        return total
 
     def degree(self, i: int) -> int:
         coeffs = self.polys[i - 1]
@@ -372,10 +424,12 @@ class SpeedForm:
 
 
 def speed_form(template: Template, window: tuple[int, int]) -> SpeedForm:
-    """Fit the exact closed form on a window of exact counts.
+    """The exact closed form, derived from the inclusion-exclusion terms.
 
-    The linear system is solved on all but the last two window points and
-    verified on those held-out points; any mismatch raises FitFailed.
+    The terms of base i >= 1 make up p_i(n) * i^n; the base-0 terms vanish
+    for n > n0 = ell*K + c, which is where the form holds.  p_i has length
+    c + (ell - i)*K + 1.  Every window point is checked against the
+    composition sum ``omega_count``; a mismatch raises FitFailed.
     """
     lo, hi = window
     ell = template.ell
@@ -384,37 +438,29 @@ def speed_form(template: Template, window: tuple[int, int]) -> SpeedForm:
     n0 = ell * K + c
     if lo < n0:
         raise FitFailed(f"window starts below the validity threshold {n0}")
-    # degree bound per base: c + (ell - i) * K
-    degrees = [c + (ell - i) * K for i in range(1, ell + 1)]
-    unknowns = sum(d + 1 for d in degrees)
-    points = list(range(lo, hi + 1))
-    if len(points) < unknowns + 2:
-        raise FitFailed(f"window has {len(points)} points; need {unknowns + 2}")
-    counts = {n: count_compatible(template, n) for n in points}
-    fit_points = points[:-2]
-    rows = []
-    rhs = []
-    for n in fit_points:
-        row: list[Fraction] = []
-        for i in range(1, ell + 1):
-            power = Fraction(i) ** n
-            row.extend(power * Fraction(n) ** d for d in range(degrees[i - 1] + 1))
-        rows.append(row)
-        rhs.append(Fraction(counts[n]))
-    sol = solve_exact(rows, rhs)
-    if sol is None:
-        raise FitFailed("linear system inconsistent or underdetermined on the window")
-    polys = []
-    pos = 0
-    for i in range(1, ell + 1):
-        width = degrees[i - 1] + 1
-        polys.append(tuple(sol[pos:pos + width]))
-        pos += width
-    form = SpeedForm(tuple(polys), n0)
-    for n in points[-2:]:
-        if form.evaluate(n) != counts[n]:
-            raise FitFailed(f"fitted form fails verification at held-out n = {n}")
+    if hi < lo:
+        raise FitFailed(f"window {lo}..{hi} is empty")
+    _, order = aut_star(template)
+    denom = order * math.prod(math.factorial(f) for f in template.finite_sizes)
+    polys = [[Fraction(0)] * (c + (ell - i) * K + 1) for i in range(1, ell + 1)]
+    for base, m, weight in _terms(template):
+        if base:
+            scale = Fraction(weight, denom * math.factorial(m) * base ** (c + m))
+            for d, coeff in enumerate(_falling_factorial(c + m)):
+                polys[base - 1][d] += scale * coeff
+    form = SpeedForm(tuple(tuple(p) for p in polys), n0)
+    for n in range(lo, hi + 1):
+        if form._value(n) != Fraction(omega_count(template, n), order):
+            raise FitFailed(f"closed form disagrees with the composition sum at n = {n}")
     return form
+
+
+def _falling_factorial(k: int) -> list[int]:
+    """Coefficients of n (n-1) ... (n-k+1) in n, low to high."""
+    coeffs = [1]
+    for r in range(k):  # multiply by (n - r)
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,38 @@ class TestDispatch:
         assert code == 0
         assert json.loads(out)["count"] == "91"
 
+    def test_template_count_large_n(self, capsys, tmp_path, monkeypatch):
+        from hspeed.corpus import symmetric_bipartite_template
+        from hspeed.template import template_to_json
+
+        def refuse(*args):
+            raise AssertionError("composition sum on the counting path")
+
+        monkeypatch.setattr("hspeed.template._compositions", refuse)
+        path = tmp_path / "bip.json"
+        path.write_text(json.dumps(template_to_json(symmetric_bipartite_template())))
+        code, out, _ = run(capsys, "template", "count", "--template", str(path), "--n", "4500")
+        assert code == 0
+        n = 4500
+        assert json.loads(out)["count"] == str(2 ** (n - 1) - 1 - n - n * (n - 1) // 2)
+
+    def test_template_fit_errors(self, capsys, tmp_path):
+        from hspeed.corpus import symmetric_bipartite_template
+        from hspeed.template import template_to_json
+
+        path = tmp_path / "bip.json"
+        path.write_text(json.dumps(template_to_json(symmetric_bipartite_template())))
+        code, out, err = run(capsys, "template", "fit", "--template", str(path), "--window", "4..16")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "fit-failed"
+        for argv in (["fit", "--window", "6..x"], ["count", "--n", "-1"]):
+            code, out, err = run(capsys, "template", argv[0], "--template", str(path), *argv[1:])
+            assert (code, out) == (2, "")
+            assert json.loads(err)["error"] == "usage"
+        code, out, _ = run(capsys, "template", "fit", "--template", str(path), "--window", "6..6")
+        assert code == 0
+        assert json.loads(out)["polys"] == [["-1", "-1/2", "-1/2"], ["1/2"]]
+
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 2

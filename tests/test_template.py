@@ -19,8 +19,10 @@ from hspeed.corpus import (
 from hspeed.errors import (
     BudgetExceeded,
     ConstantInInfiniteClass,
+    FitFailed,
     LanguageHasConstants,
     MixedSizeCase,
+    NonIntegralCount,
 )
 from hspeed.simclass import decomposition
 from hspeed.structures import GRAPH, Language, graph, make_structure
@@ -206,8 +208,11 @@ class TestCounting:
     def test_formula_vs_enumeration_window(self):
         for name, factory in BUILTIN_TEMPLATES.items():
             t = factory()
-            for n in range(t.threshold + 2, 10):
+            form = speed_form(t, (t.ell * t.threshold + t.finite_total + 1, 10))
+            for n in range(t.threshold + 1, 11):  # n0 + 1 >= K + 1
                 assert count_compatible(t, n) == len(enumerate_compatible(t, n)), (name, n)
+                if n > form.n0:
+                    assert form.evaluate(n) == count_compatible(t, n), (name, n)
 
     def test_enumeration_budget(self):
         with pytest.raises(BudgetExceeded):
@@ -220,6 +225,67 @@ class TestCounting:
         for p in perms:
             permuted = tuple(parts[p[i] - 1] for i in range(len(parts)))
             assert instantiate(t, permuted, 7) == instantiate(t, parts, 7)
+
+
+def three_infinite_templates() -> dict:
+    """Two templates with three infinite classes and finite classes beside them."""
+    return {
+        # K = 3; an edge, a clique joined to a 3-set, and a complete bipartite pair: |Aut*| = 2
+        "2,3,inf,inf,inf": make_template(
+            GRAPH, [2, 3, INF, INF, INF], {"E(x1,x2)": [(1, 1), (3, 3), (2, 3), (3, 2), (4, 5), (5, 4)]}
+        ),
+        # an apex joined to three independent sets: |Aut*| = 6
+        "1,inf,inf,inf": make_template(
+            GRAPH, [1, INF, INF, INF], {"E(x1,x2)": [(1, 2), (2, 1), (1, 3), (3, 1), (1, 4), (4, 1)]}
+        ),
+    }
+
+
+def oracle_templates() -> dict:
+    return {**{name: f() for name, f in BUILTIN_TEMPLATES.items()}, **three_infinite_templates()}
+
+
+class TestInclusionExclusion:
+    """count_compatible against the composition sum omega_count."""
+
+    def test_matches_composition_sum(self):
+        # every part is non-empty, so Aut* acts freely on Omega and divides it
+        for name, t in oracle_templates().items():
+            _, order = aut_star(t)
+            for n in range(0, 61):
+                q, r = divmod(omega_count(t, n), order)
+                assert r == 0 and count_compatible(t, n) == q, (name, n)
+
+    def test_non_integral_exactly_where_the_composition_sum_leaves_a_remainder(self, monkeypatch):
+        # no true order leaves a remainder, so pretend |Aut*| = 7
+        monkeypatch.setattr("hspeed.template.aut_star", lambda t: ((), 7))
+        raised = 0
+        for name, t in oracle_templates().items():
+            for n in range(0, 31):
+                omega = omega_count(t, n)
+                if omega % 7:
+                    raised += 1
+                    with pytest.raises(NonIntegralCount):
+                        count_compatible(t, n)
+                else:
+                    assert count_compatible(t, n) == omega // 7, (name, n)
+        assert raised > 0
+
+    def test_order_of_the_three_infinite_templates(self):
+        orders = {name: aut_star(t)[1] for name, t in three_infinite_templates().items()}
+        assert orders == {"2,3,inf,inf,inf": 2, "1,inf,inf,inf": 6}
+
+    def test_large_n_skips_the_composition_sum(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("composition sum on the counting path")
+
+        monkeypatch.setattr("hspeed.template._compositions", refuse)
+        n = 4500
+        expected = 2 ** (n - 1) - 1 - n - math.comb(n, 2)
+        assert count_compatible(symmetric_bipartite_template(), n) == expected
+        assert union_speed([symmetric_bipartite_template(), inf_empty_template()], n) == expected + 1
+        with pytest.raises(AssertionError):
+            omega_count(symmetric_bipartite_template(), n)
 
 
 class TestSpeedForm:
@@ -257,6 +323,40 @@ class TestSpeedForm:
             form = speed_form(t, (6, 12))
             for n in range(13, 17):
                 assert form.evaluate(n) == count_compatible(t, n)
+
+    def test_n0_is_the_last_point_off_the_form(self):
+        for name, factory in BUILTIN_TEMPLATES.items():
+            t = factory()
+            n0 = t.ell * t.threshold + t.finite_total
+            form = speed_form(t, (n0 + 1, n0 + 1))
+            assert form.n0 == n0
+            assert form.evaluate(n0) != count_compatible(t, n0), name
+            for n in range(n0 + 1, n0 + 16):
+                assert form.evaluate(n) == count_compatible(t, n), (name, n)
+
+    def test_window_below_n0(self):
+        with pytest.raises(FitFailed, match="below the validity threshold 4"):
+            speed_form(symmetric_bipartite_template(), (3, 16))
+
+    def test_window_at_n0_fails_the_check(self):
+        with pytest.raises(FitFailed, match="composition sum at n = 4"):
+            speed_form(symmetric_bipartite_template(), (4, 16))
+
+    def test_empty_window(self):
+        with pytest.raises(FitFailed, match="empty"):
+            speed_form(symmetric_bipartite_template(), (7, 6))
+
+    def test_short_window_fits(self):
+        # the derived form needs no minimum number of points
+        form = speed_form(symmetric_bipartite_template(), (6, 6))
+        assert form == speed_form(symmetric_bipartite_template(), (6, 16))
+
+    def test_polys_lengths_follow_the_degree_bound(self):
+        for name, t in oracle_templates().items():
+            n0 = t.ell * t.threshold + t.finite_total
+            form = speed_form(t, (n0 + 1, n0 + 3))
+            c, K = t.finite_total, t.threshold
+            assert [len(p) for p in form.polys] == [c + (t.ell - i) * K + 1 for i in range(1, t.ell + 1)], name
 
 
 class TestEquivalence:
