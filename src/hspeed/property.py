@@ -2,19 +2,21 @@
 
 Members are generated one vertex at a time as unlabeled representatives
 by canonical augmentation (McKay, "Isomorph-free exhaustive generation",
-1998), starting from the 0-element structure: each canonical parent is
-extended by every admissible set of tuples touching the new vertex, and a
-child is kept exactly when the added vertex lies in the automorphism orbit
-of the canonical deletion vertex.  The deletion vertex is chosen among the
+1998), starting from the 0-element structure.  Each canonical parent is
+extended by one admissible set of tuples touching the new vertex per orbit
+of such sets under Aut(parent), whose generators each kept form carries
+to the next level; so no two kept children of a parent are isomorphic,
+and no set of seen forms is kept.  A child is kept exactly when the added vertex
+lies in the automorphism orbit of the canonical deletion vertex: among the
 elements whose incidence invariant (per relation and position, the number
-of tuples holding the element there) is lexicographically maximal, as the
-one with the largest canonical label.  A child whose new vertex is not
-invariant-maximal therefore cannot be kept and is dropped before it is
-built, tested or canonized; only a predicate's heredity certificate still
-checks it.  Every other child gets one leaf test, the forbidden, template
-and predicate checks of the membership test with forbidden substructures
-probed only through the new vertex, before it is canonized.  Labeled
-counts follow as n!/|Aut| per class.
+of tuples holding the element there) is lexicographically maximal, the one
+with the largest canonical label.  A child whose new vertex is not
+invariant-maximal, or that does not represent its orbit, is dropped before
+it is built, tested or canonized; only a predicate's heredity certificate
+still checks it.  Every representative gets one leaf test, the forbidden,
+template and predicate checks of the membership test with forbidden
+substructures probed only through the new vertex, before it is canonized.  Labeled counts follow as
+n!/|Aut| per class.
 """
 
 from __future__ import annotations
@@ -278,6 +280,7 @@ def generate_levels(spec: PropertySpec, n_max: int, budget: int | None = None):
     root = Structure(spec.language, 0, tuple(frozenset() for _ in spec.language.relations), ())
     # the leaf test assumes a member parent; only a 0-element forbidden structure rejects the root
     level = [] if _has_forbidden(spec, root) else [(root, 1)]
+    generators = {root: ()}  # automorphism generators of this level's forms
     for n in range(1, n_max + 1):
         if not level and spec.predicate is not None:
             base = PropertySpec(spec.language, spec.base)
@@ -289,30 +292,34 @@ def generate_levels(spec: PropertySpec, n_max: int, budget: int | None = None):
             yield from ([] for _ in range(n, n_max + 1))
             return
         nxt = []
+        nxt_generators = {}
         for parent, _ in level:
-            seen: set = set()
-            for child, candidates in _extensions(spec, parent):
+            for child, candidates in _extensions(spec, parent, generators[parent]):
                 data = canonical_data(child)
-                if data.form in seen:
-                    continue
                 deleted = max(candidates, key=data.relabel.__getitem__)
                 if deleted in orbit([n], data.aut_generators):
-                    seen.add(data.form)
+                    nxt_generators[data.form] = tuple(_conjugate(g, data.relabel) for g in data.aut_generators)
                     nxt.append((data.form, data.aut_order))
         nxt.sort(key=lambda pair: _sort_key(pair[0]))
-        level = nxt
+        level, generators = nxt, nxt_generators
         yield level
+
+
+def _conjugate(g: tuple[int, ...], relabel: dict[int, int]) -> tuple[int, ...]:
+    """The automorphism of the relabeled structure that ``g`` induces."""
+    return tuple(y for _, y in sorted((relabel[x], relabel[gx]) for x, gx in enumerate(g, start=1)))
 
 
 def _sort_key(struct: Structure):
     return tuple(tuple(sorted(ts)) for ts in struct.rel_tuples)
 
 
-def _extensions(spec: PropertySpec, parent: Structure):
+def _extensions(spec: PropertySpec, parent: Structure, generators):
     """Members on [n+1] extending the parent by vertex n+1 whose new vertex
-    is invariant-maximal, each paired with the elements sharing that maximal
-    invariant: the candidates for the canonical deletion vertex.  The
-    invariants are updated as tuples are chosen, before any child is built.
+    is invariant-maximal, one per orbit of extension sets under the parent
+    automorphisms ``generators``, each paired with the elements sharing that
+    maximal invariant: the candidates for the canonical deletion vertex.
+    The invariants are updated as tuples are chosen, before any child is built.
     """
     lang = spec.language
     n = parent.n
@@ -336,6 +343,35 @@ def _extensions(spec: PropertySpec, parent: Structure):
     supports = sorted(groups, key=lambda s: (len(s), tuple(sorted(s))))
     alternatives = [_group_alternatives(spec, groups[s], s) for s in supports]
 
+    # a choice of one alternative per group is encoded as a mixed-radix int;
+    # each generator, fixing v, maps group gi to group gj and alternative ai
+    # of gi to the alternative of gj equal to its image
+    place = [math.prod(len(alts) for alts in alternatives[:gi]) for gi in range(len(supports))]
+    group_of = {s: gi for gi, s in enumerate(supports)}
+    alt_of = [{frozenset(alt): ai for ai, alt in enumerate(alts)} for alts in alternatives]
+    actions = []
+    for g in generators:
+        image = g + (v,)
+        action = []
+        for gi, s in enumerate(supports):
+            gj = group_of[frozenset(image[x - 1] for x in s)]
+            moved = [
+                alt_of[gj][frozenset((ri, tuple(image[x - 1] for x in t)) for ri, t in alt)]
+                for alt in alternatives[gi]
+            ]
+            action.append((place[gi], len(alternatives[gi]), place[gj], moved))
+        actions.append(action)
+    marked: set[int] = set()
+
+    def mark_orbit(code: int):
+        marked.add(code)
+        queue = [code]
+        while queue:
+            c = queue.pop()
+            images = {sum(moved[c // at % size] * to for at, size, to, moved in a) for a in actions}
+            queue.extend(images - marked)
+            marked.update(images)
+
     parent_tuples = [set(ts) for ts in parent.rel_tuples]
 
     chosen: list[set[tuple[int, ...]]] = [set() for _ in lang.relations]
@@ -348,29 +384,34 @@ def _extensions(spec: PropertySpec, parent: Structure):
 
     results: list[tuple[Structure, list[int]]] = []
 
-    def rec(gi: int):
+    def rec(gi: int, code: int):
         if gi == len(supports):
             inv = [tuple(c) for c in counts]
             maximal = inv[n] == max(inv)
+            # an orbit's first choice represents it; every choice of the
+            # orbit gives an isomorphic child with v fixed
+            fresh = maximal and code not in marked
+            if fresh:
+                mark_orbit(code)
             # a predicate's heredity certificate still sees every child: a
             # child whose new vertex is not maximal may be the only one
             # with a non-member deletion
-            if not maximal and spec.predicate is None:
+            if not fresh and spec.predicate is None:
                 return
             child = build_child()
-            if _leaf_ok(spec, child, v) and maximal:
+            if _leaf_ok(spec, child, v) and fresh:
                 results.append((child, [x for x in child.elements() if inv[x - 1] == inv[n]]))
             return
-        for alt in alternatives[gi]:
+        for ai, alt in enumerate(alternatives[gi]):
             for ri, t in alt:
                 chosen[ri].add(t)
                 tally(ri, t, 1)
-            rec(gi + 1)
+            rec(gi + 1, code + ai * place[gi])
             for ri, t in alt:
                 chosen[ri].discard(t)
                 tally(ri, t, -1)
 
-    rec(0)
+    rec(0, 0)
     return results
 
 

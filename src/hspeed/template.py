@@ -353,17 +353,23 @@ def count_compatible(template: Template, n: int) -> int:
 
 
 def enumerate_compatible(template: Template, n: int, budget: int = ENUMERATION_BUDGET) -> list[Structure]:
-    """All distinct structures on [n] compatible with the template."""
+    """All distinct structures on [n] compatible with the template.
+
+    Aut* permutes the ordered partitions and keeps each one's structure, so
+    only the partition least in the visiting order of its Aut* orbit is
+    instantiated."""
     if n > budget:
         raise BudgetExceeded(f"n = {n} exceeds enumeration budget {budget}")
     K = template.threshold
     caps = [int(s) if s != INF else None for s in template.sizes]
+    preimages = [[p.index(j) for j in range(1, template.k + 1)] for p in aut_star(template)[0]]
     seen: dict[Structure, None] = {}
     elems = list(range(1, n + 1))
 
     def rec(idx: int, rest: list[int], parts: list[frozenset[int]]):
         if idx == template.k:
-            if not rest:
+            key = [(len(P), sorted(P)) for P in parts]
+            if not rest and all(key <= [key[i] for i in pre] for pre in preimages):
                 struct = instantiate(template, tuple(parts), n)
                 seen.setdefault(struct)
             return
@@ -374,6 +380,9 @@ def enumerate_compatible(template: Template, n: int, budget: int = ENUMERATION_B
             remaining_inf = sum(1 for c in caps[idx + 1:] if c is None)
             hi = len(rest) - remaining_inf * (K + 1)
             sizes = range(K + 1, hi + 1)
+        if idx == template.k - 1:
+            # the last class takes all that is left
+            sizes = [len(rest)] if len(rest) in sizes else []
         for size in sizes:
             if size > len(rest):
                 continue

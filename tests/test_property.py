@@ -4,7 +4,7 @@ import math
 import pytest
 
 from conftest import all_graphs
-from hspeed.canon import canonical_data
+from hspeed.canon import canonical_data, group_order
 from hspeed.corpus import inf_clique_template
 from hspeed.errors import BudgetExceeded, NonHereditaryPredicate, TooFewRows
 from hspeed.property import (
@@ -28,6 +28,8 @@ from hspeed.property import (
     is_totally_bounded_upto,
     matching_property,
     speed,
+    _conjugate,
+    _extensions,
     _sort_key,
 )
 from hspeed.structures import (
@@ -172,7 +174,72 @@ class TestCanonicalAugmentation:
         for child in canonized:
             invariants = [incidence_invariant(child, x) for x in child.elements()]
             assert invariants[-1] == max(invariants), sorted(child.rel_tuples[0])
-        assert len(canonized) < 4000  # every one of 11,290 children without the prefilter
+        # 11,290 children without the prefilter, 3,132 without one child per Aut(parent) orbit
+        assert len(canonized) <= 1640
+
+    def test_one_child_per_orbit_of_extension_sets(self):
+        spec = all_graphs_property()
+        # Aut(edgeless 7) = S7: the orbits of neighbourhoods of vertex 8 are their sizes
+        parent = graph(7, [])
+        children = _extensions(spec, parent, canonical_data(parent).aut_generators)
+        assert sorted(len(child.tuples_of("E")) // 2 for child, _ in children) == list(range(8))
+        for parent in generate_members(spec, 5):
+            auts = [
+                perm
+                for perm in itertools.permutations(range(1, 6))
+                if apply_bijection(parent, dict(zip(range(1, 6), perm))) == parent
+            ]
+
+            def orbit_key(subset):
+                return min(tuple(sorted(perm[x - 1] for x in subset)) for perm in auts)
+
+            maximal = set()
+            for bits in range(32):
+                subset = [x for x in range(1, 6) if bits >> (x - 1) & 1]
+                child = graph(6, sorted(parent.tuples_of("E")) + [(x, 6) for x in subset])
+                invariants = [incidence_invariant(child, x) for x in child.elements()]
+                if invariants[-1] == max(invariants):
+                    maximal.add(orbit_key(subset))
+            children = _extensions(spec, parent, canonical_data(parent).aut_generators)
+            keys = [orbit_key([a for a, b in child.tuples_of("E") if b == 6]) for child, _ in children]
+            assert len(keys) == len(set(keys)) and set(keys) == maximal, sorted(parent.tuples_of("E"))
+
+    def test_extension_marks_stay_small_for_large_groups(self):
+        import tracemalloc
+
+        parent = graph(8, [])
+        generators = canonical_data(parent).aut_generators
+        assert group_order(generators, 8) == 40320
+        tracemalloc.start()
+        try:
+            children = _extensions(all_graphs_property(), parent, generators)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(children) == 9
+        assert peak < 1 << 20
+
+    def test_conjugated_generators_generate_the_forms_group(self):
+        for g in [graph(6, [(1, 2), (2, 3), (4, 5)]), graph(7, [(1, 2), (1, 3), (1, 4), (5, 6)])]:
+            data = canonical_data(g)
+            gens = [_conjugate(h, data.relabel) for h in data.aut_generators]
+            for h in gens:
+                assert apply_bijection(data.form, dict(zip(data.form.elements(), h))) == data.form
+            assert group_order(gens, g.n) == data.aut_order
+
+    def test_predicate_specs_leaf_test_every_child(self, monkeypatch):
+        import hspeed.property
+
+        calls = []
+        leaf_ok = hspeed.property._leaf_ok
+
+        def counting(spec, child, v):
+            calls.append(child)
+            return leaf_ok(spec, child, v)
+
+        monkeypatch.setattr(hspeed.property, "_leaf_ok", counting)
+        speed(bipartite_property(), 6)
+        assert len(calls) == 563  # every child of every member, orbit representative or not
 
     def test_heredity_witness_behind_non_maximal_vertex(self):
         # the edgeless graph on 3 vertices is the only non-member; each
@@ -187,9 +254,19 @@ class TestCanonicalAugmentation:
             speed(spec, 4)
 
     @pytest.mark.slow
-    def test_all_graphs_n8_oeis(self):
+    def test_all_graphs_n8_oeis(self, monkeypatch):
+        import hspeed.property
+
+        calls = []
+
+        def recording(struct):
+            calls.append(struct)
+            return canonical_data(struct)
+
+        monkeypatch.setattr(hspeed.property, "canonical_data", recording)
         row = speed(all_graphs_property(), 8).rows[-1]
         assert (row.unlabeled, row.labeled) == (UNLABELED_GRAPHS[7], 2 ** 28)
+        assert len(calls) <= 19912
 
 
 class TestSpeed:

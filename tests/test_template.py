@@ -227,6 +227,57 @@ class TestCounting:
             assert instantiate(t, permuted, 7) == instantiate(t, parts, 7)
 
 
+def all_partitions_enumeration(template: Template, n: int) -> list:
+    """Oracle: instantiate every ordered partition of [n] matching the sizes,
+    in order of the per-part (size, sorted elements) key, keeping the first
+    structure built for each member."""
+    K = template.threshold
+    partitions = []
+    for assignment in itertools.product(range(template.k), repeat=n):
+        parts = [[e for e, c in zip(range(1, n + 1), assignment) if c == i] for i in range(template.k)]
+        if all(len(P) == s if s != INF else len(P) > K for P, s in zip(parts, template.sizes)):
+            partitions.append(parts)
+    partitions.sort(key=lambda parts: [(len(P), P) for P in parts])
+    seen: dict = {}
+    for parts in partitions:
+        seen.setdefault(instantiate(template, tuple(frozenset(P) for P in parts), n))
+    return sorted(seen, key=lambda s: sorted(sorted(t) for ts in s.rel_tuples for t in ts))
+
+
+class TestEnumerateOrbits:
+    """enumerate_compatible instantiates one partition per Aut* orbit."""
+
+    def test_one_instantiation_per_member(self, monkeypatch):
+        import hspeed.template
+
+        calls = []
+
+        def counting(template, parts, n):
+            calls.append(parts)
+            return instantiate(template, parts, n)
+
+        monkeypatch.setattr(hspeed.template, "instantiate", counting)
+        members = enumerate_compatible(symmetric_bipartite_template(), 10)
+        assert len(calls) == len(members) == 456  # 912 partitions, |Aut*| = 2
+
+    def test_matches_all_partitions_oracle(self):
+        templates = {name: f() for name, f in BUILTIN_TEMPLATES.items()}
+        # |Aut*| = 6 and 2, with three classes
+        templates["complete-tripartite"] = make_template(
+            GRAPH, [INF, INF, INF], {"E(x1,x2)": [(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]}
+        )
+        templates["apex-bipartite"] = make_template(
+            GRAPH, [1, INF, INF], {"E(x1,x2)": [(1, 2), (2, 1), (1, 3), (3, 1)]}
+        )
+        for name, t in templates.items():
+            for n in range(0, 11 if t.k <= 2 else 10):  # the oracle scans k^n assignments
+                members = enumerate_compatible(t, n)
+                oracle = all_partitions_enumeration(t, n)
+                assert members == oracle and repr(members) == repr(oracle), (name, n)
+        tripartite = templates["complete-tripartite"]
+        assert len(enumerate_compatible(tripartite, 9)) == count_compatible(tripartite, 9) == 280
+
+
 def three_infinite_templates() -> dict:
     """Two templates with three infinite classes and finite classes beside them."""
     return {
