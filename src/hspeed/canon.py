@@ -1,11 +1,15 @@
 """Canonical labeling by partition refinement plus backtracking.
 
 Refinement colors elements by iterated tuple-incidence signatures;
-backtracking individualizes elements of the first non-singleton cell,
-collects automorphisms from leaves with equal encodings, and keeps the
-lexicographically minimal relabeled encoding as the canonical form.
-Automorphism pruning uses only generators already found, so the final
-generator set still generates the full group.  Adequate for n <~ 12.
+backtracking individualizes elements of the first non-singleton cell and
+keeps the lexicographically minimal relabeled encoding as the canonical
+form.  A leaf whose encoding equals the first leaf's yields an
+automorphism, and the search backs up to where the two paths part, since
+the rest of that subtree is an image of one already explored.  Pruning
+skips children in the orbit of explored ones under the generators fixing
+the current prefix.  The group order comes from the first path v_1..v_k:
+|Aut| is the product of the orbit sizes of v_i under the generators that
+fix v_1..v_{i-1} (McKay 1981).  Adequate for n <~ 12.
 """
 
 from __future__ import annotations
@@ -22,22 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover
 # permutations as 1-based tuples: perm[i-1] is the image of i
 
 
-def perm_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Composition a∘b (apply b first)."""
-    return tuple(a[b[i] - 1] for i in range(len(a)))
-
-
-def perm_inv(a: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(a)
-    for i, v in enumerate(a):
-        inv[v - 1] = i + 1
-    return tuple(inv)
-
-
-def identity_perm(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1))
-
-
 def orbit(points, generators) -> set[int]:
     """Closure of ``points`` under the permutations in ``generators``."""
     seen = set(points)
@@ -50,62 +38,6 @@ def orbit(points, generators) -> set[int]:
                 seen.add(q)
                 queue.append(q)
     return seen
-
-
-def group_order(generators, n: int) -> int:
-    """Exact order of the permutation group generated by ``generators``.
-
-    Stabilizer chain built incrementally; every Schreier generator is
-    sifted before insertion, which keeps the chain small.
-    """
-    identity = identity_perm(n)
-    base: list[int] = []
-    orbits: list[dict[int, tuple[int, ...]]] = []  # point -> coset rep
-    strong: list[list[tuple[int, ...]]] = []
-
-    def close_orbit(level: int):
-        orb = orbits[level]
-        queue = list(orb)
-        while queue:
-            p = queue.pop()
-            rep = orb[p]
-            for g in strong[level]:
-                q = g[p - 1]
-                if q not in orb:
-                    orb[q] = perm_mul(g, rep)
-                    queue.append(q)
-
-    pending: list[tuple[tuple[int, ...], int]] = [(tuple(g), 0) for g in generators]
-    while pending:
-        g, level = pending.pop()
-        # sift through the chain starting at `level`
-        j = level
-        while j < len(base):
-            p = g[base[j] - 1]
-            if p not in orbits[j]:
-                break
-            g = perm_mul(perm_inv(orbits[j][p]), g)
-            j += 1
-        if g == identity:
-            continue
-        if j == len(base):
-            b = next(k + 1 for k in range(n) if g[k] != k + 1)
-            base.append(b)
-            orbits.append({b: identity})
-            strong.append([])
-        strong[j].append(g)
-        close_orbit(j)
-        for p, rep in list(orbits[j].items()):
-            for h in strong[j]:
-                q = h[p - 1]
-                s = perm_mul(perm_inv(orbits[j][q]), perm_mul(h, rep))
-                if s != identity:
-                    pending.append((s, j + 1))
-
-    order = 1
-    for orb in orbits:
-        order *= len(orb)
-    return order
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +106,8 @@ def _search(struct: "Structure"):
     incidence = _incidence(struct)
     root = _refine(struct, _initial_colors(struct), incidence)
 
-    first_enc = [None]
-    first_map = [None]
-    best_enc = [None]
-    best_map = [None]
+    first_enc = first_map = first_path = None
+    best_enc = best_map = None
     gens: list[tuple[int, ...]] = []
 
     def encode(mapping: dict[int, int]):
@@ -187,29 +117,28 @@ def _search(struct: "Structure"):
         )
         return (rels, tuple(mapping[v] for v in struct.const_vals))
 
-    def record_automorphism(stored_map, mapping):
-        inv = {lab: e for e, lab in stored_map.items()}
-        perm = tuple(inv[mapping[e]] for e in range(1, n + 1))
-        if perm != identity_perm(n) and perm not in gens:
-            gens.append(perm)
+    def fixing(prefix):
+        return [g for g in gens if all(g[p - 1] == p for p in prefix)]
 
-    def leaf(colors):
+    def leaf(colors, path) -> int:
+        nonlocal first_enc, first_map, first_path, best_enc, best_map
         mapping = {x: c + 1 for x, c in colors.items()}
         enc = encode(mapping)
-        if first_enc[0] is not None and enc == first_enc[0]:
-            record_automorphism(first_map[0], mapping)
-        if best_enc[0] is not None and enc == best_enc[0] and first_enc[0] != enc:
-            record_automorphism(best_map[0], mapping)
-        if first_enc[0] is None:
-            first_enc[0], first_map[0] = enc, mapping
-        if best_enc[0] is None or enc < best_enc[0]:
-            best_enc[0], best_map[0] = enc, mapping
+        if best_enc is None or enc < best_enc:
+            best_enc, best_map = enc, mapping
+        if first_enc is None:
+            first_enc, first_map, first_path = enc, mapping, path
+        elif enc == first_enc:
+            inv = {lab: e for e, lab in first_map.items()}
+            gens.append(tuple(inv[mapping[e]] for e in range(1, n + 1)))
+            # the generator fixes the shared prefix and moves the next point,
+            # so it is new; the subtree where this path leaves the first one
+            # is an image of the first one's: resume above it
+            return next(i for i, (a, b) in enumerate(zip(path, first_path)) if a != b)
+        return len(path)
 
-    def pruned(v, explored, prefix):
-        fixing = [g for g in gens if all(g[p - 1] == p for p in prefix)]
-        return v in orbit(explored, fixing)
-
-    def rec(colors, prefix):
+    def rec(colors, prefix) -> int:
+        """Explore below ``prefix``; return the depth to resume at."""
         by_color: dict[int, list[int]] = {}
         for x, c in colors.items():
             by_color.setdefault(c, []).append(x)
@@ -219,17 +148,25 @@ def _search(struct: "Structure"):
                 target = sorted(by_color[c])
                 break
         if target is None:
-            leaf(colors)
-            return
+            return leaf(colors, prefix)
         explored: list[int] = []
         for v in target:
-            if pruned(v, explored, prefix):
+            if v in orbit(explored, fixing(prefix)):
                 continue
             explored.append(v)
-            rec(_refine(struct, _individualize(colors, v), incidence), prefix + (v,))
+            depth = rec(_refine(struct, _individualize(colors, v), incidence), prefix + (v,))
+            if depth < len(prefix):
+                return depth
+        return len(prefix)
 
     rec(root, ())
-    return best_map[0], tuple(gens)
+    # orbit-stabilizer along the first path: every point u of v_i's orbit
+    # under Aut fixing v_1..v_{i-1} was explored or pruned, and exploring u
+    # recorded a generator that fixes v_1..v_{i-1} and maps v_i to u
+    order = 1
+    for i, v in enumerate(first_path):
+        order *= len(orbit([v], fixing(first_path[:i])))
+    return best_map, tuple(gens), order
 
 
 @lru_cache(maxsize=65536)
@@ -237,11 +174,6 @@ def canonical_data(struct: "Structure") -> CanonicalData:
     """Canonical form, relabeling, automorphism generators and group order."""
     from .structures import apply_bijection
 
-    mapping, gens = _search(struct)
+    mapping, gens, order = _search(struct)
     form = apply_bijection(struct, mapping) if struct.n else struct
-    return CanonicalData(
-        form=form,
-        relabel=mapping,
-        aut_generators=gens,
-        aut_order=group_order(gens, struct.n),
-    )
+    return CanonicalData(form=form, relabel=mapping, aut_generators=gens, aut_order=order)

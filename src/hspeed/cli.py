@@ -137,10 +137,7 @@ def _cmd_template(args):
     if args.action == "count":
         payload = {"n": args.n, "count": str(template_mod.count_compatible(templates[0], args.n))}
     elif args.action == "enumerate":
-        if args.budget is not None:
-            members = template_mod.enumerate_compatible(templates[0], args.n, budget=args.budget)
-        else:
-            members = template_mod.enumerate_compatible(templates[0], args.n)
+        members = template_mod.enumerate_compatible(templates[0], args.n, budget=args.budget)
         payload = {"n": args.n, "count": str(len(members)),
                    "members": [structure_to_json(m) for m in members]}
     elif args.action == "fit":
@@ -368,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--window", default=None, help="a..b")
     common(p)
-    p.set_defaults(handler=_cmd_template)
+    p.set_defaults(handler=_cmd_template, budget=template_mod.ENUMERATION_BUDGET)
 
     p = sub.add_parser("components", help="connected components of a structure")
     p.add_argument("structure")

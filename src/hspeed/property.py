@@ -162,35 +162,13 @@ def _is_bipartite(struct: Structure) -> bool:
 
 
 def _is_complete_bipartite(struct: Structure) -> bool:
-    # complement must be a disjoint union of at most two cliques
-    n = struct.n
-    edges = {frozenset(t) for t in struct.tuples_of("E")}
-    comp_adj = {
-        e: {f for f in struct.elements() if f != e and frozenset((e, f)) not in edges}
-        for e in struct.elements()
-    }
-    seen: set[int] = set()
-    components = []
-    for start in struct.elements():
-        if start in seen:
-            continue
-        comp = {start}
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for y in comp_adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    queue.append(y)
-        seen |= comp
-        components.append(comp)
-    if len(components) > 2:
-        return False
-    for comp in components:
-        for a, b in itertools.combinations(comp, 2):
-            if b not in comp_adj[a]:
-                return False
-    return True
+    # vertex 1 and its non-neighbours form one side; edges are exactly the cross pairs
+    edges = struct.tuples_of("E")
+    side = {x: x == 1 or (1, x) not in edges for x in struct.elements()}
+    return all(
+        ((a, b) in edges) == (side[a] != side[b])
+        for a, b in itertools.combinations(struct.elements(), 2)
+    )
 
 
 def bipartite_property() -> PropertySpec:

@@ -49,11 +49,6 @@ class Language:
                 return arity
         raise KeyError(name)
 
-    @property
-    def size(self) -> int:
-        """Total number of relation and constant symbols."""
-        return len(self.relations) + len(self.constants)
-
 
 GRAPH = Language(relations=(("E", 2),))
 
@@ -98,12 +93,6 @@ class Structure:
         for (rname, _), tuples in zip(self.language.relations, self.rel_tuples):
             if rname == name:
                 return tuples
-        raise KeyError(name)
-
-    def constant(self, name: str) -> int:
-        for cname, val in zip(self.language.constants, self.const_vals):
-            if cname == name:
-                return val
         raise KeyError(name)
 
     @property

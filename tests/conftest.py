@@ -30,6 +30,20 @@ def brute_automorphism_count(struct: Structure) -> int:
     return count
 
 
+def brute_group_order(generators, n: int) -> int:
+    """Order of the group the permutations generate, by breadth-first closure."""
+    identity = tuple(range(1, n + 1))
+    seen = {identity}
+    queue = [identity]
+    for p in queue:
+        for g in generators:
+            q = tuple(g[x - 1] for x in p)
+            if q not in seen:
+                seen.add(q)
+                queue.append(q)
+    return len(seen)
+
+
 def all_graphs(n: int):
     """Every labeled simple graph on [n]."""
     pairs = list(itertools.combinations(range(1, n + 1), 2))

@@ -3,8 +3,8 @@ import math
 
 import pytest
 
-from conftest import all_graphs
-from hspeed.canon import canonical_data, group_order
+from conftest import all_graphs, brute_group_order
+from hspeed.canon import canonical_data
 from hspeed.corpus import inf_clique_template
 from hspeed.errors import BudgetExceeded, NonHereditaryPredicate, TooFewRows
 from hspeed.property import (
@@ -209,7 +209,7 @@ class TestCanonicalAugmentation:
 
         parent = graph(8, [])
         generators = canonical_data(parent).aut_generators
-        assert group_order(generators, 8) == 40320
+        assert brute_group_order(generators, 8) == 40320
         tracemalloc.start()
         try:
             children = _extensions(all_graphs_property(), parent, generators)
@@ -225,7 +225,7 @@ class TestCanonicalAugmentation:
             gens = [_conjugate(h, data.relabel) for h in data.aut_generators]
             for h in gens:
                 assert apply_bijection(data.form, dict(zip(data.form.elements(), h))) == data.form
-            assert group_order(gens, g.n) == data.aut_order
+            assert brute_group_order(gens, g.n) == data.aut_order
 
     def test_predicate_specs_leaf_test_every_child(self, monkeypatch):
         import hspeed.property
@@ -450,6 +450,19 @@ class TestBuiltinPredicates:
         assert spec.member(P3)  # P3 = K_{1,2}
         assert not spec.member(K3)
         assert not spec.member(graph(3, [(1, 2)]))  # edge plus isolated vertex
+
+    def test_complete_bipartite_matches_bipartition_scan(self):
+        spec = complete_bipartite_property()
+        for n in range(6):
+            for g in all_graphs(n):
+                edges = {frozenset(t) for t in g.tuples_of("E")}
+                # oracle: some side S makes the edges exactly the pairs across S
+                brute = any(
+                    edges == {frozenset((a, b)) for a in side for b in g.elements() if b not in side}
+                    for k in range(n + 1)
+                    for side in map(set, itertools.combinations(g.elements(), k))
+                )
+                assert spec.member(g) == brute, sorted(g.tuples_of("E"))
 
     def test_bipartite_membership(self):
         spec = bipartite_property()

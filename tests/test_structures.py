@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     all_graphs,
     brute_automorphism_count,
+    brute_group_order,
     brute_isomorphic,
     degree_sequence,
     random_structure,
@@ -184,9 +185,32 @@ class TestAutomorphisms:
         assert automorphisms(m).order == 1
 
     def test_orders_match_brute_force(self):
-        for seed in range(10):
-            m = random_structure(seed, 5)
-            assert automorphisms(m).order == brute_automorphism_count(m)
+        import random
+
+        corpus = [random_structure(seed, 5) for seed in range(10)]
+        ternary = uniform_language(3)
+        loops = Language((("U", 1), ("R", 2)))
+        pointed = Language((("E", 2),), ("c",))
+        for seed in range(12):
+            rng = random.Random(seed)
+            n, p = 1 + seed % 6, (0.1, 0.5, 0.9)[seed % 3]
+            triples = [t for t in itertools.combinations(range(1, n + 1), 3) if rng.random() < p]
+            corpus.append(make_structure(ternary, n, {"R": triples}))
+            corpus.append(make_structure(ternary, n, {"R": [q for t in triples for q in itertools.permutations(t)]}))
+            pairs = [t for t in itertools.product(range(1, n + 1), repeat=2) if rng.random() < p]
+            units = [(x,) for x in range(1, n + 1) if rng.random() < 0.5]
+            corpus.append(make_structure(loops, n, {"U": units, "R": pairs}))
+            edges = [t for t in itertools.combinations(range(1, n + 1), 2) if rng.random() < p]
+            corpus.append(make_structure(pointed, n, {"E": edges + [(b, a) for a, b in edges]}, {"c": rng.randint(1, n)}))
+        for m in corpus:
+            group = automorphisms(m)
+            assert group.order == brute_automorphism_count(m) == brute_group_order(group.generators, m.n), m
+
+    def test_edgeless_graph_gets_a_minimal_generating_set(self):
+        for n in range(1, 9):
+            group = automorphisms(graph(n, []))
+            assert len(group.generators) == n - 1
+            assert brute_group_order(group.generators, n) == math.factorial(n)
 
     def test_orbits_match_permutation_scan(self, structured_graphs):
         corpus = [random_structure(seed, 1 + seed % 6, p=(0.1, 0.5, 0.9)[seed % 3]) for seed in range(24)]
