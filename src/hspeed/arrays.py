@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 
 from .errors import BadSplit, OutOfRange
 from .property import PropertySpec, generate_levels
+from .simclass import _growth_pattern
 from .structures import Structure
 
 PROBE_RESTARTS = 4  # hill-climbing starts per member and parameter-set size above 3
@@ -67,14 +68,9 @@ def type_space(
     buckets: dict[tuple, set[tuple[int, ...]]] = {}
     for x_vals in itertools.product(struct.elements(), repeat=len(xs)):
         decisions = tuple(full_tuple(x_vals, a_vals) in tuples for a_vals in a_tuples)
-        seen: dict[int, int] = {}
-        pattern = []
-        for v in x_vals:
-            if v not in seen:
-                seen[v] = len(seen)
-            pattern.append(seen[v])
+        pattern, _ = _growth_pattern(x_vals)
         links = tuple(a_index.get(v, -1) for v in x_vals)
-        key = (decisions, tuple(pattern), links)
+        key = (decisions, pattern, links)
         buckets.setdefault(key, set()).add(x_vals)
     out = []
     for (decisions, pattern, links), reals in sorted(buckets.items()):

@@ -1,14 +1,26 @@
-"""Unified command-line front end.
+"""Unified command-line front end: the ``hspeed`` command.
 
-Exit codes: 0 success, 2 contract/usage errors (machine-readable JSON on
-stderr), 1 internal failure.  Counts are serialized as decimal strings
-and rationals as "p/q" so nothing is lost crossing tool boundaries.
-Identical argv and seed produce byte-identical primary output.
+Every subcommand, and each action of ``template``, ``arrays`` and
+``osc``, accepts only the options it reads, so the argparse grammar
+enforces the whole CLI.  ``--format`` and ``--out`` are the only options
+every command takes; ``csv`` is a format only of ``speed`` (its default)
+and ``arrays probe``.  ``--seed`` exists only where randomness is drawn
+(``arrays probe``, ``osc sample``, ``osc sequence``, ``corpus``) and
+``--budget`` only where a budget is read (``speed``, ``probe``,
+``census``, ``arrays probe``, ``template enumerate``).
+
+Exit codes: 0 success, 2 contract/usage errors, grammar errors included
+(machine-readable JSON on stderr), 1 internal failure.  Counts are
+serialized as decimal strings and rationals as "p/q" so nothing is lost
+crossing tool boundaries.  Identical argv and seed produce
+byte-identical primary output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -34,23 +46,16 @@ def _frac_str(value: Fraction) -> str:
 
 
 def _emit(payload, args, csv_text: str | None = None) -> None:
-    fmt = getattr(args, "format", "json")
-    if isinstance(payload, dict) and "seed" not in payload:
+    if "seed" not in payload:
         payload = dict(payload, seed=getattr(args, "seed", 0))
-    if fmt == "csv":
-        if csv_text is None:
-            raise UsageError("this subcommand has no CSV form")
-        text = csv_text
-    elif fmt == "pretty":
-        text = _pretty(payload) + "\n"
-    else:
-        text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        if args.format == "csv":
+            fh.write(csv_text)
+        elif args.format == "pretty":
+            fh.write(_pretty(payload) + "\n")
+        else:
+            json.dump(payload, fh, sort_keys=True, indent=1)
+            fh.write("\n")
 
 
 def _pretty(payload, indent: int = 0) -> str:
@@ -64,39 +69,26 @@ def _pretty(payload, indent: int = 0) -> str:
     return f"{pad}{payload}"
 
 
-def _require(args, *names) -> None:
-    """Usage error when a per-action argument was not given."""
-    for name in names:
-        if getattr(args, name) is None:
-            raise UsageError(f"{args.command} {args.action} needs --{name}")
-
-
 def _load_property(args) -> property_mod.PropertySpec:
-    if getattr(args, "property", None):
-        name = args.property
-        if name not in property_mod.BUILTIN_PROPERTIES:
-            raise UsageError(
-                f"unknown property {name!r}; built-ins: {sorted(property_mod.BUILTIN_PROPERTIES)}"
-            )
-        return property_mod.BUILTIN_PROPERTIES[name]()
-    if getattr(args, "forbid", None):
-        structures = [load_structure(p) for p in args.forbid.split(",")]
-        return property_mod.forbid(structures)
-    raise UsageError("supply --property <name> or --forbid <file,...>")
+    if args.property is not None:
+        return property_mod.BUILTIN_PROPERTIES[args.property]()
+    return property_mod.forbid([load_structure(p) for p in args.forbid.split(",")])
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# handlers, one per (subcommand, action); each emits its payload
 
 
 def _cmd_decompose(args):
     struct = load_structure(args.structure)
     decomp = simclass_mod.decomposition(struct)
     _emit(simclass_mod.decomposition_to_json(decomp), args)
-    return 0
 
 
 def _cmd_speed(args):
+    if args.diagnostics and args.format == "csv":
+        raise UsageError("speed --diagnostics adds a growth tag, which the CSV table has no column for; "
+                         "use --format json or --format pretty")
     spec = _load_property(args)
     table = property_mod.speed(spec, args.nmax, budget=args.budget)
     payload = {
@@ -109,7 +101,6 @@ def _cmd_speed(args):
         report = property_mod.growth_diagnostics(table)
         payload["tag"] = report.tag
     _emit(payload, args, csv_text=table.as_csv())
-    return 0
 
 
 def _cmd_probe(args):
@@ -127,32 +118,30 @@ def _cmd_probe(args):
     else:
         payload = {"verdict": "consistent", "checked_upto": verdict.checked_upto}
     _emit(payload, args)
-    return 0
 
 
-def _cmd_template(args):
-    _require(args, "window" if args.action == "fit" else "n")
-    paths = args.template.split(",")
-    templates = [template_mod.load_template(p) for p in paths]
-    if args.action == "count":
-        payload = {"n": args.n, "count": str(template_mod.count_compatible(templates[0], args.n))}
-    elif args.action == "enumerate":
-        members = template_mod.enumerate_compatible(templates[0], args.n, budget=args.budget)
-        payload = {"n": args.n, "count": str(len(members)),
-                   "members": [structure_to_json(m) for m in members]}
-    elif args.action == "fit":
-        lo, hi = (int(x) for x in args.window.split(".."))
-        form = template_mod.speed_form(templates[0], (lo, hi))
-        payload = {
-            "n0": form.n0,
-            "polys": [[_frac_str(c) for c in poly] for poly in form.polys],
-        }
-    elif args.action == "union":
-        payload = {"n": args.n, "count": str(template_mod.union_speed(templates, args.n))}
-    else:
-        raise UsageError(f"unknown template action {args.action!r}")
-    _emit(payload, args)
-    return 0
+def _cmd_template_count(args):
+    template = template_mod.load_template(args.template)
+    _emit({"n": args.n, "count": str(template_mod.count_compatible(template, args.n))}, args)
+
+
+def _cmd_template_enumerate(args):
+    template = template_mod.load_template(args.template)
+    members = template_mod.enumerate_compatible(template, args.n, budget=args.budget)
+    _emit({"n": args.n, "count": str(len(members)),
+           "members": [structure_to_json(m) for m in members]}, args)
+
+
+def _cmd_template_fit(args):
+    template = template_mod.load_template(args.template)
+    lo, hi = (int(x) for x in args.window.split(".."))
+    form = template_mod.speed_form(template, (lo, hi))
+    _emit({"n0": form.n0, "polys": [[_frac_str(c) for c in poly] for poly in form.polys]}, args)
+
+
+def _cmd_template_union(args):
+    templates = [template_mod.load_template(p) for p in args.template.split(",")]
+    _emit({"n": args.n, "count": str(template_mod.union_speed(templates, args.n))}, args)
 
 
 def _cmd_components(args):
@@ -163,7 +152,6 @@ def _cmd_components(args):
         "size_histogram": {str(k): v for k, v in sorted(report.size_histogram.items())},
     }
     _emit(payload, args)
-    return 0
 
 
 def _cmd_census(args):
@@ -175,7 +163,6 @@ def _cmd_census(args):
         "larger_exists": {str(k): v for k, v in sorted(census.larger_exists.items())},
     }
     _emit(payload, args)
-    return 0
 
 
 def _cmd_blocks(args):
@@ -189,7 +176,6 @@ def _cmd_blocks(args):
         "reference_lower_bound": str(result.reference_lower_bound),
     }
     _emit(payload, args)
-    return 0
 
 
 def _parse_positions(text: str) -> list[int]:
@@ -200,111 +186,113 @@ def _parse_elements(text: str) -> list[int]:
     return [int(x) for x in text.split(",")] if text else []
 
 
-def _cmd_arrays(args):
-    if args.action == "probe":
-        spec = _load_property(args)
-        table = arrays_mod.bounded_array_probe(
-            spec, args.rel, _parse_positions(args.split), args.m, args.nmax,
-            a_max=args.amax, seed=args.seed, budget=args.budget,
-        )
-        csv_text = "n,maxN,witness_id\n" + "\n".join(
-            f"{r.n},{r.max_count},{r.witness_id()}" for r in table.rows
-        ) + "\n"
-        payload = {"seed": table.seed, "rows": [
-            {"n": r.n, "maxN": r.max_count, "witness_id": r.witness_id(),
-             "parameters": list(r.witness_parameters)}
-            for r in table.rows
-        ]}
-        _emit(payload, args, csv_text=csv_text)
-        return 0
-    _require(args, "structure")
+def _cmd_arrays_probe(args):
+    spec = _load_property(args)
+    table = arrays_mod.bounded_array_probe(
+        spec, args.rel, _parse_positions(args.split), args.m, args.nmax,
+        a_max=args.amax, seed=args.seed, budget=args.budget,
+    )
+    csv_text = "n,maxN,witness_id\n" + "\n".join(
+        f"{r.n},{r.max_count},{r.witness_id()}" for r in table.rows
+    ) + "\n"
+    payload = {"seed": table.seed, "rows": [
+        {"n": r.n, "maxN": r.max_count, "witness_id": r.witness_id(),
+         "parameters": list(r.witness_parameters)}
+        for r in table.rows
+    ]}
+    _emit(payload, args, csv_text=csv_text)
+
+
+def _cmd_arrays_types(args):
     struct = load_structure(args.structure)
-    positions = _parse_positions(args.split)
-    params = _parse_elements(args.A)
-    if args.action == "types":
-        types = arrays_mod.type_space(struct, args.rel, positions, params)
-        payload = {
-            "count": len(types),
-            "types": [
-                {
-                    "realizations": sorted(sorted(t) for t in tp.realizations),
-                    "positive_decisions": sum(tp.r_decisions),
-                }
-                for tp in types
-            ],
-        }
-    elif args.action == "count":
-        payload = {
-            "m": args.m,
-            "count": arrays_mod.n_array_count(struct, args.rel, positions, args.m, params),
-        }
-    else:
-        raise UsageError(f"unknown arrays action {args.action!r}")
+    types = arrays_mod.type_space(struct, args.rel, _parse_positions(args.split), _parse_elements(args.A))
+    payload = {
+        "count": len(types),
+        "types": [
+            {
+                "realizations": sorted(sorted(t) for t in tp.realizations),
+                "positive_decisions": sum(tp.r_decisions),
+            }
+            for tp in types
+        ],
+    }
     _emit(payload, args)
-    return 0
 
 
-def _cmd_osc(args):
-    if args.action == "balanced":
-        g = osc_mod.find_strictly_balanced(args.r, _frac(args.c))
-        payload = {
-            "hypergraph": osc_mod.hypergraph_to_json(g),
-            "density": _frac_str(osc_mod.density(g)),
-            "strictly_balanced": True,
-        }
-    elif args.action == "member":
-        _require(args, "hypergraph")
-        g = osc_mod.load_hypergraph(args.hypergraph)
-        c = _frac(args.c)
-        if args.mode == "q":
-            value = osc_mod.in_Q(g, c)
-        elif args.mode == "s":
-            value = osc_mod.in_S(g, c)
-        else:
-            nu = _parse_elements(args.nu)
-            value = osc_mod.in_P(g, nu, c)
-        payload = {"mode": args.mode, "c": _frac_str(c), "member": value}
-    elif args.action == "blowup":
-        _require(args, "hypergraph", "n")
-        h = osc_mod.load_hypergraph(args.hypergraph)
-        result = osc_mod.blowup_members(h, args.n, count_only=not args.materialize)
-        payload = {
-            "n": args.n,
-            "count": str(result.count),
-            "guaranteed_lower_bound": str(result.guaranteed_lower_bound),
-        }
-        if result.members is not None:
-            payload["members"] = [osc_mod.hypergraph_to_json(m) for m in result.members]
-    elif args.action == "sample":
-        _require(args, "n")
-        cert = osc_mod.sample_dense_member(
-            args.r, args.k, _frac(args.c), args.n, _frac(args.delta), seed=args.seed
-        )
-        payload = {
-            "graph": osc_mod.hypergraph_to_json(cert.graph),
-            "edges": cert.edge_count,
-            "attempts": cert.attempts,
-            "seed": cert.seed,
-            "verification": cert.verification,
-            "log2_members_lower_bound": str(cert.sub_member_log2),
-        }
-    elif args.action == "sequence":
-        seq = osc_mod.build_sequence(
-            args.r, _frac(args.c), _frac(args.eps), steps=args.steps, seed=args.seed
-        )
-        payload = {
-            "r": seq.r,
-            "c": _frac_str(seq.c),
-            "eps": _frac_str(seq.eps),
-            "nu": list(seq.nu),
-            "mu": list(seq.mu),
-            "certificates": list(seq.certificates),
-            "note": "mu values are certified upper bounds on the minimal indices",
-        }
-    else:
-        raise UsageError(f"unknown osc action {args.action!r}")
+def _cmd_arrays_count(args):
+    struct = load_structure(args.structure)
+    count = arrays_mod.n_array_count(
+        struct, args.rel, _parse_positions(args.split), args.m, _parse_elements(args.A)
+    )
+    _emit({"m": args.m, "count": count}, args)
+
+
+def _cmd_osc_balanced(args):
+    g = osc_mod.find_strictly_balanced(args.r, _frac(args.c))
+    payload = {
+        "hypergraph": osc_mod.hypergraph_to_json(g),
+        "density": _frac_str(osc_mod.density(g)),
+        "strictly_balanced": True,
+    }
     _emit(payload, args)
-    return 0
+
+
+def _cmd_osc_member(args):
+    if args.mode != "p" and args.nu:
+        raise UsageError("osc member reads --nu only with --mode p")
+    g = osc_mod.load_hypergraph(args.hypergraph)
+    c = _frac(args.c)
+    if args.mode == "q":
+        value = osc_mod.in_Q(g, c)
+    elif args.mode == "s":
+        value = osc_mod.in_S(g, c)
+    else:
+        value = osc_mod.in_P(g, _parse_elements(args.nu), c)
+    _emit({"mode": args.mode, "c": _frac_str(c), "member": value}, args)
+
+
+def _cmd_osc_blowup(args):
+    h = osc_mod.load_hypergraph(args.hypergraph)
+    result = osc_mod.blowup_members(h, args.n, count_only=not args.materialize)
+    payload = {
+        "n": args.n,
+        "count": str(result.count),
+        "guaranteed_lower_bound": str(result.guaranteed_lower_bound),
+    }
+    if result.members is not None:
+        payload["members"] = [osc_mod.hypergraph_to_json(m) for m in result.members]
+    _emit(payload, args)
+
+
+def _cmd_osc_sample(args):
+    cert = osc_mod.sample_dense_member(
+        args.r, args.k, _frac(args.c), args.n, _frac(args.delta), seed=args.seed
+    )
+    payload = {
+        "graph": osc_mod.hypergraph_to_json(cert.graph),
+        "edges": cert.edge_count,
+        "attempts": cert.attempts,
+        "seed": cert.seed,
+        "verification": cert.verification,
+        "log2_members_lower_bound": str(cert.sub_member_log2),
+    }
+    _emit(payload, args)
+
+
+def _cmd_osc_sequence(args):
+    seq = osc_mod.build_sequence(
+        args.r, _frac(args.c), _frac(args.eps), steps=args.steps, seed=args.seed
+    )
+    payload = {
+        "r": seq.r,
+        "c": _frac_str(seq.c),
+        "eps": _frac_str(seq.eps),
+        "nu": list(seq.nu),
+        "mu": list(seq.mu),
+        "certificates": list(seq.certificates),
+        "note": "mu values are certified upper bounds on the minimal indices",
+    }
+    _emit(payload, args)
 
 
 def _cmd_corpus(args):
@@ -320,121 +308,141 @@ def _cmd_corpus(args):
     else:
         payload = structure_to_json(obj)
     _emit(payload, args)
-    return 0
 
 
 # ---------------------------------------------------------------------------
+# grammar
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="hspeed", description=__doc__)
-    parser.set_defaults(handler=None)
-    sub = parser.add_subparsers(dest="command")
+class _Parser(argparse.ArgumentParser):
+    """A grammar error raises UsageError, so it leaves main as JSON on stderr with exit 2."""
 
-    def common(p):
-        p.add_argument("--format", choices=["json", "csv", "pretty"], default="json")
-        p.add_argument("--out", default=None)
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def _command(sub, name, handler, help=None, *, csv=False, seed=False, budget=False):
+    """A leaf parser: the output options, plus --seed/--budget only where the handler reads them."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(handler=handler)
+    p.add_argument("--format", choices=["json", "csv", "pretty"] if csv else ["json", "pretty"],
+                   default="json")
+    p.add_argument("--out", default=None)
+    if seed:
         p.add_argument("--seed", type=int, default=0)
+    if budget:
         p.add_argument("--budget", type=int, default=None)
+    return p
 
-    p = sub.add_parser("decompose", help="swap-equivalence decomposition of a structure")
+
+def _actions(sub, name, help):
+    return sub.add_parser(name, help=help).add_subparsers(dest="action", required=True)
+
+
+def _property_options(p) -> None:
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--forbid", help="comma-separated forbidden structure files")
+    group.add_argument("--property", "--spec", dest="property",
+                       choices=sorted(property_mod.BUILTIN_PROPERTIES), help="built-in property name")
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The whole grammar, built once per process; callers share it and must not change it."""
+    parser = _Parser(prog="hspeed", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = _command(sub, "decompose", _cmd_decompose, "swap-equivalence decomposition of a structure")
     p.add_argument("structure")
-    common(p)
-    p.set_defaults(handler=_cmd_decompose)
 
-    p = sub.add_parser("speed", help="exact labeled/unlabeled counts of a property")
-    p.add_argument("--forbid", default=None, help="comma-separated forbidden structure files")
-    p.add_argument("--property", "--spec", dest="property", default=None, help="built-in property name")
+    p = _command(sub, "speed", _cmd_speed, "exact labeled/unlabeled counts of a property",
+                 csv=True, budget=True)
+    _property_options(p)
     p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--diagnostics", action="store_true")
-    common(p)
-    p.set_defaults(handler=_cmd_speed, format="csv")
+    p.add_argument("--diagnostics", action="store_true", help="add the growth tag (json/pretty only)")
+    p.set_defaults(format="csv")
 
-    p = sub.add_parser("probe", help="finite-scale basic/totally-bounded verdicts")
+    p = _command(sub, "probe", _cmd_probe, "finite-scale basic/totally-bounded verdicts", budget=True)
     p.add_argument("which", choices=["basic", "tb"])
-    p.add_argument("--forbid", default=None)
-    p.add_argument("--property", "--spec", dest="property", default=None)
+    _property_options(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--nmax", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_probe)
 
-    p = sub.add_parser("template", help="template counting and closed forms")
-    p.add_argument("action", choices=["count", "enumerate", "fit", "union"])
-    p.add_argument("--template", required=True, help="template file(s), comma-separated")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--window", default=None, help="a..b")
-    common(p)
-    p.set_defaults(handler=_cmd_template, budget=template_mod.ENUMERATION_BUDGET)
+    actions = _actions(sub, "template", "template counting and closed forms")
+    count = _command(actions, "count", _cmd_template_count)
+    enumerate_ = _command(actions, "enumerate", _cmd_template_enumerate, budget=True)
+    enumerate_.set_defaults(budget=template_mod.ENUMERATION_BUDGET)
+    fit = _command(actions, "fit", _cmd_template_fit)
+    union = _command(actions, "union", _cmd_template_union)
+    for p in (count, enumerate_, fit):
+        p.add_argument("--template", required=True, help="template file")
+    union.add_argument("--template", required=True, help="template files, comma-separated")
+    for p in (count, enumerate_, union):
+        p.add_argument("--n", type=int, required=True)
+    fit.add_argument("--window", required=True, help="a..b")
 
-    p = sub.add_parser("components", help="connected components of a structure")
+    p = _command(sub, "components", _cmd_components, "connected components of a structure")
     p.add_argument("structure")
-    common(p)
-    p.set_defaults(handler=_cmd_components)
 
-    p = sub.add_parser("census", help="component-size census over a property")
-    p.add_argument("--forbid", default=None)
-    p.add_argument("--property", "--spec", dest="property", default=None)
+    p = _command(sub, "census", _cmd_census, "component-size census over a property", budget=True)
+    _property_options(p)
     p.add_argument("--nmax", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_census)
 
-    p = sub.add_parser("blocks", help="partitions into size-k blocks")
+    p = _command(sub, "blocks", _cmd_blocks, "partitions into size-k blocks")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_blocks)
 
-    p = sub.add_parser("arrays", help="type spaces and array diagnostics")
-    p.add_argument("action", choices=["types", "count", "probe"])
-    p.add_argument("--structure", default=None)
-    p.add_argument("--rel", default="E")
-    p.add_argument("--split", default="1", help="1-based x positions, comma-separated")
-    p.add_argument("--A", default="", help="parameter elements, comma-separated")
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--forbid", default=None)
-    p.add_argument("--property", "--spec", dest="property", default=None)
-    p.add_argument("--nmax", type=int, default=6)
-    p.add_argument("--amax", type=int, default=6)
-    common(p)
-    p.set_defaults(handler=_cmd_arrays)
+    actions = _actions(sub, "arrays", "type spaces and array diagnostics")
+    types = _command(actions, "types", _cmd_arrays_types)
+    count = _command(actions, "count", _cmd_arrays_count)
+    probe = _command(actions, "probe", _cmd_arrays_probe, csv=True, seed=True, budget=True)
+    for p in (types, count):
+        p.add_argument("--structure", required=True)
+        p.add_argument("--A", default="", help="parameter elements, comma-separated")
+    for p in (types, count, probe):
+        p.add_argument("--rel", default="E")
+        p.add_argument("--split", default="1", help="1-based x positions, comma-separated")
+    for p in (count, probe):
+        p.add_argument("--m", type=int, default=1)
+    _property_options(probe)
+    probe.add_argument("--nmax", type=int, default=6)
+    probe.add_argument("--amax", type=int, default=6)
 
-    p = sub.add_parser("osc", help="hypergraph density families and constructions")
-    p.add_argument("action", choices=["balanced", "member", "blowup", "sample", "sequence"])
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--c", default="1")
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--nu", default="", help="sizes, comma-separated")
-    p.add_argument("--mode", choices=["q", "s", "p"], default="q")
-    p.add_argument("--hypergraph", "--h", dest="hypergraph", default=None)
-    p.add_argument("--delta", default="2")
-    p.add_argument("--eps", default="2")
-    p.add_argument("--steps", type=int, default=1)
-    p.add_argument("--materialize", action="store_true")
-    common(p)
-    p.set_defaults(handler=_cmd_osc)
+    actions = _actions(sub, "osc", "hypergraph density families and constructions")
+    balanced = _command(actions, "balanced", _cmd_osc_balanced)
+    member = _command(actions, "member", _cmd_osc_member)
+    blowup = _command(actions, "blowup", _cmd_osc_blowup)
+    sample = _command(actions, "sample", _cmd_osc_sample, seed=True)
+    sequence = _command(actions, "sequence", _cmd_osc_sequence, seed=True)
+    for p in (balanced, sample, sequence):
+        p.add_argument("--r", type=int, default=2)
+    for p in (balanced, member, sample, sequence):
+        p.add_argument("--c", default="1")
+    for p in (member, blowup):
+        p.add_argument("--hypergraph", "--h", dest="hypergraph", required=True)
+    for p in (blowup, sample):
+        p.add_argument("--n", type=int, required=True)
+    member.add_argument("--mode", choices=["q", "s", "p"], default="q")
+    member.add_argument("--nu", default="", help="sizes, comma-separated (--mode p)")
+    blowup.add_argument("--materialize", action="store_true")
+    sample.add_argument("--k", type=int, default=3)
+    sample.add_argument("--delta", default="2")
+    sequence.add_argument("--eps", default="2")
+    sequence.add_argument("--steps", type=int, default=1)
 
-    p = sub.add_parser("corpus", help="generate built-in family files")
+    p = _command(sub, "corpus", _cmd_corpus, "generate built-in family files", seed=True)
     p.add_argument("--kind", required=True)
     p.add_argument("--param", action="append", help="key=value", default=None)
-    common(p)
-    p.set_defaults(handler=_cmd_corpus)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    if args.handler is None:
-        parser.print_usage(sys.stderr)
-        return 2
-    try:
-        return args.handler(args)
+        args = build_parser().parse_args(argv)
+        args.handler(args)
+    except SystemExit:  # --help, the grammar's only exit
+        return 0
     except ContractError as exc:
         sys.stderr.write(json.dumps(exc.payload(), sort_keys=True) + "\n")
         return 2
@@ -444,6 +452,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # internal failure
         sys.stderr.write(json.dumps({"error": "internal", "message": str(exc)}, sort_keys=True) + "\n")
         return 1
+    return 0
 
 
 if __name__ == "__main__":

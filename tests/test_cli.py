@@ -1,8 +1,10 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from hspeed.cli import main
+from hspeed.cli import build_parser, main
 from hspeed.property import K3, P3
 from hspeed.structures import dump_structure
 
@@ -80,6 +82,17 @@ class TestDispatch:
         assert code == 2
         payload = json.loads(err)
         assert payload["error"] == "out-of-range"
+
+    def test_speed_diagnostics_needs_a_tagged_format(self, capsys):
+        code, out, err = run(capsys, "speed", "--property", "matching", "--nmax", "4", "--diagnostics")
+        assert (code, out) == (2, "")
+        payload = json.loads(err)
+        assert payload["error"] == "usage"
+        assert "--format json" in payload["message"]
+        code, out, _ = run(capsys, "speed", "--property", "matching", "--nmax", "4", "--diagnostics",
+                           "--format", "json")
+        assert code == 0
+        assert "tag" in json.loads(out)
 
     def test_usage_error_json(self, capsys):
         code, _, err = run(capsys, "speed", "--nmax", "4")
@@ -181,17 +194,41 @@ class TestReproducibility:
         ["osc", "blowup", "--hypergraph", "{hypergraph}"],
         ["arrays", "types"],
         ["arrays", "count"],
+        [],
+        ["speed", "--property", "matching"],
+        ["speed", "--property", "matching", "--forbid", "{structure}", "--nmax", "4"],
+        ["speed", "--property", "no-such-property", "--nmax", "4"],
+        ["speed", "--property", "matching", "--nmax", "4", "--seed", "3"],
+        ["osc", "balanced", "--steps", "2"],
+        ["osc", "balanced", "--steps", "9", "--materialize"],
+        ["osc", "member", "--hypergraph", "{hypergraph}", "--mode", "q", "--nu", "3"],
+        ["template", "count", "--template", "{template}", "--n", "5", "--window", "6..8"],
+        ["template", "count", "--template", "{template},{template}", "--n", "5"],
+        ["template", "--template", "{template}", "count", "--n", "5"],
+        ["decompose", "{structure}", "--seed", "1"],
+        ["blocks", "--n", "6", "--k", "2", "--format", "csv"],
     ],
 )
 def test_missing_action_argument_is_usage_error(capsys, tmp_path, argv):
-    from hspeed.corpus import symmetric_bipartite_template
+    from hspeed.corpus import matching, symmetric_bipartite_template
     from hspeed.template import template_to_json
 
-    files = {"template": tmp_path / "bip.json", "hypergraph": tmp_path / "edge3.json"}
+    files = {"template": tmp_path / "bip.json", "hypergraph": tmp_path / "edge3.json",
+             "structure": tmp_path / "m2.json"}
     files["template"].write_text(json.dumps(template_to_json(symmetric_bipartite_template())))
     files["hypergraph"].write_text(json.dumps({"r": 3, "v": 3, "edges": [[1, 2, 3]]}))
+    dump_structure(matching(2), str(files["structure"]))
     argv = [a.format(**files) for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "usage"
+
+
+def test_readme_cli_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("hspeed ")]
+    assert len(lines) >= 10
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])  # a grammar error raises UsageError
