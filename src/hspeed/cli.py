@@ -37,7 +37,10 @@ from .structures import load_structure, structure_to_json
 
 
 def _frac(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise UsageError(f"{text} has a zero denominator") from None
 
 
 def _frac_str(value: Fraction) -> str:
@@ -274,7 +277,7 @@ def _cmd_osc_sample(args):
         "attempts": cert.attempts,
         "seed": cert.seed,
         "verification": cert.verification,
-        "log2_members_lower_bound": str(cert.sub_member_log2),
+        "log2_members_lower_bound": str(cert.edge_count),
     }
     _emit(payload, args)
 

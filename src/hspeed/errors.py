@@ -47,10 +47,6 @@ class ConstantInInfiniteClass(ContractError):
     code = "constant-in-infinite-class"
 
 
-class NonIntegralCount(ContractError):
-    code = "non-integral-count"
-
-
 class FitFailed(ContractError):
     code = "fit-failed"
 

@@ -10,7 +10,6 @@ take explicit seeds and are reproducible.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -26,13 +25,14 @@ from .errors import (
     SearchBudgetExceeded,
     TooSmall,
 )
+from .structures import load_json
 
 BRUTE_CROSSCHECK_LIMIT = 14
 SUBSET_BUDGET = 2_000_000
 BALANCED_V_BUDGET = 12  # find_strictly_balanced searches v <= this
 BALANCED_COMBO_BUDGET = 300_000  # ... and only edge sets of at most this many combinations
 MATERIALIZE_BUDGET = 5000  # most members blowup_members builds
-ESTIMATOR_ATTEMPTS = 8  # sampler calls per (nu prefix, n) in default_estimator
+ESTIMATOR_ATTEMPTS = 8  # sampler calls per (nu prefix, n) in _certified_bound
 SEQUENCE_SCAN_LIMIT = 600  # candidate n per build_sequence step
 
 
@@ -80,8 +80,7 @@ def hypergraph_from_json(obj: dict) -> Hypergraph:
 
 
 def load_hypergraph(path: str) -> Hypergraph:
-    with open(path) as fh:
-        return hypergraph_from_json(json.load(fh))
+    return load_json(path, hypergraph_from_json)
 
 
 def density(g: Hypergraph) -> Fraction:
@@ -240,8 +239,6 @@ def is_strictly_balanced(g: Hypergraph) -> bool:
     """Every proper nonempty induced subhypergraph has strictly smaller density."""
     if g.v < 1:
         raise EmptyVertexSet("no vertices")
-    if g.v == 1:
-        return True
     rho = density(g)
     if g.v <= BRUTE_CROSSCHECK_LIMIT:
         f = _subset_edge_counts(g)
@@ -264,13 +261,18 @@ def is_strictly_balanced(g: Hypergraph) -> bool:
 def feasible_density(r: int, c: Fraction) -> bool:
     """Densities of strictly balanced r-uniform hypergraphs: c >= 1/(r-1) or
     c = k/(1+k(r-1)) for an integer k >= 1."""
-    if c >= Fraction(1, r - 1):
-        return True
+    if r < 2:
+        raise ValueError("uniformity must be >= 2")
+    return c >= Fraction(1, r - 1) or _sunflower_size(r, c) is not None
+
+
+def _sunflower_size(r: int, c: Fraction) -> int | None:
+    """The integer k >= 1 with c = k/(1+k(r-1)), the density of a k-edge sunflower, if any."""
     denom = 1 - c * (r - 1)
     if denom <= 0:
-        return True
+        return None
     k = c / denom
-    return k.denominator == 1 and k >= 1
+    return int(k) if k.denominator == 1 and k >= 1 else None
 
 
 def _sunflower(r: int, k: int) -> Hypergraph:
@@ -287,8 +289,9 @@ def find_strictly_balanced(r: int, c: Fraction) -> Hypergraph:
     """A certified strictly balanced r-uniform hypergraph of density exactly c.
 
     Seeds known families first, then searches small vertex counts
-    exhaustively.  The certificate is the exhaustive balance check plus a
-    density check, re-run before returning.
+    exhaustively.  A seeded family is certified by the density and balance
+    checks before it is returned; a search hit has e = c*v edges and passed
+    the balance check.
     """
     c = Fraction(c)
     if c < 0:
@@ -301,11 +304,9 @@ def find_strictly_balanced(r: int, c: Fraction) -> Hypergraph:
             raise RuntimeError("candidate failed certification")
         return g
 
-    denom = 1 - c * (r - 1)
-    if denom > 0:
-        k = c / denom
-        if k.denominator == 1 and k >= 1:
-            return certify(_sunflower(r, int(k)))
+    k = _sunflower_size(r, c)
+    if k is not None:
+        return certify(_sunflower(r, k))
     if c == 1:
         full = hypergraph(r, r + 1, itertools.combinations(range(1, r + 2), r))
         return certify(full)
@@ -321,7 +322,7 @@ def find_strictly_balanced(r: int, c: Fraction) -> Hypergraph:
             for combo in itertools.combinations(all_edges, e):
                 g = hypergraph(r, v, combo)
                 if is_strictly_balanced(g):
-                    return certify(g)
+                    return g
     raise SearchBudgetExceeded(
         f"no strictly balanced ({r}, {c}) hypergraph found within v <= {BALANCED_V_BUDGET}"
     )
@@ -501,10 +502,9 @@ def blowup_members(h: Hypergraph, n: int, count_only: bool = False) -> BlowupRes
 @dataclass(frozen=True)
 class SampleCertificate:
     graph: Hypergraph
-    edge_count: int
+    edge_count: int  # the member certifies >= 2^edge_count members
     attempts: int
     seed: int
-    sub_member_log2: int  # the member certifies >= 2^edge_count members
     verification: str = "exhaustive"  # in_P decides membership exactly
 
 
@@ -531,6 +531,8 @@ def sample_dense_member(
     delta = Fraction(delta)
     if delta * c <= 1:
         raise ValueError("need delta > 1/c")
+    if r < 2 or n < 1:
+        raise ValueError("need r >= 2 and n >= 1")
     if k * r > n:
         raise ValueError("need k*r <= n")
     rng = random.Random(seed)
@@ -545,9 +547,7 @@ def sample_dense_member(
         except BudgetExceeded:
             continue  # an unchecked draw is never certified
         if member:
-            return SampleCertificate(
-                graph=g, edge_count=g.e, attempts=attempt, seed=seed, sub_member_log2=g.e
-            )
+            return SampleCertificate(graph=g, edge_count=g.e, attempts=attempt, seed=seed)
     raise SampleBudgetExceeded(
         f"no qualifying member of P^{{({k}),{c}}}_{n} in {max_attempts} attempts (p = {p:.3g})"
     )
@@ -588,47 +588,42 @@ def _threshold_met(e: int, n: int, r: int, eps: Fraction) -> bool:
     return e ** b >= n ** (r * b - a)
 
 
-def default_estimator(r: int, c: Fraction, eps: Fraction, seed: int):
+def _certified_bound(r: int, k: int, c: Fraction, eps: Fraction, n: int, seed: int):
     """Certified lower bound log2 |P^{nu,c}_n| >= e via sample_dense_member.
 
-    The certificate graph is a member of P^{(k),c}_n with k = max(nu_prefix),
-    hence of P^{nu,c}_n, and in_P decides that membership exactly.
-    Returns a callable (nu_prefix, n) -> (e, certificate dict) or None.
-    The sampler's preconditions (k*r <= n) and a deterministic
-    hopelessness bound (expected edges far below the threshold) make it
-    return None without drawing randomness.
+    With k = max(nu prefix), the certificate graph is a member of
+    P^{(k),c}_n, hence of P^{nu,c}_n, and in_P decides that membership
+    exactly.  Returns (e, certificate dict) or None.  The sampler's
+    preconditions (k*r <= n) and a deterministic hopelessness bound
+    (expected edges far below the threshold) make it return None without
+    drawing randomness.
     """
-    delta = (Fraction(1, 1) / c + eps) / 2
-
-    def estimate(nu_prefix: tuple[int, ...], n: int):
-        k = max(nu_prefix)
-        if k * r > n:
-            return None
-        p = float(n) ** (-float(delta))
-        mean = p * math.comb(n, r)
-        need = float(n) ** (r - float(eps))
-        if mean + 6 * math.sqrt(mean) + 2 < need:
-            return None  # certification out of reach at this n
-        best = None
-        for i in range(ESTIMATOR_ATTEMPTS):
-            try:
-                cert = sample_dense_member(r, k, c, n, delta, seed=seed * 100003 + n * 101 + i,
-                                           max_attempts=40)
-            except SampleBudgetExceeded:
-                continue
-            if best is None or cert.edge_count > best.edge_count:
-                best = cert
-        if best is None:
-            return None
-        return best.edge_count, {
-            "n": n,
-            "edges": best.edge_count,
-            "attempts": best.attempts,
-            "seed": best.seed,
-            "verification": best.verification,
-        }
-
-    return estimate
+    if k * r > n:
+        return None
+    delta = (1 / c + eps) / 2
+    p = float(n) ** (-float(delta))
+    mean = p * math.comb(n, r)
+    need = float(n) ** (r - float(eps))
+    if mean + 6 * math.sqrt(mean) + 2 < need:
+        return None  # certification out of reach at this n
+    best = None
+    for i in range(ESTIMATOR_ATTEMPTS):
+        try:
+            cert = sample_dense_member(r, k, c, n, delta, seed=seed * 100003 + n * 101 + i,
+                                       max_attempts=40)
+        except SampleBudgetExceeded:
+            continue
+        if best is None or cert.edge_count > best.edge_count:
+            best = cert
+    if best is None:
+        return None
+    return best.edge_count, {
+        "n": n,
+        "edges": best.edge_count,
+        "attempts": best.attempts,
+        "seed": best.seed,
+        "verification": best.verification,
+    }
 
 
 def build_sequence(r: int, c: Fraction, eps: Fraction, steps: int, seed: int = 0) -> OscSequence:
@@ -636,18 +631,19 @@ def build_sequence(r: int, c: Fraction, eps: Fraction, steps: int, seed: int = 0
     lower bound reaches 2^(n^(r-eps)); nu_{k+1} = mu_k + 1."""
     c = Fraction(c)
     eps = Fraction(eps)
+    if r < 2:
+        raise ValueError("uniformity must be >= 2")
     if c < Fraction(1, r - 1):
         raise ValueError("need c >= 1/(r-1)")
     if eps * c <= 1:
         raise ValueError("need eps > 1/c")
-    estimator = default_estimator(r, c, eps, seed)
     nu = [r + 1]
     mu: list[int] = []
     certificates: list[dict] = []
     for _ in range(steps):
         found = None
         for n in range(nu[-1] + 1, nu[-1] + 1 + SEQUENCE_SCAN_LIMIT):
-            result = estimator(tuple(nu), n)
+            result = _certified_bound(r, max(nu), c, eps, n, seed)
             if result is None:
                 continue
             e, cert = result

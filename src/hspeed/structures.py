@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -167,33 +167,23 @@ def induced_substructure(struct: Structure, elements: Iterable[int]) -> tuple[St
     return Structure(struct.language, len(xs), rel_tuples, const_vals), relabel
 
 
-def apply_bijection(
-    struct: Structure, f: Mapping[int, int] | Sequence[int] | Callable[[int], int], m: int | None = None
-) -> Structure:
-    """Image structure f(M) for an injection f of [n] into [m].
+def apply_bijection(struct: Structure, f: Mapping[int, int]) -> Structure:
+    """Image structure f(M) for an injection f of [n] into the positive integers.
 
-    ``m`` defaults to the largest image value; elements of [m] not hit by
-    f are isolated in the image.  Raises NotInjective.
+    The image's domain is [m] for the largest image value m; elements of
+    [m] not hit by f are isolated.  Raises NotInjective.
     """
-    if callable(f) and not isinstance(f, Mapping):
-        fmap = {e: f(e) for e in struct.elements()}
-    elif isinstance(f, Mapping):
-        fmap = {e: f[e] for e in struct.elements()}
-    else:
-        if len(f) != struct.n:
-            raise NotInjective("sequence form must list images of 1..n")
-        fmap = {e: f[e - 1] for e in struct.elements()}
+    fmap = {e: f[e] for e in struct.elements()}
     if len(set(fmap.values())) != struct.n:
         raise NotInjective("f is not injective on [n]")
-    target = max(fmap.values(), default=0) if m is None else m
-    if any(v < 1 or v > target for v in fmap.values()):
-        raise OutOfRange(f"image leaves [{target}]")
+    if any(v < 1 for v in fmap.values()):
+        raise OutOfRange("image leaves the positive integers")
     rel_tuples = tuple(
         frozenset(tuple(fmap[e] for e in t) for t in tuples)
         for tuples in struct.rel_tuples
     )
     const_vals = tuple(fmap[v] for v in struct.const_vals)
-    return Structure(struct.language, target, rel_tuples, const_vals)
+    return Structure(struct.language, max(fmap.values(), default=0), rel_tuples, const_vals)
 
 
 def is_isomorphic(a: Structure, b: Structure) -> tuple[bool, dict[int, int] | None]:
@@ -388,9 +378,18 @@ def structure_from_json(obj: dict) -> Structure:
     )
 
 
-def load_structure(path: str) -> Structure:
+def load_json(path: str, decode):
+    """``decode`` applied to the JSON in ``path``; a file of a shape it cannot read raises ValueError."""
     with open(path) as fh:
-        return structure_from_json(json.load(fh))
+        obj = json.load(fh)
+    try:
+        return decode(obj)
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def load_structure(path: str) -> Structure:
+    return load_json(path, structure_from_json)
 
 
 def dump_structure(struct: Structure, path: str):

@@ -19,7 +19,6 @@ checks its window against.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +30,6 @@ from .errors import (
     LanguageHasConstants,
     LanguageMismatch,
     MixedSizeCase,
-    NonIntegralCount,
 )
 from .simclass import (
     AtomicDiff,
@@ -41,7 +39,7 @@ from .simclass import (
     realizations,
     reconstruct_relations,
 )
-from .structures import Language, Structure, language_from_json, language_to_json
+from .structures import Language, Structure, language_from_json, language_to_json, load_json
 
 INF = float("inf")
 
@@ -123,7 +121,7 @@ def make_template(language: Language, sizes, sigma: dict) -> Template:
         if diff not in full:
             raise ValueError(f"{diff.key()} is not an atomic pattern of the language")
         full[diff] = frozenset(tuple(t) for t in entries)
-    norm = tuple(INF if s in (INF, None, "inf") else int(s) for s in sizes)
+    norm = tuple(INF if s in (INF, "inf") else int(s) for s in sizes)
     return Template(language, norm, tuple(sorted(full.items(), key=lambda kv: kv[0].key())))
 
 
@@ -329,10 +327,12 @@ def _terms(template: Template):
 
 
 def count_compatible(template: Template, n: int) -> int:
-    """Exact |Omega([n])| / |Aut*|; raises NonIntegralCount on inexact division.
+    """Exact |Omega([n])| / |Aut*|.
 
     |Omega([n])| comes from the inclusion-exclusion terms, exact for every
     n >= 0; ``omega_count`` is the composition-sum oracle for the same value.
+    Every class of a partition in Omega([n]) is non-empty, so Aut* acts
+    freely on Omega([n]) and the division is exact.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -342,14 +342,7 @@ def count_compatible(template: Template, n: int) -> int:
     for base, m, weight in _terms(template):
         if c + m <= n:
             omega += weight * (math.perm(n, c + m) // (finite * math.factorial(m))) * base ** (n - c - m)
-    _, order = aut_star(template)
-    q, r = divmod(omega, order)
-    if r:
-        raise NonIntegralCount(
-            f"|Omega([{n}])| = {omega} is not divisible by |Aut*| = {order}; "
-            "n is below the validity threshold"
-        )
-    return q
+    return omega // aut_star(template)[1]
 
 
 def enumerate_compatible(template: Template, n: int, budget: int = ENUMERATION_BUDGET) -> list[Structure]:
@@ -578,5 +571,4 @@ def template_from_json(obj: dict) -> Template:
 
 
 def load_template(path: str) -> Template:
-    with open(path) as fh:
-        return template_from_json(json.load(fh))
+    return load_json(path, template_from_json)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import shlex
 from pathlib import Path
@@ -6,7 +7,7 @@ import pytest
 
 from hspeed.cli import build_parser, main
 from hspeed.property import K3, P3
-from hspeed.structures import dump_structure
+from hspeed.structures import GRAPH, dump_structure, make_structure, uniform_language
 
 
 @pytest.fixture
@@ -156,6 +157,8 @@ class TestReproducibility:
         assert main(args + ["--out", str(out_a)]) == 0
         assert main(args + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+        payload = json.loads(out_a.read_text())
+        assert payload["log2_members_lower_bound"] == str(payload["edges"])
 
     def test_speed_byte_identical(self, capsys, forbidden_files, tmp_path):
         out_a = tmp_path / "a.csv"
@@ -207,6 +210,12 @@ class TestReproducibility:
         ["template", "--template", "{template}", "count", "--n", "5"],
         ["decompose", "{structure}", "--seed", "1"],
         ["blocks", "--n", "6", "--k", "2", "--format", "csv"],
+        ["osc", "balanced", "--r", "1", "--c", "1"],
+        ["osc", "sequence", "--r", "1", "--c", "1", "--eps", "2"],
+        ["osc", "balanced", "--r", "3", "--c", "1/0"],
+        ["osc", "member", "--hypergraph", "{hypergraph}", "--mode", "s", "--c", "1/0"],
+        ["speed", "--forbid", "{uniform}", "--nmax", "4"],
+        ["speed", "--forbid", "{loop}", "--nmax", "4"],
     ],
 )
 def test_missing_action_argument_is_usage_error(capsys, tmp_path, argv):
@@ -214,10 +223,15 @@ def test_missing_action_argument_is_usage_error(capsys, tmp_path, argv):
     from hspeed.template import template_to_json
 
     files = {"template": tmp_path / "bip.json", "hypergraph": tmp_path / "edge3.json",
-             "structure": tmp_path / "m2.json"}
+             "structure": tmp_path / "m2.json", "uniform": tmp_path / "e3.json",
+             "loop": tmp_path / "loop.json"}
     files["template"].write_text(json.dumps(template_to_json(symmetric_bipartite_template())))
     files["hypergraph"].write_text(json.dumps({"r": 3, "v": 3, "edges": [[1, 2, 3]]}))
     dump_structure(matching(2), str(files["structure"]))
+    # a 3-uniform edge and a looped graph: neither fits the graph base of --forbid
+    dump_structure(make_structure(uniform_language(3), 3, {"R": itertools.permutations((1, 2, 3))}),
+                   str(files["uniform"]))
+    dump_structure(make_structure(GRAPH, 2, {"E": [(1, 1), (1, 2), (2, 1)]}), str(files["loop"]))
     argv = [a.format(**files) for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == 2

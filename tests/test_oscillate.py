@@ -138,6 +138,9 @@ class TestStrictBalance:
     def test_k4(self):
         assert is_strictly_balanced(k4())
 
+    def test_single_vertex(self):
+        assert is_strictly_balanced(hypergraph(2, 1, []))
+
     def test_two_triangles(self):
         g = hypergraph(2, 6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
         assert not is_strictly_balanced(g)
@@ -180,6 +183,13 @@ class TestFindStrictlyBalanced:
         assert not feasible_density(3, F(1, 4))
         with pytest.raises(InfeasibleDensity):
             find_strictly_balanced(3, F(1, 4))
+
+    @pytest.mark.parametrize("r", [1, 0])
+    def test_uniformity_below_two(self, r):
+        with pytest.raises(ValueError):
+            feasible_density(r, F(1))
+        with pytest.raises(ValueError):
+            find_strictly_balanced(r, F(1))
 
     def test_zero_density_infeasible(self):
         with pytest.raises(InfeasibleDensity):
@@ -319,7 +329,6 @@ class TestSampler:
         assert not has_triangle(g)  # oracle triangle scan
         # exact edge-count threshold: e >= n^(-8/5) * C(30,2) / 2
         assert (2 * cert.edge_count) ** 5 * 30**8 >= math.comb(30, 2) ** 5
-        assert cert.sub_member_log2 == cert.edge_count
 
     def test_reproducible_bytes(self):
         a = sample_dense_member(2, 3, F(2, 3), 30, F(8, 5), seed=42)
@@ -404,6 +413,8 @@ class TestSequence:
             build_sequence(2, F(1), F(1), steps=1)  # eps <= 1/c
         with pytest.raises(ValueError):
             build_sequence(3, F(1, 4), F(9), steps=1)  # c < 1/(r-1)
+        with pytest.raises(ValueError):
+            build_sequence(1, F(1), F(2), steps=1)  # r < 2
 
 
 class TestJson:

@@ -487,6 +487,27 @@ def has_induced_c4(g) -> bool:
     return False
 
 
+class TestSpecFitsBase:
+    def test_graph_base_needs_a_binary_relation(self):
+        with pytest.raises(ValueError):
+            PropertySpec(language=uniform_language(3), base=BASE_GRAPH)
+
+    def test_forbidden_hyperedge_under_graph_base(self):
+        one_edge = make_structure(uniform_language(3), 3, {"R": itertools.permutations((1, 2, 3))})
+        with pytest.raises(ValueError):
+            forbid([one_edge])
+
+    def test_forbidden_loop_under_graph_base(self):
+        looped = make_structure(GRAPH, 2, {"E": [(1, 1), (1, 2), (2, 1)]})
+        with pytest.raises(ValueError):
+            forbid([looped])
+
+    def test_forbidden_unsymmetric_tuple_under_uniform_base(self):
+        lang = uniform_language(3)
+        with pytest.raises(ValueError):
+            PropertySpec(language=lang, base=BASE_UNIFORM, forbidden=(make_structure(lang, 3, {"R": [(1, 2, 3)]}),))
+
+
 class TestLargerForbidden:
     def test_forbid_induced_four_cycle(self):
         c4 = graph(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
