@@ -1,7 +1,21 @@
 """Canonical labeling by partition refinement plus backtracking.
 
-Refinement colors elements by iterated tuple-incidence signatures;
-backtracking individualizes elements of the first non-singleton cell and
+Colors are a list indexed by element holding the ranks 0..k-1 of the k
+cells; slot 0 holds -1, the mark of the element whose signature is read.
+An element's signature is its color and the sorted (relation index,
+colors of the tuple) pairs of the tuples holding it, the element itself
+read as -1.  Refinement replaces colors by signature ranks until the
+number of cells stops growing; a discrete partition returns at once, since
+ranking it by color alone gives it back.  Individualizing x moves every
+later cell up by one and gives x the color just above its old cell.
+
+Each tuple is compiled once per structure, through a bounded cache keyed
+by the tuple, into ``operator.itemgetter`` readers: for each element x of
+the tuple, one over a template with 0 where x sits, so x's signature is
+read straight off the color list; and one over the tuple itself, through
+which the leaf encoding and the canonical form read the relabeled tuples.
+
+Backtracking individualizes elements of the first non-singleton cell and
 keeps the lexicographically minimal relabeled encoding as the canonical
 form.  A leaf whose encoding equals the first leaf's yields an
 automorphism, and the search backs up to where the two paths part, since
@@ -16,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,49 +59,69 @@ def orbit(points, generators) -> set[int]:
 # refinement
 
 
-def _incidence(struct: "Structure") -> dict[int, list[tuple[int, tuple[int, ...]]]]:
-    inc: dict[int, list] = {x: [] for x in struct.elements()}
+def _getter(template: tuple[int, ...]):
+    if len(template) == 1:
+        (i,) = template
+        return lambda values: (values[i],)
+    return itemgetter(*template)
+
+
+@lru_cache(maxsize=2048)
+def _readers(t: tuple[int, ...]):
+    """The reader of ``t`` and, for each element x of ``t``, the reader of
+    ``t`` with x read from slot 0."""
+    return _getter(t), tuple((x, _getter(tuple(0 if e == x else e for e in t))) for x in set(t))
+
+
+def _compile(struct: "Structure") -> tuple[list[list], list[list]]:
+    """Per element x, a (relation index, reader) pair for each tuple holding
+    x; and per relation, the reader of each of its tuples."""
+    incidence: list[list] = [[] for _ in range(struct.n + 1)]
+    readers = []
     for ri, tuples in enumerate(struct.rel_tuples):
+        own = []
         for t in tuples:
-            for x in set(t):
-                inc[x].append((ri, t))
-    return inc
+            read, by_element = _readers(t)
+            own.append(read)
+            for x, read_x in by_element:
+                incidence[x].append((ri, read_x))
+        readers.append(own)
+    return incidence, readers
 
 
-def _initial_colors(struct: "Structure") -> dict[int, int]:
+def _initial_colors(struct: "Structure") -> tuple[list[int], int]:
     # constants seed their own cells, keyed by the set of names they interpret
     named = {x: [] for x in struct.elements()}
     for cname, val in zip(struct.language.constants, struct.const_vals):
         named[val].append(cname)
-    seeds = {x: tuple(sorted(named[x])) for x in struct.elements()}
-    ordered = sorted(set(seeds.values()))
+    seeds = [tuple(sorted(named[x])) for x in struct.elements()]
+    ordered = sorted(set(seeds))
     index = {s: i for i, s in enumerate(ordered)}
-    return {x: index[seeds[x]] for x in struct.elements()}
+    return [-1] + [index[s] for s in seeds], len(ordered)
 
 
-def _refine(struct: "Structure", colors: dict[int, int], incidence) -> dict[int, int]:
-    ncolors = len(set(colors.values()))
-    while True:
-        sigs = {}
-        for x in struct.elements():
-            occ = sorted(
-                (ri, tuple(colors[e] if e != x else -1 for e in t))
-                for ri, t in incidence[x]
-            )
-            sigs[x] = (colors[x], tuple(occ))
-        ordered = sorted(set(sigs.values()))
+def _refine(col: list[int], ncells: int, incidence) -> tuple[list[int], int]:
+    n = len(col) - 1
+    while ncells < n:
+        sigs = [
+            (col[x], tuple(sorted([(ri, read(col)) for ri, read in incidence[x]])))
+            for x in range(1, n + 1)
+        ]
+        ordered = sorted(set(sigs))
+        if len(ordered) == ncells:
+            break
         index = {s: i for i, s in enumerate(ordered)}
-        new = {x: index[sigs[x]] for x in struct.elements()}
-        if len(ordered) == ncolors:
-            return new
-        colors, ncolors = new, len(ordered)
+        col = [-1] + [index[s] for s in sigs]
+        ncells = len(ordered)
+    return col, ncells
 
 
-def _individualize(colors: dict[int, int], x: int) -> dict[int, int]:
-    keyed = {y: (c, 1 if y == x else 0) for y, c in colors.items()}
-    ordered = sorted(set(keyed.values()))
-    index = {s: i for i, s in enumerate(ordered)}
-    return {y: index[keyed[y]] for y in keyed}
+def _individualize(col: list[int], x: int) -> list[int]:
+    """Split x off its cell, just above it; later cells move up by one."""
+    cx = col[x]
+    new = [c + (c > cx) for c in col]
+    new[x] = cx + 1
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -103,77 +138,76 @@ class CanonicalData:
 
 def _search(struct: "Structure"):
     n = struct.n
-    incidence = _incidence(struct)
-    root = _refine(struct, _initial_colors(struct), incidence)
+    elements = range(1, n + 1)
+    incidence, readers = _compile(struct)
+    consts = struct.const_vals
 
-    first_enc = first_map = first_path = None
-    best_enc = best_map = None
+    first_enc = first_lab = first_path = None
+    best_enc = best_lab = None
     gens: list[tuple[int, ...]] = []
-
-    def encode(mapping: dict[int, int]):
-        rels = tuple(
-            tuple(sorted(tuple(mapping[e] for e in t) for t in tuples))
-            for tuples in struct.rel_tuples
-        )
-        return (rels, tuple(mapping[v] for v in struct.const_vals))
 
     def fixing(prefix):
         return [g for g in gens if all(g[p - 1] == p for p in prefix)]
 
-    def leaf(colors, path) -> int:
-        nonlocal first_enc, first_map, first_path, best_enc, best_map
-        mapping = {x: c + 1 for x, c in colors.items()}
-        enc = encode(mapping)
+    def leaf(col, path) -> int:
+        nonlocal first_enc, first_lab, first_path, best_enc, best_lab
+        lab = [c + 1 for c in col]
+        enc = (
+            tuple(tuple(sorted([read(lab) for read in rs])) for rs in readers),
+            tuple(lab[v] for v in consts),
+        )
         if best_enc is None or enc < best_enc:
-            best_enc, best_map = enc, mapping
+            best_enc, best_lab = enc, lab
         if first_enc is None:
-            first_enc, first_map, first_path = enc, mapping, path
+            first_enc, first_lab, first_path = enc, lab, path
         elif enc == first_enc:
-            inv = {lab: e for e, lab in first_map.items()}
-            gens.append(tuple(inv[mapping[e]] for e in range(1, n + 1)))
+            inv = [0] * (n + 1)
+            for e in elements:
+                inv[first_lab[e]] = e
+            gens.append(tuple(inv[lab[e]] for e in elements))
             # the generator fixes the shared prefix and moves the next point,
             # so it is new; the subtree where this path leaves the first one
             # is an image of the first one's: resume above it
             return next(i for i, (a, b) in enumerate(zip(path, first_path)) if a != b)
         return len(path)
 
-    def rec(colors, prefix) -> int:
+    def rec(col, ncells, prefix) -> int:
         """Explore below ``prefix``; return the depth to resume at."""
-        by_color: dict[int, list[int]] = {}
-        for x, c in colors.items():
-            by_color.setdefault(c, []).append(x)
-        target = None
-        for c in sorted(by_color):
-            if len(by_color[c]) > 1:
-                target = sorted(by_color[c])
-                break
-        if target is None:
-            return leaf(colors, prefix)
+        if ncells == n:
+            return leaf(col, prefix)
+        sizes = [0] * ncells
+        for x in elements:
+            sizes[col[x]] += 1
+        cx = next(c for c, size in enumerate(sizes) if size > 1)
         explored: list[int] = []
-        for v in target:
-            if v in orbit(explored, fixing(prefix)):
+        for v in elements:
+            if col[v] != cx or v in orbit(explored, fixing(prefix)):
                 continue
             explored.append(v)
-            depth = rec(_refine(struct, _individualize(colors, v), incidence), prefix + (v,))
+            depth = rec(*_refine(_individualize(col, v), ncells + 1, incidence), prefix + (v,))
             if depth < len(prefix):
                 return depth
         return len(prefix)
 
-    rec(root, ())
+    rec(*_refine(*_initial_colors(struct), incidence), ())
     # orbit-stabilizer along the first path: every point u of v_i's orbit
     # under Aut fixing v_1..v_{i-1} was explored or pruned, and exploring u
     # recorded a generator that fixes v_1..v_{i-1} and maps v_i to u
     order = 1
     for i, v in enumerate(first_path):
         order *= len(orbit([v], fixing(first_path[:i])))
-    return best_map, tuple(gens), order
+    # the form's tuples are read in the order of the structure's own, as a
+    # relabeling by apply_bijection would insert them
+    rel_tuples = tuple(frozenset([read(best_lab) for read in rs]) for rs in readers)
+    return dict(zip(elements, best_lab[1:])), rel_tuples, tuple(gens), order
 
 
 @lru_cache(maxsize=65536)
 def canonical_data(struct: "Structure") -> CanonicalData:
     """Canonical form, relabeling, automorphism generators and group order."""
-    from .structures import apply_bijection
+    from .structures import Structure
 
-    mapping, gens, order = _search(struct)
-    form = apply_bijection(struct, mapping) if struct.n else struct
+    mapping, rel_tuples, gens, order = _search(struct)
+    const_vals = tuple(mapping[v] for v in struct.const_vals)
+    form = Structure._trusted(struct.language, struct.n, rel_tuples, const_vals)
     return CanonicalData(form=form, relabel=mapping, aut_generators=gens, aut_order=order)

@@ -349,7 +349,7 @@ def _property_options(p) -> None:
                        choices=sorted(property_mod.BUILTIN_PROPERTIES), help="built-in property name")
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The whole grammar, built once per process; callers share it and must not change it."""
     parser = _Parser(prog="hspeed", description=__doc__)

@@ -367,7 +367,7 @@ def _extensions(spec: PropertySpec, parent: Structure, generators):
         rel_tuples = tuple(
             frozenset(parent_tuples[ri] | chosen[ri]) for ri in range(len(lang.relations))
         )
-        return Structure(lang, v, rel_tuples, ())
+        return Structure._trusted(lang, v, rel_tuples, ())
 
     results: list[tuple[Structure, list[int]]] = []
 

@@ -64,7 +64,10 @@ class Structure:
 
     ``rel_tuples`` is aligned with ``language.relations`` and
     ``const_vals`` with ``language.constants``.  Use :func:`make_structure`
-    to build one from dicts.
+    to build one from dicts.  Validation runs at the boundary: the
+    constructor, ``make_structure`` and the JSON loaders check every tuple
+    and constant, while operations whose output is valid by construction
+    check their own arguments and build through ``Structure._trusted``.
     """
 
     language: Language
@@ -88,6 +91,20 @@ class Structure:
         for cname, val in zip(self.language.constants, self.const_vals):
             if val < 1 or val > self.n:
                 raise ValueError(f"constant {cname} assigned outside [{self.n}]")
+
+    @classmethod
+    def _trusted(cls, language, n, rel_tuples, const_vals) -> "Structure":
+        """A Structure built without the ``__post_init__`` scan, for internal
+        operations whose output is valid by construction."""
+        struct = object.__new__(cls)
+        # attribute by attribute, as the dataclass __init__ does: touching
+        # __dict__ would give each instance its own dict, twice the memory
+        setattr = object.__setattr__
+        setattr(struct, "language", language)
+        setattr(struct, "n", n)
+        setattr(struct, "rel_tuples", rel_tuples)
+        setattr(struct, "const_vals", const_vals)
+        return struct
 
     def tuples_of(self, name: str) -> frozenset[tuple[int, ...]]:
         for (rname, _), tuples in zip(self.language.relations, self.rel_tuples):
@@ -164,7 +181,7 @@ def induced_substructure(struct: Structure, elements: Iterable[int]) -> tuple[St
         for tuples in struct.rel_tuples
     )
     const_vals = tuple(relabel[v] for v in struct.const_vals)
-    return Structure(struct.language, len(xs), rel_tuples, const_vals), relabel
+    return Structure._trusted(struct.language, len(xs), rel_tuples, const_vals), relabel
 
 
 def apply_bijection(struct: Structure, f: Mapping[int, int]) -> Structure:
@@ -183,7 +200,7 @@ def apply_bijection(struct: Structure, f: Mapping[int, int]) -> Structure:
         for tuples in struct.rel_tuples
     )
     const_vals = tuple(fmap[v] for v in struct.const_vals)
-    return Structure(struct.language, max(fmap.values(), default=0), rel_tuples, const_vals)
+    return Structure._trusted(struct.language, max(fmap.values(), default=0), rel_tuples, const_vals)
 
 
 def is_isomorphic(a: Structure, b: Structure) -> tuple[bool, dict[int, int] | None]:
@@ -333,7 +350,7 @@ def apply_interpretation(interp: Interpretation, struct: Structure) -> Structure
             if _eval_formula(formula, struct, t)
         )
         rel_tuples.append(hits)
-    return Structure(interp.source, struct.n, tuple(rel_tuples), ())
+    return Structure._trusted(interp.source, struct.n, tuple(rel_tuples), ())
 
 
 # ---------------------------------------------------------------------------

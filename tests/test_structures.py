@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import pytest
@@ -13,7 +14,7 @@ from conftest import (
     degree_sequence,
     random_structure,
 )
-from hspeed.errors import LanguageMismatch, MissingConstant, NotInjective
+from hspeed.errors import LanguageMismatch, MissingConstant, NotInjective, OutOfRange
 from hspeed.structures import (
     And,
     Atom,
@@ -21,6 +22,7 @@ from hspeed.structures import (
     Interpretation,
     Language,
     Not,
+    Structure,
     apply_bijection,
     apply_interpretation,
     automorphisms,
@@ -28,6 +30,7 @@ from hspeed.structures import (
     graph,
     induced_substructure,
     is_isomorphic,
+    load_structure,
     make_structure,
     structure_from_json,
     structure_to_json,
@@ -313,3 +316,93 @@ class TestLargeGroups:
                       for b in range(a + 1, base + 4)])
         # three disjoint triangles: (3!)^3 * 3!
         assert automorphisms(g).order == 6 ** 3 * 6
+
+
+MIXED = Language((("U", 1), ("E", 2), ("T", 3)), ("a", "b"))
+
+
+def _random_mixed(rng, n):
+    tuples = {
+        name: [t for t in itertools.product(range(1, n + 1), repeat=arity) if rng.random() < 0.3 / arity]
+        for name, arity in MIXED.relations
+    }
+    return make_structure(MIXED, n, tuples, {"a": rng.randint(1, n), "b": rng.randint(1, n)})
+
+
+def _validated(struct):
+    """The same fields passed through the validating constructor."""
+    return Structure(struct.language, struct.n, struct.rel_tuples, struct.const_vals)
+
+
+class TestTrustedConstructor:
+    """Operations build their outputs without validation; those outputs must
+    be exactly what the validating constructor accepts, and the operations'
+    own argument checks must still fire."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_induced_equals_validated_rebuild(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        n = rng.randint(1, 7)
+        for m in (_random_mixed(rng, n), random_structure(seed, n, arity=3, p=0.2)):
+            X = set(rng.sample(range(1, n + 1), rng.randint(0, n))) | set(m.const_vals)
+            sub, relabel = induced_substructure(m, X)
+            assert sub == _validated(sub) and vars(sub) == vars(_validated(sub))
+            assert hash(sub) == hash(_validated(sub))
+            # oracle: keep the tuples inside X, relabel them order-preservingly
+            expected = tuple(
+                frozenset(tuple(relabel[e] for e in t) for t in ts if set(t) <= X) for ts in m.rel_tuples
+            )
+            assert sub.n == len(X) and sub.rel_tuples == expected
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bijection_equals_validated_rebuild(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        n = rng.randint(1, 7)
+        for m in (_random_mixed(rng, n), random_structure(seed, n, arity=3, p=0.2)):
+            images = rng.sample(range(1, n + 4), n)
+            image = apply_bijection(m, dict(zip(m.elements(), images)))
+            assert image == _validated(image) and vars(image) == vars(_validated(image))
+            assert hash(image) == hash(_validated(image))
+            assert image.n == max(images)
+
+    def test_boundary_rejects_tuple_outside_domain(self, tmp_path):
+        lang = Language((("E", 2),))
+        with pytest.raises(ValueError, match="leaves the domain"):
+            Structure(lang, 3, (frozenset({(1, 4)}),), ())
+        with pytest.raises(ValueError, match="leaves the domain"):
+            make_structure(lang, 3, {"E": [(0, 1)]})
+        path = tmp_path / "outside.json"
+        path.write_text(json.dumps({**structure_to_json(make_structure(lang, 3)), "tuples": {"E": [[1, 4]]}}))
+        with pytest.raises(ValueError, match="leaves the domain"):
+            load_structure(str(path))
+
+    def test_boundary_rejects_wrong_arity(self, tmp_path):
+        lang = Language((("E", 2),))
+        with pytest.raises(ValueError, match="wrong length"):
+            Structure(lang, 3, (frozenset({(1, 2, 3)}),), ())
+        with pytest.raises(ValueError, match="wrong length"):
+            make_structure(lang, 3, {"E": [(1,)]})
+        path = tmp_path / "arity.json"
+        path.write_text(json.dumps({**structure_to_json(make_structure(lang, 3)), "tuples": {"E": [[1, 2, 3]]}}))
+        with pytest.raises(ValueError, match="wrong length"):
+            load_structure(str(path))
+
+    def test_bijection_still_checks_its_map(self):
+        m = make_structure(MIXED, 3, {"E": [(1, 2)]}, {"a": 1, "b": 3})
+        with pytest.raises(NotInjective):
+            apply_bijection(m, {1: 2, 2: 2, 3: 1})
+        with pytest.raises(OutOfRange):
+            apply_bijection(m, {1: 0, 2: 1, 3: 2})
+
+    def test_induced_still_checks_its_set(self):
+        m = make_structure(MIXED, 3, {"E": [(1, 2)]}, {"a": 1, "b": 3})
+        with pytest.raises(OutOfRange):
+            induced_substructure(m, {1, 3, 4})
+        with pytest.raises(OutOfRange):
+            induced_substructure(m, {0, 1, 3})
+        with pytest.raises(MissingConstant):
+            induced_substructure(m, {1, 2})
