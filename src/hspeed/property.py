@@ -17,6 +17,16 @@ still checks it.  Every representative gets one leaf test, the forbidden,
 template and predicate checks of the membership test with forbidden
 substructures probed only through the new vertex, before it is canonized.  Labeled counts follow as
 n!/|Aut| per class.
+
+Forbidden induced substructures are checked through one compiled index
+per spec.  For a forbidden size m, the slots are the position tuples of
+[m] that the base leaves free (i < j for the graph base, increasing
+tuples for the uniform base, all of [m]^arity per relation otherwise);
+the code of an ordered subset is the int whose bit b is set when slot b's
+element tuple is a tuple of the structure.  The index holds the codes of
+every labeled copy of every forbidden structure of size m, built when a
+structure with at least m elements is first probed, so a probe is one set
+lookup per subset: no substructure is built and nothing is canonized.
 """
 
 from __future__ import annotations
@@ -24,9 +34,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
-from .canon import canonical_data, orbit
+from .canon import _getter, canonical_data, orbit
 from .errors import BudgetExceeded, LanguageMismatch, NonHereditaryPredicate, TooFewRows
 from .simclass import class_count
 from .structures import GRAPH, Language, Structure, graph, induced_substructure
@@ -75,6 +86,10 @@ class PropertySpec:
             raise LanguageMismatch("candidate over a different language")
         return self._base_ok(struct) and _passes(self, struct)
 
+    @cached_property
+    def _forbidden_index(self) -> "_ForbiddenIndex":
+        return _ForbiddenIndex(self)
+
     def _base_ok(self, struct: Structure) -> bool:
         if self.base == BASE_NONE:
             return True
@@ -90,10 +105,6 @@ class PropertySpec:
         return True
 
 
-def _tuple_counts(struct: Structure) -> tuple[int, ...]:
-    return tuple(len(ts) for ts in struct.rel_tuples)
-
-
 def _passes(spec: PropertySpec, struct: Structure, anchor: int | None = None) -> bool:
     """The forbidden, template and predicate checks of ``spec.member``; with
     ``anchor``, only forbidden substructures containing it are probed."""
@@ -106,22 +117,77 @@ def _passes(spec: PropertySpec, struct: Structure, anchor: int | None = None) ->
 
 def _has_forbidden(spec: PropertySpec, struct: Structure, anchor: int | None = None) -> bool:
     """Does some induced substructure, containing ``anchor`` when given,
-    match a forbidden structure?  Each subset is visited once, and tuple
-    counts filter the candidates before any canonical form is computed."""
-    others = [e for e in struct.elements() if e != anchor]
+    match a forbidden structure?  Each subset of a forbidden size m is read
+    once, in increasing order with the anchor last, as a code over the
+    size's slots, and matches exactly when that code is in the size's code
+    set; no substructure is built and nothing is canonized.  A size's codes
+    are built when a structure with at least m elements is first probed."""
+    index = spec._forbidden_index
+    rels = struct.rel_tuples
     extra = () if anchor is None else (anchor,)
-    for m in sorted({f.n for f in spec.forbidden}):
+    others = [e for e in struct.elements() if e != anchor]
+    for m in index.sizes:
         if m > struct.n:
             break
+        if m < len(extra):
+            continue
+        slots, codes = index[m]
         for xs in itertools.combinations(others, m - len(extra)):
-            sub, _ = induced_substructure(struct, xs + extra)
-            counts = _tuple_counts(sub)
-            candidates = [f for f in spec.forbidden if f.n == m and _tuple_counts(f) == counts]
-            if candidates:
-                form = canonical_data(sub).form
-                if any(canonical_data(f).form == form for f in candidates):
-                    return True
+            if _code(slots, rels, xs + extra) in codes:
+                return True
     return False
+
+
+class _ForbiddenIndex(dict):
+    """Forbidden size m -> (slots, codes) of a spec, each built on its first
+    lookup and kept, so the index holds at most one entry per size."""
+
+    def __init__(self, spec: PropertySpec):
+        super().__init__()
+        self.language, self.base, self.forbidden = spec.language, spec.base, spec.forbidden
+        self.sizes = sorted({f.n for f in spec.forbidden})
+
+    def __missing__(self, m: int):
+        group = tuple(f for f in self.forbidden if f.n == m)
+        self[m] = _size_codes(self.language, self.base, m, group)
+        return self[m]
+
+
+def _slots(language: Language, base: str, m: int) -> tuple[tuple[int, Callable, int], ...]:
+    """(relation index, reader, bit) for each slot of size m: the position
+    tuples of [m] that the base leaves free, each read off an ordered subset
+    by a precompiled ``itemgetter``.  The graph base fixes the diagonal and
+    one orientation of each pair, the uniform base every tuple with a
+    repeated entry and every reordering of an increasing one."""
+    if base == BASE_NONE:
+        positions = [
+            (ri, p)
+            for ri, (_, arity) in enumerate(language.relations)
+            for p in itertools.product(range(m), repeat=arity)
+        ]
+    else:
+        positions = [(0, p) for p in itertools.combinations(range(m), language.relations[0][1])]
+    return tuple((ri, _getter(p), 1 << b) for b, (ri, p) in enumerate(positions))
+
+
+def _code(slots, rel_tuples, xs: tuple[int, ...]) -> int:
+    """Bit b is set when slot b's element tuple, read off ``xs``, is a tuple
+    of its relation."""
+    code = 0
+    for ri, read, bit in slots:
+        if read(xs) in rel_tuples[ri]:
+            code |= bit
+    return code
+
+
+def _size_codes(language: Language, base: str, m: int, structures: tuple[Structure, ...]):
+    """The slots of size m and the codes of every labeled copy of
+    ``structures`` (all of size m): all m! orderings of each, deduplicated."""
+    slots = _slots(language, base, m)
+    codes = frozenset(
+        _code(slots, f.rel_tuples, xs) for f in structures for xs in itertools.permutations(f.elements())
+    )
+    return slots, codes
 
 
 def forbid(structures: Iterable[Structure]) -> PropertySpec:

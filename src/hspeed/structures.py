@@ -188,9 +188,14 @@ def apply_bijection(struct: Structure, f: Mapping[int, int]) -> Structure:
     """Image structure f(M) for an injection f of [n] into the positive integers.
 
     The image's domain is [m] for the largest image value m; elements of
-    [m] not hit by f are isolated.  Raises NotInjective.
+    [m] not hit by f are isolated.  Raises OutOfRange, naming the
+    elements f misses, and NotInjective.
     """
-    fmap = {e: f[e] for e in struct.elements()}
+    try:
+        fmap = {e: f[e] for e in struct.elements()}
+    except KeyError:
+        missing = [e for e in struct.elements() if e not in f]
+        raise OutOfRange(f"f misses elements {missing}") from None
     if len(set(fmap.values())) != struct.n:
         raise NotInjective("f is not injective on [n]")
     if any(v < 1 for v in fmap.values()):

@@ -556,3 +556,109 @@ class TestLargerForbidden:
             if member_oracle(make_structure(lang, 5, {"R": tuples})):
                 count += 1
         assert table.labeled(5) == count
+
+
+LOOPED = Language((("E", 2),))
+UNARY_BINARY = Language((("U", 1), ("R", 2)))
+TRIPLES = uniform_language(3)
+
+
+def random_member_of_base(rng, lang: Language, base: str, n: int) -> Structure:
+    """A random structure on [n] that satisfies ``base``, each free slot a coin."""
+    if base == "none":
+        rel_tuples = tuple(
+            frozenset(t for t in itertools.product(range(1, n + 1), repeat=arity) if rng.random() < 0.5)
+            for _, arity in lang.relations
+        )
+        return Structure(lang, n, rel_tuples, ())
+    arity = lang.relations[0][1]
+    chosen = [t for t in itertools.combinations(range(1, n + 1), arity) if rng.random() < 0.5]
+    return Structure(lang, n, (frozenset(p for t in chosen for p in itertools.permutations(t)),), ())
+
+
+def brute_has_copy(struct: Structure, forbidden, anchor=None) -> bool:
+    """Is some forbidden structure an induced substructure of ``struct`` (through
+    ``anchor`` when given)?  Tries every injection of each forbidden structure
+    and compares every tuple of every relation."""
+    for f in forbidden:
+        for image in itertools.permutations(struct.elements(), f.n):
+            if anchor is not None and anchor not in image:
+                continue
+            if all(
+                (t in ft) == (tuple(image[x - 1] for x in t) in st)
+                for (_, arity), ft, st in zip(f.language.relations, f.rel_tuples, struct.rel_tuples)
+                for t in itertools.product(f.elements(), repeat=arity)
+            ):
+                return True
+    return False
+
+
+class TestForbiddenIndex:
+    """The compiled forbidden check against an injection scan, and when it
+    builds each size's codes."""
+
+    CASES = [
+        (GRAPH, BASE_GRAPH),
+        (LOOPED, "none"),
+        (UNARY_BINARY, "none"),
+        (TRIPLES, BASE_UNIFORM),
+    ]
+
+    @pytest.mark.parametrize("lang, base", CASES, ids=["graph", "looped", "unary-binary", "uniform-3"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_injection_scan(self, lang, base, seed):
+        import random
+
+        from hspeed.property import _has_forbidden
+
+        rng = random.Random(seed * 31 + len(base))
+        for _ in range(8):
+            family = tuple(
+                random_member_of_base(rng, lang, base, rng.randint(1, 5)) for _ in range(rng.randint(1, 3))
+            )
+            spec = PropertySpec(lang, base, forbidden=family)
+            for _ in range(6):
+                s = random_member_of_base(rng, lang, base, rng.randint(0, 6))
+                assert spec.member(s) == (not brute_has_copy(s, family))
+                for v in s.elements():
+                    assert _has_forbidden(spec, s, v) == brute_has_copy(s, family, v)
+
+    @pytest.mark.parametrize("lang, base", CASES, ids=["graph", "looped", "unary-binary", "uniform-3"])
+    def test_empty_forbidden_structure(self, lang, base):
+        import random
+
+        rng = random.Random(5)
+        empty = Structure(lang, 0, tuple(frozenset() for _ in lang.relations), ())
+        spec = PropertySpec(lang, base, forbidden=(empty, random_member_of_base(rng, lang, base, 3)))
+        for n in range(4):
+            assert not spec.member(random_member_of_base(rng, lang, base, n))
+
+    def test_slots_are_the_positions_the_base_leaves_free(self):
+        from hspeed.property import _slots
+
+        for m in range(6):
+            assert len(_slots(GRAPH, BASE_GRAPH, m)) == math.comb(m, 2)
+            assert len(_slots(TRIPLES, BASE_UNIFORM, m)) == math.comb(m, 3)
+            assert len(_slots(LOOPED, "none", m)) == m * m
+            assert len(_slots(UNARY_BINARY, "none", m)) == m + m * m
+
+    def test_codes_of_a_size_are_built_on_first_probe_at_that_size(self, monkeypatch):
+        import hspeed.property
+
+        built = []
+        size_codes = hspeed.property._size_codes
+
+        def counting(language, base, m, structures):
+            built.append(m)
+            return size_codes(language, base, m, structures)
+
+        monkeypatch.setattr(hspeed.property, "_size_codes", counting)
+        g8 = graph(8, [(i, i + 1) for i in range(1, 8)] + [(1, 8), (1, 5)])
+        spec = forbid([g8])
+        assert [r.labeled for r in speed(spec, 6).rows] == [2 ** math.comb(n, 2) for n in range(1, 7)]
+        assert built == []
+        assert not spec.member(g8) and not spec.member(g8)
+        assert built == [8]
+        mixed = forbid([P3, g8])
+        speed(mixed, 6)
+        assert built == [8, 3]

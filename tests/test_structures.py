@@ -397,6 +397,8 @@ class TestTrustedConstructor:
             apply_bijection(m, {1: 2, 2: 2, 3: 1})
         with pytest.raises(OutOfRange):
             apply_bijection(m, {1: 0, 2: 1, 3: 2})
+        with pytest.raises(OutOfRange, match=r"misses elements \[2\]"):
+            apply_bijection(graph(2, []), {1: 1})
 
     def test_induced_still_checks_its_set(self):
         m = make_structure(MIXED, 3, {"E": [(1, 2)]}, {"a": 1, "b": 3})
