@@ -43,6 +43,18 @@ def _frac(text: str) -> Fraction:
         raise UsageError(f"{text} has a zero denominator") from None
 
 
+def _positive(text: str) -> int:
+    """An integer option that must be at least 1, as the sizes n and bounds k
+    of the property commands are; a grammar error otherwise."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is below 1")
+    return value
+
+
 def _frac_str(value: Fraction) -> str:
     value = Fraction(value)
     return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
@@ -361,15 +373,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "speed", _cmd_speed, "exact labeled/unlabeled counts of a property",
                  csv=True, budget=True)
     _property_options(p)
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--nmax", type=_positive, required=True)
     p.add_argument("--diagnostics", action="store_true", help="add the growth tag (json/pretty only)")
     p.set_defaults(format="csv")
 
     p = _command(sub, "probe", _cmd_probe, "finite-scale basic/totally-bounded verdicts", budget=True)
     p.add_argument("which", choices=["basic", "tb"])
     _property_options(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--k", type=_positive, required=True)
+    p.add_argument("--nmax", type=_positive, required=True)
 
     actions = _actions(sub, "template", "template counting and closed forms")
     count = _command(actions, "count", _cmd_template_count)
@@ -389,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(sub, "census", _cmd_census, "component-size census over a property", budget=True)
     _property_options(p)
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--nmax", type=_positive, required=True)
 
     p = _command(sub, "blocks", _cmd_blocks, "partitions into size-k blocks")
     p.add_argument("--n", type=int, required=True)
@@ -408,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (count, probe):
         p.add_argument("--m", type=int, default=1)
     _property_options(probe)
-    probe.add_argument("--nmax", type=int, default=6)
+    probe.add_argument("--nmax", type=_positive, default=6)
     probe.add_argument("--amax", type=int, default=6)
 
     actions = _actions(sub, "osc", "hypergraph density families and constructions")

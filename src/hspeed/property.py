@@ -18,6 +18,13 @@ template and predicate checks of the membership test with forbidden
 substructures probed only through the new vertex, before it is canonized.  Labeled counts follow as
 n!/|Aut| per class.
 
+For the graph base the extension sets are the masks S of the new vertex
+v's neighbours, automorphisms act on them as bit permutations, and v is
+invariant-maximal when |S| >= deg(u) + [u in S] for every old vertex u;
+without a predicate, a branch stops as soon as the vertices decided so far
+need more degree than v can still reach.  Every other base chooses the
+tuples touching v group by group, one group per support.
+
 Forbidden induced substructures are checked through one compiled index
 per spec.  For a forbidden size m, the slots are the position tuples of
 [m] that the base leaves free (i < j for the graph base, increasing
@@ -368,11 +375,23 @@ def _sort_key(struct: Structure):
 
 
 def _extensions(spec: PropertySpec, parent: Structure, generators):
+    """The children of ``parent`` that may be kept, each with its deletion
+    candidates: by adjacency masks for the graph base, by tuple groups for
+    every other base."""
+    search = _graph_extensions if spec.base == BASE_GRAPH else _group_extensions
+    return search(spec, parent, generators)
+
+
+def _group_extensions(spec: PropertySpec, parent: Structure, generators):
     """Members on [n+1] extending the parent by vertex n+1 whose new vertex
     is invariant-maximal, one per orbit of extension sets under the parent
     automorphisms ``generators``, each paired with the elements sharing that
     maximal invariant: the candidates for the canonical deletion vertex.
-    The invariants are updated as tuples are chosen, before any child is built.
+    The extension sets are chosen group by group, one group per support of
+    the tuples touching n+1, and the invariants are updated as tuples are
+    chosen, before any child is built.  This is the search for every base;
+    ``_graph_extensions`` gives the same children in the same order for the
+    graph base.
     """
     lang = spec.language
     n = parent.n
@@ -465,6 +484,70 @@ def _extensions(spec: PropertySpec, parent: Structure, generators):
                 tally(ri, t, -1)
 
     rec(0, 0)
+    return results
+
+
+def _graph_extensions(spec: PropertySpec, parent: Structure, generators):
+    """``_group_extensions`` for the graph base, over the mask S of the new
+    vertex v's neighbours, bit u - 1 for u: the same int as the group
+    search's code.  Leaves come in the same order (u = 1 outermost, no edge
+    before edge), each automorphism acts on S as a bit permutation, and v is
+    invariant-maximal when |S| >= deg(u) + [u in S] for every u.  Without a
+    predicate, a branch stops once the decided vertices need more degree
+    than v can still reach; a predicate's heredity certificate still sees
+    every child.  The two tuples of each pair {u, v} are built once per
+    parent and shared by its children."""
+    n = parent.n
+    v = n + 1
+    tuples = parent.rel_tuples[0]
+    deg = [0] * v
+    for a, _ in tuples:
+        deg[a] += 1
+    edges = set(tuples)
+    pairs = [()] + [((u, v), (v, u)) for u in range(1, v)]
+    moves = [[1 << (gu - 1) for gu in g] for g in generators]
+    marked: set[int] = set()
+
+    def mark_orbit(code: int):
+        marked.add(code)
+        queue = [code]
+        while queue:
+            c = queue.pop()
+            for move in moves:
+                image = 0
+                for u in range(n):
+                    if c >> u & 1:
+                        image |= move[u]
+                if image not in marked:
+                    marked.add(image)
+                    queue.append(image)
+
+    prune = spec.predicate is None
+    chosen: set[tuple[int, int]] = set()
+    results: list[tuple[Structure, list[int]]] = []
+
+    def rec(u: int, code: int, size: int, need: int):
+        # need: the largest deg(w) + [w in S] over the decided vertices w < u
+        if u == v:
+            fresh = size >= need and code not in marked
+            if fresh:
+                mark_orbit(code)
+            elif prune:
+                return
+            # a frozenset copied from a set gets the smallest table that holds it
+            child = Structure._trusted(spec.language, v, (frozenset(edges | chosen),), ())
+            if _leaf_ok(spec, child, v) and fresh:
+                candidates = [x for x in range(1, v) if deg[x] + (code >> (x - 1) & 1) == size]
+                results.append((child, candidates + [v]))
+            return
+        if prune and need > size + v - u:
+            return
+        rec(u + 1, code, size, max(need, deg[u]))
+        chosen.update(pairs[u])
+        rec(u + 1, code | 1 << (u - 1), size + 1, max(need, deg[u] + 1))
+        chosen.difference_update(pairs[u])
+
+    rec(1, 0, 0, 0)
     return results
 
 

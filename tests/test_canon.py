@@ -12,8 +12,8 @@ import json
 import random
 
 from conftest import all_graphs
-from hspeed.canon import canonical_data
-from hspeed.structures import Language, graph, make_structure, structure_to_json, uniform_language
+from hspeed.canon import _general_steps, _graph_masks, _search, canonical_data
+from hspeed.structures import GRAPH, Language, graph, make_structure, structure_to_json, uniform_language
 
 MIXED = Language(relations=(("U", 1), ("E", 2), ("T", 3)), constants=("a", "b"))
 
@@ -86,3 +86,63 @@ def test_golden_digest():
         size += 1
     assert size == GOLDEN_SIZE
     assert h.hexdigest() == GOLDEN_DIGEST
+
+
+def _seeded_graphs(seed: int, count: int, sizes):
+    """Random graphs over a wide density range, so isolated vertices, regular
+    pieces and dense complements all occur, plus circulants for symmetry."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = sizes[i % len(sizes)]
+        if i % 10 == 9:
+            jumps = rng.sample(range(1, n // 2 + 1), rng.randint(1, 2))
+            yield graph(n, [(x, (x + j - 1) % n + 1) for x in range(1, n + 1) for j in jumps
+                            if x != (x + j - 1) % n + 1])
+            continue
+        p = rng.choice((0.05, 0.15, 0.3, 0.5, 0.7, 0.9))
+        yield graph(n, [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < p])
+
+
+def test_mask_path_matches_signature_path():
+    """The adjacency-mask refinement gives the general signature search's
+    relabeling, generators, group order and form on 500 seeded graphs."""
+    for g in _seeded_graphs(20241, 500, range(7, 13)):
+        assert _graph_masks(g) is not None
+        fast = _search(g)
+        general = _search(g, _general_steps)
+        assert fast == general, sorted(g.rel_tuples[0])
+        assert repr(fast[1]) == repr(general[1])
+
+
+def test_only_graphs_take_the_mask_path():
+    assert _graph_masks(graph(3, [(1, 2)])) is not None
+    assert _graph_masks(graph(0, [])) is not None
+    assert _graph_masks(make_structure(GRAPH, 2, {"E": [(1, 1)]})) is None  # a loop
+    assert _graph_masks(make_structure(GRAPH, 2, {"E": [(1, 2)]})) is None  # one orientation
+    assert _graph_masks(make_structure(MIXED, 2, {"E": [(1, 2), (2, 1)]}, {"a": 1, "b": 2})) is None
+    assert _graph_masks(make_structure(uniform_language(2), 2, {"R": [(1, 2), (2, 1)]})) is not None
+
+
+def test_form_repr_does_not_depend_on_insertion_order():
+    """A form's frozensets are filled in sorted order, so the same structure
+    given in two tuple orders has one form repr, on both refinement paths.
+    The two inputs are equal, so each is canonized past the cache."""
+    uncached = canonical_data.__wrapped__
+    rng = random.Random(20242)
+    inputs_differ = 0
+    for _ in range(200):
+        n = rng.randint(4, 9)
+        edges = [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.5]
+        forward = graph(n, edges)
+        backward = graph(n, edges[::-1])
+        inputs_differ += repr(forward) != repr(backward)
+        assert repr(uncached(forward).form) == repr(uncached(backward).form) == repr(canonical_data(backward).form)
+        s = _random_mixed(rng)
+        shuffled = make_structure(
+            MIXED, s.n,
+            {name: sorted(ts, reverse=True) for (name, _), ts in zip(MIXED.relations, s.rel_tuples)},
+            dict(zip(MIXED.constants, s.const_vals)),
+        )
+        inputs_differ += repr(s) != repr(shuffled)
+        assert repr(uncached(s).form) == repr(uncached(shuffled).form)
+    assert inputs_differ > 20  # many inputs iterate in different orders

@@ -216,6 +216,14 @@ class TestReproducibility:
         ["osc", "member", "--hypergraph", "{hypergraph}", "--mode", "s", "--c", "1/0"],
         ["speed", "--forbid", "{uniform}", "--nmax", "4"],
         ["speed", "--forbid", "{loop}", "--nmax", "4"],
+        # the speed of a property is defined for n >= 1, and a class bound k for k >= 1
+        ["speed", "--property", "all-graphs", "--nmax", "-2"],
+        ["speed", "--property", "all-graphs", "--nmax", "0"],
+        ["probe", "basic", "--property", "matching", "--k", "-1", "--nmax", "4"],
+        ["probe", "basic", "--property", "matching", "--k", "0", "--nmax", "4"],
+        ["probe", "tb", "--property", "matching", "--k", "2", "--nmax", "0"],
+        ["census", "--property", "matching", "--nmax", "0"],
+        ["arrays", "probe", "--property", "matching", "--nmax", "-1"],
     ],
 )
 def test_missing_action_argument_is_usage_error(capsys, tmp_path, argv):

@@ -204,6 +204,40 @@ class TestCanonicalAugmentation:
             keys = [orbit_key([a for a, b in child.tuples_of("E") if b == 6]) for child, _ in children]
             assert len(keys) == len(set(keys)) and set(keys) == maximal, sorted(parent.tuples_of("E"))
 
+    def test_graph_search_matches_group_search(self, monkeypatch):
+        """The mask search of the graph base gives the group search's children,
+        candidates and order, and leaf-tests the same children, on every
+        graph with at most 5 vertices as parent."""
+        import hspeed.property
+        from hspeed.property import _graph_extensions, _group_extensions
+
+        c4 = graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+        p4_k3 = forbid([graph(4, [(1, 2), (2, 3), (3, 4)]), K3])
+        specs = [all_graphs_property(), matching_property(), edgeless_property(),
+                 complete_bipartite_property(), bipartite_property(), forbid([c4]), p4_k3]
+        leaf_tested = []
+        leaf_ok = hspeed.property._leaf_ok
+
+        def recording(spec, child, v):
+            leaf_tested.append(child)
+            return leaf_ok(spec, child, v)
+
+        parents = [graph(0, [])] + [p for n in range(1, 6) for p in generate_members(all_graphs_property(), n)]
+        monkeypatch.setattr(hspeed.property, "_leaf_ok", recording)
+        assert len(parents) == 1 + 1 + 2 + 4 + 11 + 34
+        kept = 0
+        for spec in specs:
+            for parent in parents:
+                generators = canonical_data(parent).aut_generators
+                fast = _graph_extensions(spec, parent, generators)
+                fast_tested, leaf_tested[:] = list(leaf_tested), []
+                general = _group_extensions(spec, parent, generators)
+                assert fast == general, (spec.forbidden, sorted(parent.tuples_of("E")))
+                assert fast_tested == leaf_tested
+                leaf_tested.clear()
+                kept += len(fast)
+        assert kept > 500
+
     def test_extension_marks_stay_small_for_large_groups(self):
         import tracemalloc
 
