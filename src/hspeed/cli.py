@@ -43,16 +43,22 @@ def _frac(text: str) -> Fraction:
         raise UsageError(f"{text} has a zero denominator") from None
 
 
-def _positive(text: str) -> int:
-    """An integer option that must be at least 1, as the sizes n and bounds k
-    of the property commands are; a grammar error otherwise."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text} is below 1")
-    return value
+def _at_least(low: int):
+    """The type of an integer option whose values below ``low`` are grammar errors."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text} is below {low}")
+        return value
+
+    return parse
+
+
+_positive = _at_least(1)  # the sizes n and bounds k of the property commands
 
 
 def _frac_str(value: Fraction) -> str:
@@ -421,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, default=1)
     _property_options(probe)
     probe.add_argument("--nmax", type=_positive, default=6)
-    probe.add_argument("--amax", type=int, default=6)
+    # parameter sets of size <= 3 are always exhausted, so a smaller bound cannot hold
+    probe.add_argument("--amax", type=_at_least(3), default=6)
 
     actions = _actions(sub, "osc", "hypergraph density families and constructions")
     balanced = _command(actions, "balanced", _cmd_osc_balanced)
@@ -443,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--k", type=int, default=3)
     sample.add_argument("--delta", default="2")
     sequence.add_argument("--eps", default="2")
-    sequence.add_argument("--steps", type=int, default=1)
+    sequence.add_argument("--steps", type=_at_least(0), default=1)
 
     p = _command(sub, "corpus", _cmd_corpus, "generate built-in family files", seed=True)
     p.add_argument("--kind", required=True)

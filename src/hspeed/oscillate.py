@@ -64,6 +64,11 @@ class Hypergraph:
         return Hypergraph(self.r, len(keep), frozenset(frozenset(relabel[x] for x in e) for e in sub))
 
     def edge_count_within(self, vertices: frozenset[int]) -> int:
+        """e(G[vertices]): one lookup per r-subset when there are fewer r-subsets
+        than edges, else one subset test per edge."""
+        if math.comb(len(vertices), self.r) < len(self.edges):
+            return sum(1 for sub in itertools.combinations(vertices, self.r)
+                       if frozenset(sub) in self.edges)
         return sum(1 for e in self.edges if e <= vertices)
 
 
@@ -333,8 +338,23 @@ def find_strictly_balanced(r: int, c: Fraction) -> Hypergraph:
 
 
 def in_Q(g: Hypergraph, c: Fraction) -> bool:
-    """Every subgraph has e(H) <= c*v(H)."""
-    return max_subgraph_density(g)[0] <= Fraction(c)
+    """Every subgraph has e(H) <= c*v(H).
+
+    The whole vertex set is one subgraph, so a graph outside S is outside Q
+    with no flow; otherwise one min cut at threshold c decides whether any
+    vertex set has positive excess.  Cross-checked against the subset brute
+    force whenever v <= 14.
+    """
+    if g.v < 1:
+        raise EmptyVertexSet("no vertices")
+    c = Fraction(c)
+    verdict = in_S(g, c) and _excess_subgraph(g, c) is None
+    if g.v <= BRUTE_CROSSCHECK_LIMIT:
+        brute_value, _ = max_subgraph_density_brute(g)
+        if (brute_value <= c) != verdict:
+            raise RuntimeError(f"min-cut verdict {verdict} at c = {c} disagrees with "
+                               f"brute-force density {brute_value}")
+    return verdict
 
 
 def in_S(g: Hypergraph, c: Fraction) -> bool:
@@ -383,7 +403,9 @@ def in_P(g: Hypergraph, nu: Iterable[int], c: Fraction, subset_budget: int = SUB
     counts add over components, so below the least unlisted binding size
     (the gap) a violating set exists exactly when a connected one does.
     The connected-set search decides those sizes; each listed binding size
-    above the gap is decided by scanning all its subsets.  Both raise
+    above the gap is decided by scanning all its subsets in lexicographic
+    order, counting each by ``edge_count_within`` (r-subset lookups while
+    C(size, r) < e(G)).  Both raise
     BudgetExceeded when they would visit more than ``subset_budget`` sets.
     """
     c = Fraction(c)

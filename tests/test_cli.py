@@ -224,6 +224,10 @@ class TestReproducibility:
         ["probe", "tb", "--property", "matching", "--k", "2", "--nmax", "0"],
         ["census", "--property", "matching", "--nmax", "0"],
         ["arrays", "probe", "--property", "matching", "--nmax", "-1"],
+        # a sequence has no negative length, and parameter sets of size <= 3 are always exhausted
+        ["osc", "sequence", "--steps", "-1"],
+        ["arrays", "probe", "--property", "matching", "--nmax", "3", "--amax", "-1"],
+        ["arrays", "probe", "--property", "matching", "--nmax", "3", "--amax", "2"],
     ],
 )
 def test_missing_action_argument_is_usage_error(capsys, tmp_path, argv):
@@ -245,6 +249,13 @@ def test_missing_action_argument_is_usage_error(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "usage"
+
+
+def test_range_floors_are_accepted(capsys):
+    code, out, _ = run(capsys, "osc", "sequence", "--steps", "0")
+    assert code == 0 and json.loads(out)["mu"] == []
+    code, out, _ = run(capsys, "arrays", "probe", "--property", "matching", "--nmax", "3", "--amax", "3")
+    assert code == 0 and len(json.loads(out)["rows"]) == 3
 
 
 def test_readme_cli_lines_parse():

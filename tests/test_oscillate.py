@@ -44,13 +44,18 @@ def c5():
     return hypergraph(2, 5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
 
 
+def scan_edge_count(g, vertices) -> int:
+    """Oracle: test every edge against the set."""
+    return sum(1 for e in g.edges if e <= vertices)
+
+
 def loop_max_density(g) -> tuple[Fraction, frozenset]:
     """Oracle: plain subset loop with Fraction comparisons."""
     best = (F(0), frozenset([1]))
     for size in range(1, g.v + 1):
         for subset in itertools.combinations(range(1, g.v + 1), size):
             s = frozenset(subset)
-            d = F(g.edge_count_within(s), size)
+            d = F(scan_edge_count(g, s), size)
             if d > best[0]:
                 best = (d, s)
     return best
@@ -149,7 +154,7 @@ class TestStrictBalance:
         for g in structured_corpus():
             rho = density(g)
             oracle = all(
-                F(g.edge_count_within(frozenset(s)), size) < rho
+                F(scan_edge_count(g, frozenset(s)), size) < rho
                 for size in range(1, g.v)
                 for s in itertools.combinations(range(1, g.v + 1), size)
             )
@@ -263,6 +268,63 @@ class TestMembership:
         with pytest.raises(BudgetExceeded):
             in_P(cycle, range(1, 20), F(1), subset_budget=100)
 
+    def test_edge_count_within_matches_edge_scan(self):
+        # the count switches from an edge scan to r-subset lookups once
+        # C(|S|, r) < e; both sides, the empty set and the full set are drawn
+        rng = random.Random(15)
+        lookups = scans = 0
+        for _ in range(150):
+            r = rng.choice((2, 3))
+            v = rng.randint(r, 12)
+            g = random_hypergraph(r, v, rng.random(), rng.randrange(10**6))
+            vertices = list(range(1, v + 1))
+            subsets = [frozenset(), frozenset(vertices)]
+            subsets += [frozenset(rng.sample(vertices, rng.randint(0, v))) for _ in range(12)]
+            for s in subsets:
+                assert g.edge_count_within(s) == scan_edge_count(g, s), (r, v, sorted(s))
+                if math.comb(len(s), r) < g.e:
+                    lookups += 1
+                else:
+                    scans += 1
+        assert lookups > 1000 and scans > 500
+
+    def test_in_q_matches_max_density_beyond_crosscheck_limit(self):
+        rng = random.Random(5)
+        decided_by_flow = 0
+        for i in range(60):
+            r = 2 + i % 2
+            v = rng.randint(15, 22)
+            p = rng.uniform(0.05, 0.3) if r == 2 else rng.uniform(0.01, 0.06)
+            g = random_hypergraph(r, v, p, rng.randrange(10**6))
+            if i % 3 == 0:  # plant a complete core, so a proper subset is densest
+                core = r + 3
+                g = hypergraph(r, v, set(g.edges) | {
+                    frozenset(e) for e in itertools.combinations(range(1, core + 1), r)})
+            top = max_subgraph_density(g)[0]
+            tiny = F(1, 1000 * v * v)
+            cs = [top, top - tiny, top + tiny, F(g.e, v)]
+            cs += [F(rng.randint(0, 40), rng.randint(1, 12)) for _ in range(4)]
+            for c in cs:
+                expected = top <= c
+                assert in_Q(g, c) == expected, (r, v, sorted(map(sorted, g.edges)), c)
+                decided_by_flow += in_S(g, c) and not expected
+        assert decided_by_flow > 50  # sets denser than the whole graph are exercised
+
+    def test_in_q_contracts(self):
+        with pytest.raises(EmptyVertexSet):
+            in_Q(hypergraph(2, 0, []), F(1))
+        for g in structured_corpus() + [hypergraph(3, 16, []), random_hypergraph(2, 18, 0.2, 3)]:
+            assert not in_Q(g, F(-1, 3))
+            assert in_Q(g, max_subgraph_density(g)[0])
+
+    def test_in_q_crosschecks_small_graphs(self, monkeypatch):
+        # a min cut that misses the denser K4 inside a sparse graph is caught
+        g = hypergraph(2, 10, itertools.combinations(range(1, 5), 2))
+        assert in_S(g, F(1)) and not in_Q(g, F(1))
+        monkeypatch.setattr("hspeed.oscillate._excess_subgraph", lambda g, c: None)
+        with pytest.raises(RuntimeError):
+            in_Q(g, F(1))
+
 
 class TestBlowup:
     def test_three_edge(self):
@@ -306,7 +368,7 @@ def brute_in_p(g, nu, c) -> bool:
     """Scan every vertex set of every listed size."""
     for size in {s for s in nu if 1 <= s <= g.v}:
         for subset in itertools.combinations(range(1, g.v + 1), size):
-            if g.edge_count_within(frozenset(subset)) > c * size:
+            if scan_edge_count(g, frozenset(subset)) > c * size:
                 return False
     return True
 
