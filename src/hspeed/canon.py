@@ -1,12 +1,14 @@
 """Canonical labeling by partition refinement plus backtracking.
 
 Colors are a list indexed by element holding the ranks 0..k-1 of the k
-cells; slot 0 holds -1.  Refinement replaces colors by the ranks of the
-elements' signatures until the number of cells stops growing; a discrete
-partition returns at once, since ranking it by color alone gives it
-back.  Individualizing x moves every later cell up by one and gives x the
-color just above its old cell.  One search runs over one of two
-refinement steps, chosen from the input:
+cells; slot 0 holds -1.  A structure with no constants starts from the
+unit partition; constants seed cells of their own.  Refinement replaces
+colors by the ranks of the elements' signatures until the number of cells
+stops growing, which leaves an equitable partition; a discrete partition
+returns at once, since ranking it by color alone gives it back.
+Individualizing x moves every later cell up by one and gives x the color
+just above its old cell.  One search runs over one of two refinement
+steps, chosen from the input:
 
 * A graph (one binary relation, no constants, symmetric and loop-free)
   refines on adjacency masks, one int per element, with each cell a mask
@@ -18,7 +20,15 @@ refinement steps, chosen from the input:
   the general signature does, whose tail over the sorted neighbour colors
   c_1..c_d is (-1, c_i) for each i, then (c_i, -1) for each i: more
   neighbours of the least color where two differ come first, and no
-  neighbours before any.  A leaf encodes as minus the sum of one bit per
+  neighbours before any.  Two first rounds are computed exactly, without
+  keys (the first splitting step of McKay and Piperno, "Practical graph
+  isomorphism II", 2014).  From the unit partition, the elements with no
+  neighbours come first, then the others by decreasing degree.  After
+  individualizing v in an equitable partition, every cell splits into v's
+  non-neighbours, then its neighbours, and v lands alone just above the
+  rest of its old cell; when no cell splits, that partition is already
+  equitable, and the round that would only confirm it is skipped.  A leaf
+  encodes as minus the sum of one bit per
   relabeled ordered edge (i, j), at bit n(n - i) + n - j: where two sorted
   edge lists of one graph first differ, the pair of the lesser list is the
   highest bit where the sums differ, so a smaller encoding is a smaller
@@ -39,10 +49,12 @@ form's iteration order depends only on the form.  A leaf whose encoding
 equals the first leaf's yields an automorphism, and the search backs up to
 where the two paths part, since the rest of that subtree is an image of
 one already explored.  Pruning skips children in the orbit of explored
-ones under the generators fixing the current prefix.  The group order
-comes from the first path v_1..v_k: |Aut| is the product of the orbit
-sizes of v_i under the generators that fix v_1..v_{i-1} (McKay 1981).
-Adequate for n <~ 12.
+ones under the generators fixing the current prefix; that orbit grows by
+each explored child's orbit and is recomputed only when a generator is
+added.  The group order comes from the first path v_1..v_k: |Aut| is the
+product of the orbit sizes of v_i under the generators that fix
+v_1..v_{i-1} (McKay 1981), each taken when the search leaves v_i's node,
+as no later generator fixes v_1..v_i.  Adequate for n <~ 12.
 """
 
 from __future__ import annotations
@@ -109,7 +121,8 @@ def _compile(struct: "Structure") -> tuple[list[list], list[list]]:
 
 
 def _general_steps(struct: "Structure"):
-    """Signature refinement and the sorted relabeled tuples as leaf encoding."""
+    """Signature refinement, individualizing then refining, and the sorted
+    relabeled tuples as leaf encoding and as the form."""
     n = struct.n
     incidence, readers = _compile(struct)
     consts = struct.const_vals
@@ -128,13 +141,19 @@ def _general_steps(struct: "Structure"):
             ncells = len(ordered)
         return col, ncells
 
-    def encode(lab: list[int]):
+    def descend(col: list[int], ncells: int, v: int) -> tuple[list[int], int]:
+        return refine(_individualize(col, v), ncells + 1)
+
+    def encode(col: list[int]):
         return (
-            tuple(tuple(sorted([read(lab) for read in rs])) for rs in readers),
-            tuple(lab[v] for v in consts),
+            tuple(tuple(sorted([read(col) for read in rs])) for rs in readers),
+            tuple(col[v] for v in consts),
         )
 
-    return refine, encode
+    def relabel(lab: list[int]):
+        return tuple(frozenset(sorted([read(lab) for read in rs])) for rs in readers)
+
+    return refine, descend, encode, relabel
 
 
 # ---------------------------------------------------------------------------
@@ -157,45 +176,104 @@ def _graph_masks(struct: "Structure") -> list[int] | None:
     return adj
 
 
+def _mask_round(adj: list[int], col: list[int], ncells: int) -> tuple[list[int], int]:
+    """One round of mask refinement: each element's color becomes the rank
+    of its key among all keys."""
+    elements = range(1, len(col))
+    cells = [0] * ncells
+    for x in elements:
+        cells[col[x]] |= 1 << x
+    keys = []
+    for x in elements:
+        c = col[x]
+        if cells[c] == 1 << x:
+            keys.append((c,))
+        elif adj[x]:
+            # non-neighbours per cell, the element itself included
+            keys.append((c, 1, *map(int.bit_count, map((~adj[x]).__and__, cells))))
+        else:
+            keys.append((c, 0))
+    ordered = sorted(set(keys))
+    if len(ordered) == ncells:
+        return col, ncells
+    index = {k: i for i, k in enumerate(ordered)}
+    return [-1] + [index[k] for k in keys], len(ordered)
+
+
+def _mask_unit_round(adj: list[int]) -> tuple[list[int], int]:
+    """The first mask refinement round from the unit partition of two or more
+    elements, without keys: the elements with no neighbours, then the others
+    by decreasing degree."""
+    n = len(adj) - 1
+    keys = [n - d if d else -1 for d in map(int.bit_count, adj[1:])]
+    index = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return [-1] + [index[k] for k in keys], len(index)
+
+
+def _mask_individualize(adj: list[int], col: list[int], ncells: int, v: int) -> tuple[list[int], int]:
+    """The first mask refinement round after individualizing v in the
+    equitable partition ``col``, without keys: v lands alone just above the
+    rest of its old cell, and every cell splits into v's non-neighbours,
+    then its neighbours, an empty part making no cell."""
+    near = adj[v]
+    cells = [0] * ncells
+    for x in range(1, len(col)):
+        cells[col[x]] |= 1 << x
+    cx = col[v]
+    cells[cx] ^= 1 << v
+    base = [0] * ncells  # the rank of each old cell's first part
+    shift = [0] * ncells  # 1 when v's neighbours in the cell follow a part of non-neighbours
+    rank = 0
+    for c, m in enumerate(cells):
+        base[c] = rank
+        shift[c] = 1 if m & ~near else 0
+        rank += shift[c] + (1 if m & near else 0)
+        if c == cx:
+            vrank = rank
+            rank += 1
+    new = [-1] + [base[c] + (shift[c] if near >> x & 1 else 0) for x, c in enumerate(col[1:], 1)]
+    new[v] = vrank
+    return new, rank
+
+
 def _mask_steps(struct: "Structure", adj: list[int]):
-    """Mask refinement and the relabeled edge bits as leaf encoding."""
+    """Mask refinement, the exact first rounds from the unit partition and
+    after individualizing, the relabeled edge bits as leaf encoding, and the
+    relabeled edges as the form."""
     n = struct.n
-    elements = range(1, n + 1)
-    bits = [1 << x for x in range(n + 1)]
-    apart = [~a for a in adj]  # non-neighbours, the element itself included
     edges = list(struct.rel_tuples[0])
-    top = n * n + n
+    top = n * n - 1
 
     def refine(col: list[int], ncells: int) -> tuple[list[int], int]:
+        if ncells == 1 < n:
+            col, ncells = _mask_unit_round(adj)
+            if ncells == 1:
+                return col, 1
         while ncells < n:
-            cells = [0] * ncells
-            for x in elements:
-                cells[col[x]] |= bits[x]
-            keys = []
-            for x in elements:
-                c = col[x]
-                if cells[c] == bits[x]:
-                    keys.append((c,))
-                elif adj[x]:
-                    keys.append((c, 1, *map(int.bit_count, map(apart[x].__and__, cells))))
-                else:
-                    keys.append((c, 0))
-            ordered = sorted(set(keys))
-            if len(ordered) == ncells:
+            col, grown = _mask_round(adj, col, ncells)
+            if grown == ncells:
                 break
-            index = {k: i for i, k in enumerate(ordered)}
-            col = [-1] + [index[k] for k in keys]
-            ncells = len(ordered)
+            ncells = grown
         return col, ncells
 
-    def encode(lab: list[int]) -> int:
-        return -sum([1 << (top - n * lab[a] - lab[b]) for a, b in edges])
+    def descend(col: list[int], ncells: int, v: int) -> tuple[list[int], int]:
+        # when no cell splits, the individualized partition is already equitable
+        col, grown = _mask_individualize(adj, col, ncells, v)
+        return (col, grown) if grown == ncells + 1 else refine(col, grown)
 
-    return refine, encode
+    def encode(col: list[int]) -> int:
+        return -sum([1 << (top - n * col[a] - col[b]) for a, b in edges])
+
+    def relabel(lab: list[int]):
+        return (frozenset(sorted([(lab[a], lab[b]) for a, b in edges])),)
+
+    return refine, descend, encode, relabel
 
 
 def _steps(struct: "Structure"):
-    """The refinement step and leaf encoding for ``struct``."""
+    """For ``struct``: the refinement step, the step that individualizes an
+    element and refines, the leaf encoding of a discrete coloring and the
+    form's relabeled tuples."""
     adj = _graph_masks(struct)
     return _general_steps(struct) if adj is None else _mask_steps(struct, adj)
 
@@ -234,28 +312,28 @@ class CanonicalData:
 def _search(struct: "Structure", steps=_steps):
     n = struct.n
     elements = range(1, n + 1)
-    refine, encode = steps(struct)
+    refine, descend, encode, relabel = steps(struct)
 
-    first_enc = first_lab = first_path = None
-    best_enc = best_lab = None
+    first_enc = first_col = first_path = None
+    best_enc = best_col = None
     gens: list[tuple[int, ...]] = []
+    order = 1
 
     def fixing(prefix):
         return [g for g in gens if all(g[p - 1] == p for p in prefix)]
 
     def leaf(col, path) -> int:
-        nonlocal first_enc, first_lab, first_path, best_enc, best_lab
-        lab = [c + 1 for c in col]
-        enc = encode(lab)
+        nonlocal first_enc, first_col, first_path, best_enc, best_col
+        enc = encode(col)
         if best_enc is None or enc < best_enc:
-            best_enc, best_lab = enc, lab
+            best_enc, best_col = enc, col
         if first_enc is None:
-            first_enc, first_lab, first_path = enc, lab, path
+            first_enc, first_col, first_path = enc, col, path
         elif enc == first_enc:
-            inv = [0] * (n + 1)
+            inv = [0] * n
             for e in elements:
-                inv[first_lab[e]] = e
-            gens.append(tuple(inv[lab[e]] for e in elements))
+                inv[first_col[e]] = e
+            gens.append(tuple([inv[col[e]] for e in elements]))
             # the generator fixes the shared prefix and moves the next point,
             # so it is new; the subtree where this path leaves the first one
             # is an image of the first one's: resume above it
@@ -264,33 +342,49 @@ def _search(struct: "Structure", steps=_steps):
 
     def rec(col, ncells, prefix) -> int:
         """Explore below ``prefix``; return the depth to resume at."""
+        nonlocal order
         if ncells == n:
             return leaf(col, prefix)
+        on_first_path = first_enc is None
         sizes = [0] * ncells
         for x in elements:
             sizes[col[x]] += 1
         cx = next(c for c, size in enumerate(sizes) if size > 1)
         explored: list[int] = []
+        known = len(gens)
+        fix = fixing(prefix)
+        seen: set[int] = set()  # the orbit of the explored points under fix
         for v in elements:
-            if col[v] != cx or v in orbit(explored, fixing(prefix)):
+            if col[v] != cx or v in seen:
                 continue
             explored.append(v)
-            depth = rec(*refine(_individualize(col, v), ncells + 1), prefix + (v,))
+            if fix:
+                seen |= orbit([v], fix)
+            else:
+                seen.add(v)
+            depth = rec(*descend(col, ncells, v), prefix + (v,))
             if depth < len(prefix):
                 return depth
+            if len(gens) != known:
+                known = len(gens)
+                fix = fixing(prefix)
+                seen = orbit(explored, fix)
+        if on_first_path:
+            # orbit-stabilizer along the first path v_1..v_k: |Aut| is the
+            # product of the orbit sizes of v_i under the generators fixing
+            # v_1..v_{i-1} (McKay 1981).  Every point of v_i's orbit was
+            # explored or pruned here, and exploring it recorded a generator
+            # mapping v_i to it; the generators found later move some v_j
+            # with j < i, so these are final
+            order *= len(orbit([explored[0]], fix))
         return len(prefix)
 
-    rec(*refine(*_initial_colors(struct)), ())
-    # orbit-stabilizer along the first path: every point u of v_i's orbit
-    # under Aut fixing v_1..v_{i-1} was explored or pruned, and exploring u
-    # recorded a generator that fixes v_1..v_{i-1} and maps v_i to u
-    order = 1
-    for i, v in enumerate(first_path):
-        order *= len(orbit([v], fixing(first_path[:i])))
-    rel_tuples = tuple(
-        frozenset(sorted([tuple([best_lab[x] for x in t]) for t in ts])) for ts in struct.rel_tuples
-    )
-    return dict(zip(elements, best_lab[1:])), rel_tuples, tuple(gens), order
+    # with no constants, the initial partition is the unit partition
+    start = _initial_colors(struct) if struct.const_vals else ([-1] + [0] * n, min(n, 1))
+    rec(*refine(*start), ())
+    del rec  # it reaches itself through its closure: free the search without the cycle collector
+    lab = [c + 1 for c in best_col]
+    return dict(zip(elements, lab[1:])), relabel(lab), tuple(gens), order
 
 
 @lru_cache(maxsize=65536)

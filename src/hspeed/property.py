@@ -6,24 +6,32 @@ by canonical augmentation (McKay, "Isomorph-free exhaustive generation",
 extended by one admissible set of tuples touching the new vertex per orbit
 of such sets under Aut(parent), whose generators each kept form carries
 to the next level; so no two kept children of a parent are isomorphic,
-and no set of seen forms is kept.  A child is kept exactly when the added vertex
-lies in the automorphism orbit of the canonical deletion vertex: among the
-elements whose incidence invariant (per relation and position, the number
-of tuples holding the element there) is lexicographically maximal, the one
-with the largest canonical label.  A child whose new vertex is not
-invariant-maximal, or that does not represent its orbit, is dropped before
-it is built, tested or canonized; only a predicate's heredity certificate
-still checks it.  Every representative gets one leaf test, the forbidden,
+and no set of seen forms is kept.  A child is kept exactly when the added
+vertex lies in the automorphism orbit of the canonical deletion vertex,
+chosen by a refined invariant.  An element's incidence invariant is, per
+relation and position, the number of tuples holding it there; its
+neighbour key is the sorted list of the incidence invariants of the
+elements sharing a tuple with it.  Among the elements whose incidence
+invariant is lexicographically maximal, the candidates are those whose
+neighbour key is maximal too, and the deletion vertex is the candidate
+with the largest canonical label.  A child whose new vertex is not a
+candidate, or that does not represent its orbit, is dropped before it is
+built, tested or canonized; only a predicate's heredity certificate still
+checks it.  Every representative gets one leaf test, the forbidden,
 template and predicate checks of the membership test with forbidden
-substructures probed only through the new vertex, before it is canonized.  Labeled counts follow as
-n!/|Aut| per class.
+substructures probed only through the new vertex, before it is canonized.
+A child whose new vertex is the only candidate is kept with no orbit test.
+Labeled counts follow as n!/|Aut| per class.
 
 For the graph base the extension sets are the masks S of the new vertex
 v's neighbours, automorphisms act on them as bit permutations, and v is
 invariant-maximal when |S| >= deg(u) + [u in S] for every old vertex u;
-without a predicate, a branch stops as soon as the vertices decided so far
-need more degree than v can still reach.  Every other base chooses the
-tuples touching v group by group, one group per support.
+the neighbour key, needed only when some u ties with v, is the sorted
+list of the neighbours' degrees in the child.  Without a predicate, a
+branch stops as soon as the vertices decided so far need more degree than
+v can still reach.  Every other base chooses the tuples touching v group
+by group, one group per support, and reads the keys off its invariant
+counts.
 
 Forbidden induced substructures are checked through one compiled index
 per spec.  For a forbidden size m, the slots are the position tuples of
@@ -357,7 +365,7 @@ def generate_levels(spec: PropertySpec, n_max: int, budget: int | None = None):
             for child, candidates in _extensions(spec, parent, generators[parent]):
                 data = canonical_data(child)
                 deleted = max(candidates, key=data.relabel.__getitem__)
-                if deleted in orbit([n], data.aut_generators):
+                if deleted == n or deleted in orbit([n], data.aut_generators):
                     nxt_generators[data.form] = tuple(_conjugate(g, data.relabel) for g in data.aut_generators)
                     nxt.append((data.form, data.aut_order))
         nxt.sort(key=lambda pair: _sort_key(pair[0]))
@@ -366,8 +374,12 @@ def generate_levels(spec: PropertySpec, n_max: int, budget: int | None = None):
 
 
 def _conjugate(g: tuple[int, ...], relabel: dict[int, int]) -> tuple[int, ...]:
-    """The automorphism of the relabeled structure that ``g`` induces."""
-    return tuple(y for _, y in sorted((relabel[x], relabel[gx]) for x, gx in enumerate(g, start=1)))
+    """The automorphism of the relabeled structure that ``g`` induces: it
+    maps relabel[x] to relabel[g(x)], each image placed at its point."""
+    image = [0] * len(g)
+    for x, gx in enumerate(g, start=1):
+        image[relabel[x] - 1] = relabel[gx]
+    return tuple(image)
 
 
 def _sort_key(struct: Structure):
@@ -384,12 +396,13 @@ def _extensions(spec: PropertySpec, parent: Structure, generators):
 
 def _group_extensions(spec: PropertySpec, parent: Structure, generators):
     """Members on [n+1] extending the parent by vertex n+1 whose new vertex
-    is invariant-maximal, one per orbit of extension sets under the parent
-    automorphisms ``generators``, each paired with the elements sharing that
-    maximal invariant: the candidates for the canonical deletion vertex.
-    The extension sets are chosen group by group, one group per support of
-    the tuples touching n+1, and the invariants are updated as tuples are
-    chosen, before any child is built.  This is the search for every base;
+    is maximal under the refined invariant, one per orbit of extension sets
+    under the parent automorphisms ``generators``, each paired with the
+    elements sharing v's incidence invariant and neighbour key: the
+    candidates for the canonical deletion vertex.  The extension sets are
+    chosen group by group, one group per support of the tuples touching n+1,
+    and the invariants are updated as tuples are chosen, before any child is
+    built.  This is the search for every base;
     ``_graph_extensions`` gives the same children in the same order for the
     graph base.
     """
@@ -445,8 +458,23 @@ def _group_extensions(spec: PropertySpec, parent: Structure, generators):
             marked.update(images)
 
     parent_tuples = [set(ts) for ts in parent.rel_tuples]
+    parent_near = [set() for _ in range(v + 1)]  # x and the elements sharing a parent tuple with x
+    for ts in parent.rel_tuples:
+        for t in ts:
+            for x in t:
+                parent_near[x].update(t)
 
     chosen: list[set[tuple[int, ...]]] = [set() for _ in lang.relations]
+
+    def neighbour_invariants(x: int, inv: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        """The sorted invariants of the elements sharing a tuple with x in the child."""
+        near = set(parent_near[x])
+        for ts in chosen:
+            for t in ts:
+                if x in t:
+                    near.update(t)
+        near.discard(x)
+        return sorted([inv[y - 1] for y in near])
 
     def build_child() -> Structure:
         rel_tuples = tuple(
@@ -459,10 +487,13 @@ def _group_extensions(spec: PropertySpec, parent: Structure, generators):
     def rec(gi: int, code: int):
         if gi == len(supports):
             inv = [tuple(c) for c in counts]
-            maximal = inv[n] == max(inv)
             # an orbit's first choice represents it; every choice of the
             # orbit gives an isomorphic child with v fixed
-            fresh = maximal and code not in marked
+            fresh = inv[n] == max(inv) and code not in marked
+            if fresh:
+                tied = [x for x in range(1, v) if inv[x - 1] == inv[n]]
+                candidates = _deletion_candidates(tied, v, lambda x: neighbour_invariants(x, inv))
+                fresh = candidates is not None
             if fresh:
                 mark_orbit(code)
             # a predicate's heredity certificate still sees every child: a
@@ -472,7 +503,7 @@ def _group_extensions(spec: PropertySpec, parent: Structure, generators):
                 return
             child = build_child()
             if _leaf_ok(spec, child, v) and fresh:
-                results.append((child, [x for x in child.elements() if inv[x - 1] == inv[n]]))
+                results.append((child, candidates))
             return
         for ai, alt in enumerate(alternatives[gi]):
             for ri, t in alt:
@@ -484,6 +515,7 @@ def _group_extensions(spec: PropertySpec, parent: Structure, generators):
                 tally(ri, t, -1)
 
     rec(0, 0)
+    del rec  # it reaches itself through its closure: free the search without the cycle collector
     return results
 
 
@@ -492,11 +524,12 @@ def _graph_extensions(spec: PropertySpec, parent: Structure, generators):
     vertex v's neighbours, bit u - 1 for u: the same int as the group
     search's code.  Leaves come in the same order (u = 1 outermost, no edge
     before edge), each automorphism acts on S as a bit permutation, and v is
-    invariant-maximal when |S| >= deg(u) + [u in S] for every u.  Without a
-    predicate, a branch stops once the decided vertices need more degree
-    than v can still reach; a predicate's heredity certificate still sees
-    every child.  The two tuples of each pair {u, v} are built once per
-    parent and shared by its children."""
+    invariant-maximal when |S| >= deg(u) + [u in S] for every u; each u
+    that ties is compared with v by the sorted degrees of their neighbours
+    in the child.  Without a predicate, a branch stops once the decided
+    vertices need more degree than v can still reach; a predicate's
+    heredity certificate still sees every child.  The two tuples of each
+    pair {u, v} are built once per parent and shared by its children."""
     n = parent.n
     v = n + 1
     tuples = parent.rel_tuples[0]
@@ -504,6 +537,19 @@ def _graph_extensions(spec: PropertySpec, parent: Structure, generators):
     for a, _ in tuples:
         deg[a] += 1
     edges = set(tuples)
+    near = [[] for _ in range(v)]  # the parent's neighbours of each vertex
+    for a, b in tuples:
+        near[a].append(b)
+
+    def neighbour_degrees(x: int, code: int, size: int) -> list[int]:
+        """The sorted degrees of x's neighbours in the child whose new vertex
+        v has the neighbours ``code``, ``size`` of them."""
+        if x == v:
+            return sorted([deg[y] + 1 for y in range(1, v) if code >> (y - 1) & 1])
+        degrees = [deg[y] + (code >> (y - 1) & 1) for y in near[x]]
+        if code >> (x - 1) & 1:
+            degrees.append(size)
+        return sorted(degrees)
     pairs = [()] + [((u, v), (v, u)) for u in range(1, v)]
     moves = [[1 << (gu - 1) for gu in g] for g in generators]
     marked: set[int] = set()
@@ -531,14 +577,17 @@ def _graph_extensions(spec: PropertySpec, parent: Structure, generators):
         if u == v:
             fresh = size >= need and code not in marked
             if fresh:
+                tied = [x for x in range(1, v) if deg[x] + (code >> (x - 1) & 1) == size]
+                candidates = _deletion_candidates(tied, v, lambda x: neighbour_degrees(x, code, size))
+                fresh = candidates is not None
+            if fresh:
                 mark_orbit(code)
             elif prune:
                 return
             # a frozenset copied from a set gets the smallest table that holds it
             child = Structure._trusted(spec.language, v, (frozenset(edges | chosen),), ())
             if _leaf_ok(spec, child, v) and fresh:
-                candidates = [x for x in range(1, v) if deg[x] + (code >> (x - 1) & 1) == size]
-                results.append((child, candidates + [v]))
+                results.append((child, candidates))
             return
         if prune and need > size + v - u:
             return
@@ -548,7 +597,27 @@ def _graph_extensions(spec: PropertySpec, parent: Structure, generators):
         chosen.difference_update(pairs[u])
 
     rec(1, 0, 0, 0)
+    del rec  # it reaches itself through its closure: free the search without the cycle collector
     return results
+
+
+def _deletion_candidates(tied: list[int], v: int, key) -> list[int] | None:
+    """The deletion candidates of a child whose new vertex v shares the
+    maximal incidence invariant with the vertices ``tied``: those of them
+    whose neighbour key equals v's, then v.  None when one of them has a
+    larger key, so that v is not maximal under the refined invariant."""
+    if not tied:
+        return [v]
+    top = key(v)
+    candidates = []
+    for x in tied:
+        k = key(x)
+        if k > top:
+            return None
+        if k == top:
+            candidates.append(x)
+    candidates.append(v)
+    return candidates
 
 
 def _group_alternatives(spec: PropertySpec, group: list[tuple[int, tuple[int, ...]]], support: frozenset):

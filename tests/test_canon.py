@@ -12,7 +12,17 @@ import json
 import random
 
 from conftest import all_graphs
-from hspeed.canon import _general_steps, _graph_masks, _search, canonical_data
+from hspeed.canon import (
+    _general_steps,
+    _graph_masks,
+    _individualize,
+    _mask_individualize,
+    _mask_round,
+    _mask_steps,
+    _mask_unit_round,
+    _search,
+    canonical_data,
+)
 from hspeed.structures import GRAPH, Language, graph, make_structure, structure_to_json, uniform_language
 
 MIXED = Language(relations=(("U", 1), ("E", 2), ("T", 3)), constants=("a", "b"))
@@ -146,3 +156,50 @@ def test_form_repr_does_not_depend_on_insertion_order():
         inputs_differ += repr(s) != repr(shuffled)
         assert repr(uncached(s).form) == repr(uncached(shuffled).form)
     assert inputs_differ > 20  # many inputs iterate in different orders
+
+
+def _split_test_graphs(seed: int):
+    """Twenty seeded graphs at each n = 2..12: random ones of several
+    densities, and from n = 4 on circulants, whose regularity keeps the
+    cells large."""
+    rng = random.Random(seed)
+    for n in range(2, 13):
+        for i in range(20):
+            if i % 5 == 4 and n >= 4:
+                jumps = rng.sample(range(1, n // 2 + 1), rng.randint(1, min(2, n // 2)))
+                yield graph(n, [(x, (x + j - 1) % n + 1) for x in range(1, n + 1) for j in jumps])
+                continue
+            p = rng.choice((0.1, 0.3, 0.5, 0.7, 0.9))
+            yield graph(n, [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < p])
+
+
+def test_first_round_split_is_one_full_round():
+    """Individualizing v in an equitable partition and splitting every cell
+    into v's non-neighbours, then its neighbours, gives exactly one full
+    ``_mask_round``, for every vertex of every non-singleton cell of the
+    equitable partitions at the root and one and two levels below it; the
+    degree ranking is the full round from the unit partition."""
+    checked = 0
+    for g in _split_test_graphs(20251):
+        n = g.n
+        adj = _graph_masks(g)
+        refine, descend, _, _ = _mask_steps(g, adj)
+        unit = [-1] + [0] * n
+        assert _mask_unit_round(adj) == _mask_round(adj, unit, 1), sorted(g.rel_tuples[0])
+        level = [refine(unit, 1)]
+        for depth in range(3):
+            below = []
+            for col, ncells in level:
+                assert _mask_round(adj, col, ncells) == (col, ncells)  # equitable
+                for v in range(1, n + 1):
+                    if col.count(col[v]) == 1:
+                        continue
+                    individualized = _individualize(col, v)
+                    split = _mask_individualize(adj, col, ncells, v)
+                    assert split == _mask_round(adj, individualized, ncells + 1), (sorted(g.rel_tuples[0]), col, v)
+                    child = descend(col, ncells, v)
+                    assert child == refine(individualized, ncells + 1)
+                    below.append(child)
+                    checked += 1
+            level = below
+    assert checked > 17000

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -63,6 +64,13 @@ def incidence_invariant(struct, x: int) -> tuple[int, ...]:
         for (_, arity), tuples in zip(struct.language.relations, struct.rel_tuples)
         for p in range(arity)
     )
+
+
+def refined_invariant(struct, x: int) -> tuple:
+    """The deletion rule's invariant: the incidence invariant of x, then the
+    sorted incidence invariants of the elements sharing a tuple with x."""
+    near = {y for ts in struct.rel_tuples for t in ts if x in t for y in t} - {x}
+    return incidence_invariant(struct, x), sorted(incidence_invariant(struct, y) for y in near)
 
 
 def brute_form(struct) -> tuple:
@@ -160,7 +168,10 @@ class TestCanonicalAugmentation:
             forms = {canonical_data(g).form for g in all_graphs(n) if spec.member(g)}
             assert generate_members(spec, n) == sorted(forms, key=_sort_key), (name, n)
 
-    def test_only_invariant_maximal_children_are_canonized(self, monkeypatch):
+    @staticmethod
+    def canonized_children(monkeypatch, spec, n):
+        """Every child ``speed(spec, n)`` canonizes, each checked to have a
+        new vertex that is maximal under the refined invariant."""
         import hspeed.property
 
         canonized = []
@@ -170,12 +181,29 @@ class TestCanonicalAugmentation:
             return canonical_data(struct)
 
         monkeypatch.setattr(hspeed.property, "canonical_data", recording)
-        speed(all_graphs_property(), 7)
+        speed(spec, n, budget=n)
         for child in canonized:
-            invariants = [incidence_invariant(child, x) for x in child.elements()]
-            assert invariants[-1] == max(invariants), sorted(child.rel_tuples[0])
-        # 11,290 children without the prefilter, 3,132 without one child per Aut(parent) orbit
-        assert len(canonized) <= 1640
+            invariants = [refined_invariant(child, x) for x in child.elements()]
+            assert invariants[-1] == max(invariants), child.rel_tuples
+        return canonized
+
+    def test_only_invariant_maximal_children_are_canonized(self, monkeypatch):
+        canonized = self.canonized_children(monkeypatch, all_graphs_property(), 7)
+        # 11,290 children without the prefilter, 3,132 without one child per
+        # Aut(parent) orbit, 1,640 with the incidence invariant alone
+        assert len(canonized) == 1300
+
+    @pytest.mark.parametrize(
+        "spec, n, count",
+        [
+            # 46 and 808 with the incidence invariant alone
+            (PropertySpec(language=uniform_language(3), base=BASE_UNIFORM), 5, 44),
+            (PropertySpec(language=Language((("U", 1), ("R", 2))), base="none"), 3, 798),
+        ],
+        ids=["3-uniform", "unary-binary"],
+    )
+    def test_group_search_canonizes_only_refined_maximal_children(self, monkeypatch, spec, n, count):
+        assert len(self.canonized_children(monkeypatch, spec, n)) == count
 
     def test_one_child_per_orbit_of_extension_sets(self):
         spec = all_graphs_property()
@@ -197,7 +225,7 @@ class TestCanonicalAugmentation:
             for bits in range(32):
                 subset = [x for x in range(1, 6) if bits >> (x - 1) & 1]
                 child = graph(6, sorted(parent.tuples_of("E")) + [(x, 6) for x in subset])
-                invariants = [incidence_invariant(child, x) for x in child.elements()]
+                invariants = [refined_invariant(child, x) for x in child.elements()]
                 if invariants[-1] == max(invariants):
                     maximal.add(orbit_key(subset))
             children = _extensions(spec, parent, canonical_data(parent).aut_generators)
@@ -236,7 +264,7 @@ class TestCanonicalAugmentation:
                 assert fast_tested == leaf_tested
                 leaf_tested.clear()
                 kept += len(fast)
-        assert kept > 500
+        assert kept == 500  # 548 with the incidence invariant alone
 
     def test_extension_marks_stay_small_for_large_groups(self):
         import tracemalloc
@@ -260,6 +288,17 @@ class TestCanonicalAugmentation:
             for h in gens:
                 assert apply_bijection(data.form, dict(zip(data.form.elements(), h))) == data.form
             assert brute_group_order(gens, g.n) == data.aut_order
+
+    def test_conjugate_places_each_image(self):
+        """``_conjugate`` against the sort-based form on seeded permutations
+        and relabelings."""
+        rng = random.Random(20161)
+        for _ in range(500):
+            n = rng.randint(0, 12)
+            g = tuple(rng.sample(range(1, n + 1), n))
+            relabel = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
+            by_sorting = tuple(y for _, y in sorted((relabel[x], relabel[gx]) for x, gx in enumerate(g, start=1)))
+            assert _conjugate(g, relabel) == by_sorting
 
     def test_predicate_specs_leaf_test_every_child(self, monkeypatch):
         import hspeed.property
@@ -300,7 +339,7 @@ class TestCanonicalAugmentation:
         monkeypatch.setattr(hspeed.property, "canonical_data", recording)
         row = speed(all_graphs_property(), 8).rows[-1]
         assert (row.unlabeled, row.labeled) == (UNLABELED_GRAPHS[7], 2 ** 28)
-        assert len(calls) <= 19912
+        assert len(calls) == 14478  # 19,912 with the incidence invariant alone
 
 
 class TestSpeed:
