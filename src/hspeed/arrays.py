@@ -113,7 +113,9 @@ def supports_m_array(tp: RSplitType, m: int):
             used.difference_update(s)
         return False
 
-    if rec(0):
+    found = rec(0)
+    del rec  # it reaches itself through its closure: free the search without the cycle collector
+    if found:
         return True, tuple(chosen)
     return False, None
 

@@ -73,10 +73,6 @@ class InsufficientComponents(ContractError):
     code = "insufficient-components"
 
 
-class NonHereditaryPredicate(ContractError):
-    code = "non-hereditary-predicate"
-
-
 class BadSplit(ContractError):
     code = "bad-split"
 

@@ -180,6 +180,7 @@ class _Dinic:
                 if not pushed:
                     break
                 flow += pushed
+            del dfs  # it reaches itself through its closure: free the search without the cycle collector
 
     def source_side(self, s: int) -> set[int]:
         seen = {s}

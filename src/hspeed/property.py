@@ -16,9 +16,8 @@ invariant is lexicographically maximal, the candidates are those whose
 neighbour key is maximal too, and the deletion vertex is the candidate
 with the largest canonical label.  A child whose new vertex is not a
 candidate, or that does not represent its orbit, is dropped before it is
-built, tested or canonized; only a predicate's heredity certificate still
-checks it.  Every representative gets one leaf test, the forbidden,
-template and predicate checks of the membership test with forbidden
+built, tested or canonized.  Every representative gets one leaf test, the
+forbidden and template checks of the membership test with forbidden
 substructures probed only through the new vertex, before it is canonized.
 A child whose new vertex is the only candidate is kept with no orbit test.
 Labeled counts follow as n!/|Aut| per class.
@@ -27,11 +26,10 @@ For the graph base the extension sets are the masks S of the new vertex
 v's neighbours, automorphisms act on them as bit permutations, and v is
 invariant-maximal when |S| >= deg(u) + [u in S] for every old vertex u;
 the neighbour key, needed only when some u ties with v, is the sorted
-list of the neighbours' degrees in the child.  Without a predicate, a
-branch stops as soon as the vertices decided so far need more degree than
-v can still reach.  Every other base chooses the tuples touching v group
-by group, one group per support, and reads the keys off its invariant
-counts.
+list of the neighbours' degrees in the child.  A branch stops as soon as
+the vertices decided so far need more degree than v can still reach.
+Every other base chooses the tuples touching v group by group, one group
+per support, and reads the keys off its invariant counts.
 
 Forbidden induced substructures are checked through one compiled index
 per spec.  For a forbidden size m, the slots are the position tuples of
@@ -41,7 +39,10 @@ the code of an ordered subset is the int whose bit b is set when slot b's
 element tuple is a tuple of the structure.  The index holds the codes of
 every labeled copy of every forbidden structure of size m, built when a
 structure with at least m elements is first probed, so a probe is one set
-lookup per subset: no substructure is built and nothing is canonized.
+lookup per subset: no substructure is built and nothing is canonized.  A
+forbidden family is a tuple of structures or a function from a size m to
+the structures of size m, for a family of unbounded sizes: ``bipartite``
+forbids the odd cycles, because a shortest odd cycle has no chord.
 """
 
 from __future__ import annotations
@@ -49,13 +50,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable
 
 from .canon import _getter, canonical_data, orbit
-from .errors import BudgetExceeded, LanguageMismatch, NonHereditaryPredicate, TooFewRows
+from .errors import BudgetExceeded, LanguageMismatch, TooFewRows
 from .simclass import class_count
-from .structures import GRAPH, Language, Structure, graph, induced_substructure
+from .structures import GRAPH, Language, Structure, graph
 from .template import Template, in_age
 
 # ambient structural classes enforced on every member
@@ -66,20 +66,21 @@ BASE_UNIFORM = "uniform"  # single fully symmetric relation, distinct entries
 
 @dataclass(frozen=True)
 class PropertySpec:
-    """A hereditary property: ambient base plus forbidden / template / predicate mode.
+    """A hereditary property: the structures of an ambient base with no
+    induced copy of a forbidden structure, in the age of some template when
+    templates are given.
 
-    The graph base needs one binary relation, and every forbidden structure
-    must satisfy the base.  A predicate is trusted to be hereditary: the
-    heredity certificate of ``generate_levels`` sees only the children of
-    generated members, so it rejects a predicate only when such a child
-    passes and one of its one-point deletions does not.
+    ``forbidden`` is a tuple of structures, or a function from a size m to
+    the tuple of forbidden structures of size m.  The graph base needs one
+    binary relation, and every structure of a tuple must be over the
+    language and satisfy the base; a function family is built in and
+    trusted to do so.
     """
 
     language: Language
     base: str = BASE_NONE
-    forbidden: tuple[Structure, ...] = ()
+    forbidden: tuple[Structure, ...] | Callable[[int], tuple[Structure, ...]] = ()
     templates: tuple[Template, ...] = ()
-    predicate: tuple[str, Callable[[Structure], bool]] | None = None
 
     def __post_init__(self):
         if self.base not in (BASE_NONE, BASE_GRAPH, BASE_UNIFORM):
@@ -90,20 +91,12 @@ class PropertySpec:
             raise ValueError("the graph base needs a binary relation")
         if self.language.constants:
             raise ValueError("property generation supports constant-free languages")
-        for f in self.forbidden:
-            if f.language != self.language:
-                raise LanguageMismatch("forbidden structure over a different language")
-            if not self._base_ok(f):
-                raise ValueError(f"a forbidden structure does not satisfy the {self.base} base")
+        object.__setattr__(self, "_forbidden_index", _ForbiddenIndex(self))
 
     def member(self, struct: Structure) -> bool:
         if struct.language != self.language:
             raise LanguageMismatch("candidate over a different language")
         return self._base_ok(struct) and _passes(self, struct)
-
-    @cached_property
-    def _forbidden_index(self) -> "_ForbiddenIndex":
-        return _ForbiddenIndex(self)
 
     def _base_ok(self, struct: Structure) -> bool:
         if self.base == BASE_NONE:
@@ -121,13 +114,12 @@ class PropertySpec:
 
 
 def _passes(spec: PropertySpec, struct: Structure, anchor: int | None = None) -> bool:
-    """The forbidden, template and predicate checks of ``spec.member``; with
-    ``anchor``, only forbidden substructures containing it are probed."""
+    """The forbidden and template checks of ``spec.member``; with ``anchor``,
+    only forbidden substructures containing it are probed, which suffices
+    when deleting the anchor leaves a member."""
     if spec.forbidden and _has_forbidden(spec, struct, anchor):
         return False
-    if spec.templates and not any(in_age(struct, t) for t in spec.templates):
-        return False
-    return spec.predicate is None or bool(spec.predicate[1](struct))
+    return not spec.templates or any(in_age(struct, t) for t in spec.templates)
 
 
 def _has_forbidden(spec: PropertySpec, struct: Structure, anchor: int | None = None) -> bool:
@@ -141,9 +133,7 @@ def _has_forbidden(spec: PropertySpec, struct: Structure, anchor: int | None = N
     rels = struct.rel_tuples
     extra = () if anchor is None else (anchor,)
     others = [e for e in struct.elements() if e != anchor]
-    for m in index.sizes:
-        if m > struct.n:
-            break
+    for m in index.sizes(struct.n):
         if m < len(extra):
             continue
         slots, codes = index[m]
@@ -155,16 +145,39 @@ def _has_forbidden(spec: PropertySpec, struct: Structure, anchor: int | None = N
 
 class _ForbiddenIndex(dict):
     """Forbidden size m -> (slots, codes) of a spec, each built on its first
-    lookup and kept, so the index holds at most one entry per size."""
+    lookup and kept, so the index holds at most one entry per size.
+
+    This is the one place that tells the two kinds of family apart.  A tuple
+    is checked against the spec's language and base here, at construction,
+    and its sizes are listed once.  A function is asked for its structures
+    of every size m <= n on the first probe of an n-element structure, and
+    a size with none costs no subset scan.  So ``member`` on an n-element
+    structure builds each odd size <= n of the odd cycles from m! orderings
+    (362,880 for C9): a cost meant for the generation budget.
+    """
 
     def __init__(self, spec: PropertySpec):
         super().__init__()
-        self.language, self.base, self.forbidden = spec.language, spec.base, spec.forbidden
-        self.sizes = sorted({f.n for f in spec.forbidden})
+        self.language, self.base, family = spec.language, spec.base, spec.forbidden
+        if callable(family):
+            self.family, self.listed = family, None
+            return
+        for f in family:
+            if f.language != spec.language:
+                raise LanguageMismatch("forbidden structure over a different language")
+            if not spec._base_ok(f):
+                raise ValueError(f"a forbidden structure does not satisfy the {spec.base} base")
+        self.family = lambda m: tuple(f for f in family if f.n == m)
+        self.listed = sorted({f.n for f in family})
+
+    def sizes(self, n: int) -> Iterable[int]:
+        """The forbidden sizes m <= n that have structures, ascending."""
+        if self.listed is None:
+            return [m for m in range(n + 1) if self[m][1]]
+        return itertools.takewhile(n.__ge__, self.listed)
 
     def __missing__(self, m: int):
-        group = tuple(f for f in self.forbidden if f.n == m)
-        self[m] = _size_codes(self.language, self.base, m, group)
+        self[m] = _size_codes(self.language, self.base, m, self.family(m))
         return self[m]
 
 
@@ -233,30 +246,17 @@ def all_graphs_property() -> PropertySpec:
     return PropertySpec(language=GRAPH, base=BASE_GRAPH)
 
 
-def _is_bipartite(struct: Structure) -> bool:
-    color: dict[int, int] = {}
-    adj: dict[int, set[int]] = {e: set() for e in struct.elements()}
-    for a, b in struct.tuples_of("E"):
-        adj[a].add(b)
-        adj[b].add(a)
-    for start in struct.elements():
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for y in adj[x]:
-                if y not in color:
-                    color[y] = 1 - color[x]
-                    queue.append(y)
-                elif color[y] == color[x]:
-                    return False
-    return True
+def _odd_cycles(m: int) -> tuple[Structure, ...]:
+    """The odd cycle on m vertices when m >= 3 is odd, else nothing."""
+    from .corpus import cycle  # corpus -> arrays -> property: a module-level import is circular
+
+    return (cycle(m),) if m % 2 and m >= 3 else ()
 
 
 def bipartite_property() -> PropertySpec:
-    return PropertySpec(language=GRAPH, base=BASE_GRAPH, predicate=("bipartite", _is_bipartite))
+    """Bipartite graphs: forbid every induced odd cycle.  A non-bipartite
+    graph has one, since its shortest odd cycle has no chord."""
+    return PropertySpec(language=GRAPH, base=BASE_GRAPH, forbidden=_odd_cycles)
 
 
 def complete_bipartite_property() -> PropertySpec:
@@ -278,11 +278,9 @@ BUILTIN_PROPERTIES: dict[str, Callable[[], PropertySpec]] = {
 
 
 def default_budget(language: Language) -> int:
-    if language.arity <= 2:
-        return 9
-    if language.arity == 3:
-        return 7
-    return 6
+    """The largest n_max generation runs without an explicit budget: 9 for
+    graphs, 6 for arity >= 3 (all 3-graphs at n=7 have 7,013,320 classes)."""
+    return 9 if language.arity <= 2 else 6
 
 
 @dataclass(frozen=True)
@@ -328,20 +326,7 @@ def generate_members(spec: PropertySpec, n: int, budget: int | None = None) -> l
 
 def generate_levels(spec: PropertySpec, n_max: int, budget: int | None = None):
     """Yield levels 1..n_max lazily; each level lists (canonical rep, |Aut|).
-
-    Generation starts from the 0-element structure.  Once a predicate
-    spec yields an empty level n, no child reaches the leaf certificate, so
-    the base levels n+1..n_max are checked for predicate members instead:
-    one base enumeration up to n_max, paid only by predicate specs with an
-    empty level.
-
-    The heredity certificate tests the one-point deletions of every child
-    of a generated member, and nothing else.  A predicate that fails
-    heredity only at structures no member extends goes unnoticed: for
-    "P3-free, or isomorphic to C4", C4 passes but its deletions (copies of
-    P3) do not, so no level-3 member extends to C4, and ``speed`` returns
-    the P3-free counts 1, 2, 5, 15, 52, 203 up to n = 6 without raising.
-    """
+    Generation starts from the 0-element structure."""
     cap = default_budget(spec.language) if budget is None else budget
     if n_max > cap:
         raise BudgetExceeded(f"n_max = {n_max} exceeds budget {cap}")
@@ -350,15 +335,6 @@ def generate_levels(spec: PropertySpec, n_max: int, budget: int | None = None):
     level = [] if _has_forbidden(spec, root) else [(root, 1)]
     generators = {root: ()}  # automorphism generators of this level's forms
     for n in range(1, n_max + 1):
-        if not level and spec.predicate is not None:
-            base = PropertySpec(spec.language, spec.base)
-            for m, reps in enumerate(generate_levels(base, n_max, cap), start=1):
-                if m >= n and any(spec.member(s) for s, _ in reps):
-                    raise NonHereditaryPredicate(
-                        f"predicate {spec.predicate[0]}: members of size {m}, none of size {n - 1}"
-                    )
-            yield from ([] for _ in range(n, n_max + 1))
-            return
         nxt = []
         nxt_generators = {}
         for parent, _ in level:
@@ -489,20 +465,15 @@ def _group_extensions(spec: PropertySpec, parent: Structure, generators):
             inv = [tuple(c) for c in counts]
             # an orbit's first choice represents it; every choice of the
             # orbit gives an isomorphic child with v fixed
-            fresh = inv[n] == max(inv) and code not in marked
-            if fresh:
-                tied = [x for x in range(1, v) if inv[x - 1] == inv[n]]
-                candidates = _deletion_candidates(tied, v, lambda x: neighbour_invariants(x, inv))
-                fresh = candidates is not None
-            if fresh:
-                mark_orbit(code)
-            # a predicate's heredity certificate still sees every child: a
-            # child whose new vertex is not maximal may be the only one
-            # with a non-member deletion
-            if not fresh and spec.predicate is None:
+            if inv[n] != max(inv) or code in marked:
                 return
+            tied = [x for x in range(1, v) if inv[x - 1] == inv[n]]
+            candidates = _deletion_candidates(tied, v, lambda x: neighbour_invariants(x, inv))
+            if candidates is None:
+                return
+            mark_orbit(code)
             child = build_child()
-            if _leaf_ok(spec, child, v) and fresh:
+            if _passes(spec, child, v):  # the parent is a member
                 results.append((child, candidates))
             return
         for ai, alt in enumerate(alternatives[gi]):
@@ -526,10 +497,9 @@ def _graph_extensions(spec: PropertySpec, parent: Structure, generators):
     before edge), each automorphism acts on S as a bit permutation, and v is
     invariant-maximal when |S| >= deg(u) + [u in S] for every u; each u
     that ties is compared with v by the sorted degrees of their neighbours
-    in the child.  Without a predicate, a branch stops once the decided
-    vertices need more degree than v can still reach; a predicate's
-    heredity certificate still sees every child.  The two tuples of each
-    pair {u, v} are built once per parent and shared by its children."""
+    in the child.  A branch stops once the decided vertices need more
+    degree than v can still reach.  The two tuples of each pair {u, v} are
+    built once per parent and shared by its children."""
     n = parent.n
     v = n + 1
     tuples = parent.rel_tuples[0]
@@ -568,28 +538,25 @@ def _graph_extensions(spec: PropertySpec, parent: Structure, generators):
                     marked.add(image)
                     queue.append(image)
 
-    prune = spec.predicate is None
     chosen: set[tuple[int, int]] = set()
     results: list[tuple[Structure, list[int]]] = []
 
     def rec(u: int, code: int, size: int, need: int):
         # need: the largest deg(w) + [w in S] over the decided vertices w < u
         if u == v:
-            fresh = size >= need and code not in marked
-            if fresh:
-                tied = [x for x in range(1, v) if deg[x] + (code >> (x - 1) & 1) == size]
-                candidates = _deletion_candidates(tied, v, lambda x: neighbour_degrees(x, code, size))
-                fresh = candidates is not None
-            if fresh:
-                mark_orbit(code)
-            elif prune:
+            if size < need or code in marked:
                 return
+            tied = [x for x in range(1, v) if deg[x] + (code >> (x - 1) & 1) == size]
+            candidates = _deletion_candidates(tied, v, lambda x: neighbour_degrees(x, code, size))
+            if candidates is None:
+                return
+            mark_orbit(code)
             # a frozenset copied from a set gets the smallest table that holds it
             child = Structure._trusted(spec.language, v, (frozenset(edges | chosen),), ())
-            if _leaf_ok(spec, child, v) and fresh:
+            if _passes(spec, child, v):  # the parent is a member
                 results.append((child, candidates))
             return
-        if prune and need > size + v - u:
+        if need > size + v - u:
             return
         rec(u + 1, code, size, max(need, deg[u]))
         chosen.update(pairs[u])
@@ -637,24 +604,6 @@ def _group_alternatives(spec: PropertySpec, group: list[tuple[int, tuple[int, ..
     for r in range(len(group) + 1):
         subsets.extend(list(c) for c in itertools.combinations(group, r))
     return subsets
-
-
-def _leaf_ok(spec: PropertySpec, child: Structure, v: int) -> bool:
-    # the parent is a member, so only forbidden configurations involving v need checking
-    if not _passes(spec, child, v):
-        return False
-    if spec.predicate is not None:
-        # heredity certificate: every one-point deletion must pass too.  The
-        # deletion of v is the member parent, each base is closed under
-        # induced substructures, and the 0-element root is taken as given,
-        # so no predicate sees it
-        for e in range(1, v):
-            sub, _ = induced_substructure(child, [x for x in child.elements() if x != e])
-            if not _passes(spec, sub):
-                raise NonHereditaryPredicate(
-                    f"predicate {spec.predicate[0]} rejects a one-point deletion"
-                )
-    return True
 
 
 # ---------------------------------------------------------------------------

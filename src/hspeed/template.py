@@ -227,7 +227,9 @@ def _assign(struct: Structure, template: Template, low: list[int]):
             del assign[e]
         return None
 
-    return rec(1)
+    found = rec(1)
+    del rec  # it reaches itself through its closure: free the search without the cycle collector
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +386,7 @@ def enumerate_compatible(template: Template, n: int, budget: int = ENUMERATION_B
                 rec(idx + 1, [e for e in rest if e not in chosen_set], parts + [frozenset(chosen)])
 
     rec(0, elems, [])
+    del rec  # it reaches itself through its closure: free the search without the cycle collector
     return sorted(seen, key=lambda s: sorted(sorted(t) for ts in s.rel_tuples for t in ts))
 
 

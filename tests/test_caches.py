@@ -1,6 +1,7 @@
 """Every memo cache in hspeed is bounded: a long enumeration must not grow
-one without limit."""
+one without limit.  And no search leaves a reference cycle behind."""
 
+import gc
 import importlib
 import inspect
 import pkgutil
@@ -34,3 +35,29 @@ def test_finds_the_known_caches():
 def test_every_lru_cache_is_bounded():
     unbounded = [name for name, cache in _lru_caches() if cache.cache_parameters()["maxsize"] is None]
     assert unbounded == []
+
+
+def test_searches_leave_no_reference_cycles():
+    """A search whose closure calls itself is deleted before its function
+    returns, so no call leaves garbage for the cycle collector."""
+    from hspeed.arrays import supports_m_array, type_space
+    from hspeed.corpus import matching, symmetric_bipartite_template, tight_cycle
+    from hspeed.oscillate import max_subgraph_density
+    from hspeed.template import enumerate_compatible, in_age
+
+    template = symmetric_bipartite_template()
+    tp = type_space(matching(3), "E", [1], [])[0]
+    calls = [
+        lambda: supports_m_array(tp, 2),
+        lambda: enumerate_compatible(template, 5),
+        lambda: in_age(matching(2), template),
+        lambda: max_subgraph_density(tight_cycle(3, 16)),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+            assert gc.collect() == 0, call
+    finally:
+        gc.enable()

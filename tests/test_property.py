@@ -1,13 +1,14 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import all_graphs, brute_group_order
 from hspeed.canon import canonical_data
-from hspeed.corpus import inf_clique_template
-from hspeed.errors import BudgetExceeded, NonHereditaryPredicate, TooFewRows
+from hspeed.corpus import cycle, inf_clique_template, path
+from hspeed.errors import BudgetExceeded, TooFewRows
 from hspeed.property import (
     BASE_GRAPH,
     BASE_UNIFORM,
@@ -23,6 +24,7 @@ from hspeed.property import (
     complete_bipartite_property,
     edgeless_property,
     forbid,
+    generate_levels,
     generate_members,
     growth_diagnostics,
     is_basic_upto,
@@ -98,6 +100,22 @@ def all_structures(lang: Language, n: int):
         yield Structure(lang, n, tuple(frozenset(ts) for ts in rel_tuples), ())
 
 
+def labeled_bipartite(n_max: int) -> list[int]:
+    """Labeled bipartite graphs on n = 1..n_max vertices, from the EGF B(x)
+    of 2-colored graphs, b_n = sum_k C(n, k) 2^(k(n-k)): each connected
+    bipartite graph has two colorings, so the bipartite graphs have EGF
+    sqrt(B(x)) (Harary & Palmer, Graphical Enumeration, 1973).  The square
+    root is taken term by term in exact rationals."""
+    b = [Fraction(sum(math.comb(n, k) * 2 ** (k * (n - k)) for k in range(n + 1)), math.factorial(n))
+         for n in range(n_max + 1)]
+    a = [Fraction(1)]  # a_0 = 1 = sqrt(b_0); 2 a_0 a_n = b_n - sum_{0<i<n} a_i a_(n-i)
+    for n in range(1, n_max + 1):
+        a.append((b[n] - sum(a[i] * a[n - i] for i in range(1, n))) / 2)
+    counts = [a[n] * math.factorial(n) for n in range(1, n_max + 1)]
+    assert all(c.denominator == 1 for c in counts)
+    return [int(c) for c in counts]
+
+
 # OEIS A000088 (graphs), A000595 (binary relations), A000665 (3-uniform
 # hypergraphs), A000273 (loopless digraphs), A033995 / A047864 (bipartite
 # graphs, unlabeled / labeled)
@@ -154,6 +172,23 @@ class TestCanonicalAugmentation:
         table = speed(bipartite_property(), 7)
         assert [r.unlabeled for r in table.rows] == UNLABELED_BIPARTITE
         assert [r.labeled for r in table.rows] == LABELED_BIPARTITE
+
+    def test_bipartite_egf_oracle(self):
+        oracle = labeled_bipartite(8)
+        assert oracle[:7] == LABELED_BIPARTITE and oracle[7] == 2922446
+        assert [r.labeled for r in speed(bipartite_property(), 8).rows] == oracle
+
+    def test_bipartite_is_the_listed_odd_cycles(self):
+        # the function family against the tuple path it replaces at each n
+        for n in range(1, 8):
+            listed = forbid([cycle(m) for m in range(3, n + 1, 2)])
+            assert generate_members(bipartite_property(), n) == generate_members(listed, n), n
+
+    @pytest.mark.slow
+    def test_bipartite_egf_oracle_n9(self):
+        row = speed(bipartite_property(), 9).rows[-1]
+        assert (row.labeled, row.unlabeled) == (labeled_bipartite(9)[8], 1119)
+        assert row.labeled == 116011231
 
     def test_complete_bipartite_closed_form(self):
         # K_{a,n-a} for 0 <= a <= n/2; labeled: the 2^(n-1) unordered bipartitions
@@ -237,21 +272,20 @@ class TestCanonicalAugmentation:
         candidates and order, and leaf-tests the same children, on every
         graph with at most 5 vertices as parent."""
         import hspeed.property
-        from hspeed.property import _graph_extensions, _group_extensions
+        from hspeed.property import _graph_extensions, _group_extensions, _passes
 
         c4 = graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
         p4_k3 = forbid([graph(4, [(1, 2), (2, 3), (3, 4)]), K3])
         specs = [all_graphs_property(), matching_property(), edgeless_property(),
                  complete_bipartite_property(), bipartite_property(), forbid([c4]), p4_k3]
         leaf_tested = []
-        leaf_ok = hspeed.property._leaf_ok
 
         def recording(spec, child, v):
             leaf_tested.append(child)
-            return leaf_ok(spec, child, v)
+            return _passes(spec, child, v)
 
         parents = [graph(0, [])] + [p for n in range(1, 6) for p in generate_members(all_graphs_property(), n)]
-        monkeypatch.setattr(hspeed.property, "_leaf_ok", recording)
+        monkeypatch.setattr(hspeed.property, "_passes", recording)
         assert len(parents) == 1 + 1 + 2 + 4 + 11 + 34
         kept = 0
         for spec in specs:
@@ -299,32 +333,6 @@ class TestCanonicalAugmentation:
             relabel = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
             by_sorting = tuple(y for _, y in sorted((relabel[x], relabel[gx]) for x, gx in enumerate(g, start=1)))
             assert _conjugate(g, relabel) == by_sorting
-
-    def test_predicate_specs_leaf_test_every_child(self, monkeypatch):
-        import hspeed.property
-
-        calls = []
-        leaf_ok = hspeed.property._leaf_ok
-
-        def counting(spec, child, v):
-            calls.append(child)
-            return leaf_ok(spec, child, v)
-
-        monkeypatch.setattr(hspeed.property, "_leaf_ok", counting)
-        speed(bipartite_property(), 6)
-        assert len(calls) == 563  # every child of every member, orbit representative or not
-
-    def test_heredity_witness_behind_non_maximal_vertex(self):
-        # the edgeless graph on 3 vertices is the only non-member; each
-        # 4-vertex member with it as a deletion (K2+2K1, P3+K1, K1,3) is a
-        # child of a member only through a vertex of less than maximal degree
-        spec = PropertySpec(
-            language=GRAPH,
-            base=BASE_GRAPH,
-            predicate=("not-edgeless-3", lambda s: s.n != 3 or bool(s.tuples_of("E"))),
-        )
-        with pytest.raises(NonHereditaryPredicate):
-            speed(spec, 4)
 
     @pytest.mark.slow
     def test_all_graphs_n8_oeis(self, monkeypatch):
@@ -429,34 +437,20 @@ class TestSpeed:
         table = speed(spec, 4, budget=4)
         assert table.rows[3].unlabeled == len(classes)
 
-    def test_non_hereditary_predicate_rejected(self):
-        spec = PropertySpec(
-            language=GRAPH,
-            base=BASE_GRAPH,
-            predicate=("even-edges", lambda s: len(s.tuples_of("E")) % 4 == 0),
-        )
-        with pytest.raises(NonHereditaryPredicate):
-            speed(spec, 4)
-
-    def test_non_hereditary_predicate_behind_empty_level(self):
-        # no graph on 3 vertices is a member, so no member child reaches the
-        # leaf certificate; every graph on 4 vertices satisfies the predicate
-        spec = PropertySpec(GRAPH, BASE_GRAPH, predicate=("not-3", lambda s: s.n != 3))
-        assert [r.labeled for r in speed(spec, 3).rows] == [1, 2, 0]
-        with pytest.raises(NonHereditaryPredicate):
-            speed(spec, 5)
-
-    def test_empty_level_of_hereditary_predicate(self):
-        spec = PropertySpec(GRAPH, BASE_GRAPH, predicate=("at-most-3", lambda s: s.n <= 3))
+    def test_empty_level_stays_empty(self):
+        # every graph on 4 vertices is forbidden: the graphs on at most 3 vertices
+        spec = forbid(generate_members(all_graphs_property(), 4))
         assert [r.labeled for r in speed(spec, 5).rows] == [1, 2, 8, 0, 0]
         assert [r.labeled for r in speed(spec, 7).rows] == [1, 2, 8, 0, 0, 0, 0]
 
-    def test_non_hereditary_predicate_behind_two_empty_levels(self):
-        # levels 3 and 4 are empty; every graph on 5 and 6 vertices is a member
-        spec = PropertySpec(GRAPH, BASE_GRAPH, predicate=("not-3-4", lambda s: s.n not in (3, 4)))
-        assert [r.labeled for r in speed(spec, 4).rows] == [1, 2, 0, 0]
-        with pytest.raises(NonHereditaryPredicate, match="members of size 5, none of size 3"):
-            speed(spec, 6)
+    def test_default_budget_of_three_graphs(self):
+        # all 3-graphs at n=7 have 7,013,320 classes: 7 needs an explicit budget
+        spec = PropertySpec(language=uniform_language(3), base=BASE_UNIFORM)
+        with pytest.raises(BudgetExceeded):
+            next(generate_levels(spec, 7))
+        no_edge = make_structure(uniform_language(3), 3, {"R": itertools.permutations((1, 2, 3))})
+        edgeless = PropertySpec(language=uniform_language(3), base=BASE_UNIFORM, forbidden=(no_edge,))
+        assert [len(level) for level in generate_levels(edgeless, 7, budget=7)] == [1] * 7
 
     def test_directed_base_none(self):
         lang = uniform_language(2)
@@ -539,11 +533,37 @@ class TestBuiltinPredicates:
 
     def test_bipartite_membership(self):
         spec = bipartite_property()
-        assert spec.member(P3)
-        assert not spec.member(K3)
-        table = speed(spec, 5)
-        # oracle: count 2-colorable graphs directly
-        assert table.labeled(5) == sum(1 for g in all_graphs(5) if spec.member(g))
+        for n in range(3, 9):
+            assert spec.member(cycle(n)) == (n % 2 == 0), n
+        for n in range(1, 9):
+            assert spec.member(path(n)), n
+        for n in range(6):
+            for g in all_graphs(n):
+                assert spec.member(g) == two_colorable(g), sorted(g.tuples_of("E"))
+
+
+def two_colorable(g) -> bool:
+    """Oracle: a breadth-first 2-coloring of each component meets no edge
+    inside one color."""
+    color: dict[int, int] = {}
+    adj: dict[int, set[int]] = {e: set() for e in g.elements()}
+    for a, b in g.tuples_of("E"):
+        adj[a].add(b)
+        adj[b].add(a)
+    for start in g.elements():
+        if start in color:
+            continue
+        color[start] = 0
+        queue = [start]
+        while queue:
+            x = queue.pop()
+            for y in adj[x]:
+                if y not in color:
+                    color[y] = 1 - color[x]
+                    queue.append(y)
+                elif color[y] == color[x]:
+                    return False
+    return True
 
 
 def has_induced_c4(g) -> bool:
@@ -735,3 +755,21 @@ class TestForbiddenIndex:
         mixed = forbid([P3, g8])
         speed(mixed, 6)
         assert built == [8, 3]
+
+    def test_function_family_builds_each_size_once(self, monkeypatch):
+        import hspeed.property
+
+        built = []
+        size_codes = hspeed.property._size_codes
+
+        def counting(language, base, m, structures):
+            built.append((m, len(structures)))
+            return size_codes(language, base, m, structures)
+
+        monkeypatch.setattr(hspeed.property, "_size_codes", counting)
+        spec = bipartite_property()
+        assert spec.member(cycle(6)) and not spec.member(cycle(7))
+        assert built == [(m, int(m >= 3 and m % 2 == 1)) for m in range(8)]
+        # only the sizes with structures are scanned
+        assert list(spec._forbidden_index.sizes(8)) == [3, 5, 7]
+        assert built[8:] == [(8, 0)]
