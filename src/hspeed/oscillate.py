@@ -28,6 +28,7 @@ from .errors import (
 from .structures import load_json
 
 BRUTE_CROSSCHECK_LIMIT = 14
+SUBSET_SCAN_LIMIT = 15  # is_strictly_balanced reads every subset for v <= this
 SUBSET_BUDGET = 2_000_000
 BALANCED_V_BUDGET = 12  # find_strictly_balanced searches v <= this
 BALANCED_COMBO_BUDGET = 300_000  # ... and only edge sets of at most this many combinations
@@ -225,7 +226,9 @@ def max_subgraph_density(g: Hypergraph) -> tuple[Fraction, frozenset[int]]:
     Dinkelbach iteration: from U = [v], replace U by a set with positive
     excess over the density of U until no set has any; that last min cut
     certifies optimality.  Cross-checked against the subset brute force
-    whenever v <= 14.
+    whenever v <= 14.  Nothing in the package calls it: it is the reference
+    that the threshold cuts of ``in_Q`` and ``is_strictly_balanced`` are
+    tested against.
     """
     if g.v < 1:
         raise EmptyVertexSet("no vertices")
@@ -242,20 +245,29 @@ def max_subgraph_density(g: Hypergraph) -> tuple[Fraction, frozenset[int]]:
 
 
 def is_strictly_balanced(g: Hypergraph) -> bool:
-    """Every proper nonempty induced subhypergraph has strictly smaller density."""
+    """Every proper nonempty induced subhypergraph has strictly smaller density.
+
+    Up to v = 15 every subset's edge count is read off one subset-sum table.
+    Past that, each one-point deletion H is asked by one min cut whether
+    some set beats rho - 1/(v(H) q) strictly, where rho = p/q is g's
+    density: a set U of density below rho lies at least 1/(|U| q) below it,
+    so such a set exists exactly when H has a subgraph of density >= rho.
+    """
     if g.v < 1:
         raise EmptyVertexSet("no vertices")
     rho = density(g)
-    if g.v <= BRUTE_CROSSCHECK_LIMIT:
+    if g.v <= SUBSET_SCAN_LIMIT:
         f = _subset_edge_counts(g)
         full = (1 << g.v) - 1
         for mask in range(1, full):
             if f[mask] * rho.denominator >= rho.numerator * mask.bit_count():
                 return False
         return True
+    if not g.e:
+        return False  # a single vertex already reaches density 0
     for x in range(1, g.v + 1):
         sub = g.induced([y for y in range(1, g.v + 1) if y != x])
-        if sub.v and max_subgraph_density(sub)[0] >= rho:
+        if _excess_subgraph(sub, rho - Fraction(1, sub.v * rho.denominator)) is not None:
             return False
     return True
 

@@ -28,14 +28,17 @@ invariant-maximal when |S| >= deg(u) + [u in S] for every old vertex u;
 the neighbour key, needed only when some u ties with v, is the sorted
 list of the neighbours' degrees in the child.  A branch stops as soon as
 the vertices decided so far need more degree than v can still reach.
-Every other base chooses the tuples touching v group by group, one group
-per support, and reads the keys off its invariant counts.
+Every other base chooses the blocks touching v one at a time and reads
+the keys off its invariant counts.  A block is the set of tuples the base
+puts in or leaves out together: one tuple for base ``none``, the
+reorderings of an r-set for the uniform base.  So there, too, an
+extension set is a bitmask, one bit per block, automorphisms permute its
+bits, and both searches mark orbits with one helper.
 
 Forbidden induced substructures are checked through one compiled index
-per spec.  For a forbidden size m, the slots are the position tuples of
-[m] that the base leaves free (i < j for the graph base, increasing
-tuples for the uniform base, all of [m]^arity per relation otherwise);
-the code of an ordered subset is the int whose bit b is set when slot b's
+per spec.  For a forbidden size m, the slots are the least tuples of the
+blocks of [m] (i < j for the graph base, increasing tuples for the
+uniform base, all of [m]^arity per relation otherwise); the code of an ordered subset is the int whose bit b is set when slot b's
 element tuple is a tuple of the structure.  The index holds the codes of
 every labeled copy of every forbidden structure of size m, built when a
 structure with at least m elements is first probed, so a probe is one set
@@ -99,18 +102,21 @@ class PropertySpec:
         return self._base_ok(struct) and _passes(self, struct)
 
     def _base_ok(self, struct: Structure) -> bool:
-        if self.base == BASE_NONE:
-            return True
-        tuples = struct.rel_tuples[0]
-        if self.base == BASE_GRAPH:
-            return all(a != b and (b, a) in tuples for a, b in tuples)
-        for t in tuples:
-            if len(set(t)) != len(t):
-                return False
-            for p in itertools.permutations(t):
-                if p not in tuples:
-                    return False
-        return True
+        """Every tuple's block is non-empty and lies inside its relation."""
+        return all(
+            (block := _block(self.base, t)) and ts.issuperset(block) for ts in struct.rel_tuples for t in ts
+        )
+
+
+def _block(base: str, t: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The tuples that the base puts in or leaves out together with t: t
+    alone for base ``none``; for the graph and uniform bases every
+    reordering of t, or none at all when t repeats an entry."""
+    if base == BASE_NONE:
+        return (t,)
+    if len(set(t)) < len(t):
+        return ()
+    return tuple(itertools.permutations(t))
 
 
 def _passes(spec: PropertySpec, struct: Structure, anchor: int | None = None) -> bool:
@@ -182,20 +188,24 @@ class _ForbiddenIndex(dict):
 
 
 def _slots(language: Language, base: str, m: int) -> tuple[tuple[int, Callable, int], ...]:
-    """(relation index, reader, bit) for each slot of size m: the position
-    tuples of [m] that the base leaves free, each read off an ordered subset
-    by a precompiled ``itemgetter``.  The graph base fixes the diagonal and
-    one orientation of each pair, the uniform base every tuple with a
-    repeated entry and every reordering of an increasing one."""
-    if base == BASE_NONE:
-        positions = [
-            (ri, p)
-            for ri, (_, arity) in enumerate(language.relations)
-            for p in itertools.product(range(m), repeat=arity)
-        ]
-    else:
-        positions = [(0, p) for p in itertools.combinations(range(m), language.relations[0][1])]
+    """(relation index, reader, bit) for each slot of size m: the least
+    position tuple of each block of [m] (see ``_block``), in the order of
+    ``itertools.product``, each read off an ordered subset by a precompiled
+    ``itemgetter``.  So the graph base's slots are the pairs i < j, the
+    uniform base's the increasing tuples, and base ``none``'s every tuple."""
+    positions = _least_tuples(language, base, range(m))
     return tuple((ri, _getter(p), 1 << b) for b, (ri, p) in enumerate(positions))
+
+
+def _least_tuples(language: Language, base: str, elements) -> list[tuple[int, tuple[int, ...]]]:
+    """(relation index, t) for the least tuple t of each block over
+    ``elements``, in the order of ``itertools.product``."""
+    return [
+        (ri, t)
+        for ri, (_, arity) in enumerate(language.relations)
+        for t in itertools.product(elements, repeat=arity)
+        if t == min(_block(base, t), default=None)
+    ]
 
 
 def _code(slots, rel_tuples, xs: tuple[int, ...]) -> int:
@@ -364,23 +374,23 @@ def _sort_key(struct: Structure):
 
 def _extensions(spec: PropertySpec, parent: Structure, generators):
     """The children of ``parent`` that may be kept, each with its deletion
-    candidates: by adjacency masks for the graph base, by tuple groups for
+    candidates: by adjacency masks for the graph base, by block masks for
     every other base."""
     search = _graph_extensions if spec.base == BASE_GRAPH else _group_extensions
     return search(spec, parent, generators)
 
 
 def _group_extensions(spec: PropertySpec, parent: Structure, generators):
-    """Members on [n+1] extending the parent by vertex n+1 whose new vertex
-    is maximal under the refined invariant, one per orbit of extension sets
-    under the parent automorphisms ``generators``, each paired with the
-    elements sharing v's incidence invariant and neighbour key: the
-    candidates for the canonical deletion vertex.  The extension sets are
-    chosen group by group, one group per support of the tuples touching n+1,
-    and the invariants are updated as tuples are chosen, before any child is
-    built.  This is the search for every base;
-    ``_graph_extensions`` gives the same children in the same order for the
-    graph base.
+    """Members on [n+1] extending the parent by vertex v = n+1 whose new
+    vertex is maximal under the refined invariant, one per orbit of
+    extension sets under the parent automorphisms ``generators``, each
+    paired with the elements sharing v's incidence invariant and neighbour
+    key: the candidates for the canonical deletion vertex.  An extension
+    set is a bitmask over the blocks touching v (see ``_block``), sorted by
+    support, size first; it is chosen one block at a time, out before in,
+    and the invariants are updated as tuples are chosen, before any child
+    is built.  This is the search for every base; ``_graph_extensions``
+    gives the same children in the same order for the graph base.
     """
     lang = spec.language
     n = parent.n
@@ -396,42 +406,26 @@ def _group_extensions(spec: PropertySpec, parent: Structure, generators):
         for t in ts:
             tally(ri, t, 1)
 
-    groups: dict[frozenset, list[tuple[int, tuple[int, ...]]]] = {}
-    for ri, (name, arity) in enumerate(lang.relations):
-        for t in itertools.product(range(1, v + 1), repeat=arity):
-            if v in t:
-                groups.setdefault(frozenset(t), []).append((ri, t))
-    supports = sorted(groups, key=lambda s: (len(s), tuple(sorted(s))))
-    alternatives = [_group_alternatives(spec, groups[s], s) for s in supports]
+    blocks = [
+        [(ri, p) for p in _block(spec.base, t)] for ri, t in _least_tuples(lang, spec.base, range(1, v + 1)) if v in t
+    ]
 
-    # a choice of one alternative per group is encoded as a mixed-radix int;
-    # each generator, fixing v, maps group gi to group gj and alternative ai
-    # of gi to the alternative of gj equal to its image
-    place = [math.prod(len(alts) for alts in alternatives[:gi]) for gi in range(len(supports))]
-    group_of = {s: gi for gi, s in enumerate(supports)}
-    alt_of = [{frozenset(alt): ai for ai, alt in enumerate(alts)} for alts in alternatives]
-    actions = []
+    def support(block) -> tuple[int, list[int]]:
+        elements = set(block[0][1])
+        return len(elements), sorted(elements)
+
+    blocks.sort(key=support)
+    for _, group in itertools.groupby(blocks, key=support):
+        size = sum(1 for _ in group)
+        if size > 12:
+            raise BudgetExceeded(f"extension group of {size} tuples is too large to enumerate")
+    # each generator, fixing v, maps block b's bit to the bit of its image
+    bit_of = {rt: 1 << b for b, block in enumerate(blocks) for rt in block}
+    moves = []
     for g in generators:
         image = g + (v,)
-        action = []
-        for gi, s in enumerate(supports):
-            gj = group_of[frozenset(image[x - 1] for x in s)]
-            moved = [
-                alt_of[gj][frozenset((ri, tuple(image[x - 1] for x in t)) for ri, t in alt)]
-                for alt in alternatives[gi]
-            ]
-            action.append((place[gi], len(alternatives[gi]), place[gj], moved))
-        actions.append(action)
+        moves.append([bit_of[ri, tuple(image[x - 1] for x in t)] for (ri, t), *_ in blocks])
     marked: set[int] = set()
-
-    def mark_orbit(code: int):
-        marked.add(code)
-        queue = [code]
-        while queue:
-            c = queue.pop()
-            images = {sum(moved[c // at % size] * to for at, size, to, moved in a) for a in actions}
-            queue.extend(images - marked)
-            marked.update(images)
 
     parent_tuples = [set(ts) for ts in parent.rel_tuples]
     parent_near = [set() for _ in range(v + 1)]  # x and the elements sharing a parent tuple with x
@@ -452,16 +446,10 @@ def _group_extensions(spec: PropertySpec, parent: Structure, generators):
         near.discard(x)
         return sorted([inv[y - 1] for y in near])
 
-    def build_child() -> Structure:
-        rel_tuples = tuple(
-            frozenset(parent_tuples[ri] | chosen[ri]) for ri in range(len(lang.relations))
-        )
-        return Structure._trusted(lang, v, rel_tuples, ())
-
     results: list[tuple[Structure, list[int]]] = []
 
-    def rec(gi: int, code: int):
-        if gi == len(supports):
+    def rec(b: int, code: int):
+        if b == len(blocks):
             inv = [tuple(c) for c in counts]
             # an orbit's first choice represents it; every choice of the
             # orbit gives an isomorphic child with v fixed
@@ -471,23 +459,42 @@ def _group_extensions(spec: PropertySpec, parent: Structure, generators):
             candidates = _deletion_candidates(tied, v, lambda x: neighbour_invariants(x, inv))
             if candidates is None:
                 return
-            mark_orbit(code)
-            child = build_child()
+            _mark_orbit(marked, code, moves)
+            rel_tuples = tuple(frozenset(parent_tuples[ri] | chosen[ri]) for ri in range(len(lang.relations)))
+            child = Structure._trusted(lang, v, rel_tuples, ())
             if _passes(spec, child, v):  # the parent is a member
                 results.append((child, candidates))
             return
-        for ai, alt in enumerate(alternatives[gi]):
-            for ri, t in alt:
-                chosen[ri].add(t)
-                tally(ri, t, 1)
-            rec(gi + 1, code + ai * place[gi])
-            for ri, t in alt:
-                chosen[ri].discard(t)
-                tally(ri, t, -1)
+        rec(b + 1, code)
+        for ri, t in blocks[b]:
+            chosen[ri].add(t)
+            tally(ri, t, 1)
+        rec(b + 1, code | 1 << b)
+        for ri, t in blocks[b]:
+            chosen[ri].discard(t)
+            tally(ri, t, -1)
 
     rec(0, 0)
     del rec  # it reaches itself through its closure: free the search without the cycle collector
     return results
+
+
+def _mark_orbit(marked: set[int], code: int, moves: list[list[int]]):
+    """Add the orbit of the bitmask ``code`` to ``marked``; each move is a
+    bit permutation, listing the image of bit b at index b."""
+    marked.add(code)
+    queue = [code]
+    while queue:
+        c = queue.pop()
+        for move in moves:
+            image, rest = 0, c
+            while rest:  # the set bits of c, lowest first
+                low = rest & -rest
+                image |= move[low.bit_length() - 1]
+                rest ^= low
+            if image not in marked:
+                marked.add(image)
+                queue.append(image)
 
 
 def _graph_extensions(spec: PropertySpec, parent: Structure, generators):
@@ -520,23 +527,9 @@ def _graph_extensions(spec: PropertySpec, parent: Structure, generators):
         if code >> (x - 1) & 1:
             degrees.append(size)
         return sorted(degrees)
-    pairs = [()] + [((u, v), (v, u)) for u in range(1, v)]
+    pairs = [()] + [_block(BASE_GRAPH, (u, v)) for u in range(1, v)]
     moves = [[1 << (gu - 1) for gu in g] for g in generators]
     marked: set[int] = set()
-
-    def mark_orbit(code: int):
-        marked.add(code)
-        queue = [code]
-        while queue:
-            c = queue.pop()
-            for move in moves:
-                image = 0
-                for u in range(n):
-                    if c >> u & 1:
-                        image |= move[u]
-                if image not in marked:
-                    marked.add(image)
-                    queue.append(image)
 
     chosen: set[tuple[int, int]] = set()
     results: list[tuple[Structure, list[int]]] = []
@@ -550,7 +543,7 @@ def _graph_extensions(spec: PropertySpec, parent: Structure, generators):
             candidates = _deletion_candidates(tied, v, lambda x: neighbour_degrees(x, code, size))
             if candidates is None:
                 return
-            mark_orbit(code)
+            _mark_orbit(marked, code, moves)
             # a frozenset copied from a set gets the smallest table that holds it
             child = Structure._trusted(spec.language, v, (frozenset(edges | chosen),), ())
             if _passes(spec, child, v):  # the parent is a member
@@ -585,25 +578,6 @@ def _deletion_candidates(tied: list[int], v: int, key) -> list[int] | None:
             candidates.append(x)
     candidates.append(v)
     return candidates
-
-
-def _group_alternatives(spec: PropertySpec, group: list[tuple[int, tuple[int, ...]]], support: frozenset):
-    arity = spec.language.relations[0][1] if spec.language.relations else 0
-    if spec.base == BASE_GRAPH:
-        if len(support) == 1:
-            return [[]]
-        return [[], list(group)]  # both orientations together
-    if spec.base == BASE_UNIFORM:
-        if len(support) == arity:
-            full = [(ri, t) for ri, t in group if len(set(t)) == arity]
-            return [[], full]
-        return [[]]
-    if len(group) > 12:
-        raise BudgetExceeded(f"extension group of {len(group)} tuples is too large to enumerate")
-    subsets = []
-    for r in range(len(group) + 1):
-        subsets.extend(list(c) for c in itertools.combinations(group, r))
-    return subsets
 
 
 # ---------------------------------------------------------------------------

@@ -509,3 +509,82 @@ class TestLargerInstances:
         )
         # a single 8-cycle is a proper part matching the overall density 1
         assert not is_strictly_balanced(two_cycles)
+
+
+def subset_balanced(g) -> bool:
+    """Oracle: every proper nonempty vertex set has density below g's, its
+    edge count summed over the subsets of each mask by bit."""
+    full = (1 << g.v) - 1
+    f = [0] * (full + 1)
+    for e in g.edges:
+        f[sum(1 << (x - 1) for x in e)] += 1
+    for b in range(g.v):
+        step = 1 << b
+        for mask in range(full + 1):
+            if mask & step:
+                f[mask] += f[mask ^ step]
+    rho = density(g)
+    return all(f[mask] * rho.denominator < rho.numerator * mask.bit_count() for mask in range(1, full))
+
+
+def dinkelbach_balanced(g) -> bool:
+    """Reference: every one-point deletion's densest subgraph, by
+    ``max_subgraph_density``, is below g's density."""
+    rho = density(g)
+    vertices = set(range(1, g.v + 1))
+    return all(max_subgraph_density(g.induced(vertices - {x}))[0] < rho for x in vertices)
+
+
+def sunflower(r: int, k: int):
+    """k edges sharing exactly one vertex, 1: strictly balanced."""
+    return hypergraph(r, 1 + k * (r - 1), [(1,) + tuple(range(2 + i * (r - 1), 2 + (i + 1) * (r - 1))) for i in range(k)])
+
+
+def balance_cases(vs):
+    """Seeded random 2- and 3-graphs on each v in ``vs``, plus edgeless,
+    complete, tight-cycle, chorded and two-component graphs, and the
+    sunflowers with v in the range of ``vs``."""
+    cases = []
+    for v in vs:
+        for seed, (r, p) in enumerate([(2, 0.15), (2, 0.3), (3, 0.03), (3, 0.08)]):
+            cases.append(random_hypergraph(r, v, p, 1000 * v + seed))
+        cycle = tight_cycle(2, v)
+        cases += [
+            hypergraph(2, v, []),
+            hypergraph(2, v, itertools.combinations(range(1, v + 1), 2)),
+            cycle,
+            tight_cycle(3, v),
+            hypergraph(2, v, list(cycle.edges) + [(1, v // 2)]),
+            hypergraph(2, v, [(i, i % (v // 2) + 1) for i in range(1, v // 2 + 1)]
+                       + [(v // 2 + i, v // 2 + i % (v - v // 2) + 1) for i in range(1, v - v // 2 + 1)]),
+        ]
+    cases += [s for r in (2, 3) for k in range(1, 22) if min(vs) <= (s := sunflower(r, k)).v <= max(vs)]
+    return cases
+
+
+class TestStrictBalanceByCuts:
+    """Up to v = 15 strict balance is one subset scan; past it, one threshold
+    cut per one-point deletion."""
+
+    def test_matches_subset_oracle(self):
+        cases = balance_cases([13, 15, 16])
+        verdicts = [is_strictly_balanced(g) for g in cases]
+        assert verdicts == [subset_balanced(g) for g in cases]
+        assert True in verdicts and False in verdicts
+
+    def test_matches_dinkelbach_verdict(self):
+        cases = balance_cases([16, 19, 22]) + [hypergraph(3, 16, itertools.combinations(range(1, 17), 3))]
+        verdicts = [is_strictly_balanced(g) for g in cases]
+        assert verdicts == [dinkelbach_balanced(g) for g in cases]
+        assert True in verdicts and False in verdicts
+
+    def test_runs_no_densest_subgraph_search(self, monkeypatch):
+        import hspeed.oscillate
+
+        def refuse(g):
+            raise AssertionError("max_subgraph_density called")
+
+        monkeypatch.setattr(hspeed.oscillate, "max_subgraph_density", refuse)
+        assert is_strictly_balanced(tight_cycle(3, 20))
+        assert not is_strictly_balanced(hypergraph(2, 16, [(1, 2), (3, 4)]))
+        assert not is_strictly_balanced(hypergraph(2, 18, []))

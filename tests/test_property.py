@@ -75,6 +75,78 @@ def refined_invariant(struct, x: int) -> tuple:
     return incidence_invariant(struct, x), sorted(incidence_invariant(struct, y) for y in near)
 
 
+def refined_invariants(struct) -> list[tuple]:
+    """``refined_invariant`` of every element, from one pass over the tuples."""
+    counts = {x: [] for x in struct.elements()}
+    near = {x: set() for x in struct.elements()}
+    for (_, arity), ts in zip(struct.language.relations, struct.rel_tuples):
+        for x in counts:
+            counts[x] += [0] * arity
+        for t in ts:
+            for p, x in enumerate(t):
+                counts[x][p - arity] += 1
+                near[x].update(t)
+    incidence = {x: tuple(c) for x, c in counts.items()}
+    return [(incidence[x], sorted(incidence[y] for y in near[x] - {x})) for x in struct.elements()]
+
+
+def assert_one_child_per_orbit(spec: PropertySpec, parent: Structure):
+    """Oracle: the children of ``parent`` are one per orbit, under Aut(parent)
+    by permutation scan, of the extension sets whose new vertex v is maximal
+    under ``refined_invariant`` (read off ``refined_invariants``).  An extension set is a set of units: the
+    r-sets through v with all their orderings for the graph and uniform
+    bases, single tuples through v for base none."""
+    n, v = parent.n, parent.n + 1
+    if spec.base == "none":
+        units = [
+            [(ri, t)]
+            for ri, (_, arity) in enumerate(spec.language.relations)
+            for t in itertools.product(range(1, v + 1), repeat=arity)
+            if v in t
+        ]
+    else:
+        arity = spec.language.relations[0][1]
+        units = [
+            [(0, p) for p in itertools.permutations(s + (v,))]
+            for s in itertools.combinations(range(1, v), arity - 1)
+        ]
+    unit_of = {rt: i for i, unit in enumerate(units) for rt in unit}
+    moves = []
+    for perm in itertools.permutations(range(1, n + 1)):
+        if apply_bijection(parent, dict(zip(range(1, n + 1), perm))) == parent:
+            image = perm + (v,)
+            moves.append([unit_of[ri, tuple(image[x - 1] for x in t)] for (ri, t), *_ in units])
+
+    def child_of(mask: int) -> Structure:
+        rel_tuples = [set(ts) for ts in parent.rel_tuples]
+        for i, unit in enumerate(units):
+            if mask >> i & 1:
+                for ri, t in unit:
+                    rel_tuples[ri].add(t)
+        return Structure._trusted(spec.language, v, tuple(frozenset(ts) for ts in rel_tuples), ())
+
+    orbit_of = {}
+    maximal = set()
+    for mask in range(1 << len(units)):
+        if mask in orbit_of:
+            continue
+        for move in moves:
+            orbit_of[sum(1 << move[i] for i in range(len(units)) if mask >> i & 1)] = mask
+        invariants = refined_invariants(child_of(mask))
+        if invariants[-1] == max(invariants):
+            maximal.add(mask)
+    children = _extensions(spec, parent, canonical_data(parent).aut_generators)
+    keys = []
+    for child, _ in children:
+        mask = 0
+        for ri, ts in enumerate(child.rel_tuples):
+            for t in ts:
+                if v in t:
+                    mask |= 1 << unit_of[ri, t]
+        keys.append(orbit_of[mask])
+    assert len(keys) == len(set(keys)) and set(keys) == maximal, parent.rel_tuples
+
+
 def brute_form(struct) -> tuple:
     """Isomorphism-class key by permutation scan: the least sorted tuple
     listing over every relabeling."""
@@ -267,6 +339,24 @@ class TestCanonicalAugmentation:
             keys = [orbit_key([a for a, b in child.tuples_of("E") if b == 6]) for child, _ in children]
             assert len(keys) == len(set(keys)) and set(keys) == maximal, sorted(parent.tuples_of("E"))
 
+    @pytest.mark.parametrize(
+        "spec, n",
+        [
+            (PropertySpec(language=uniform_language(3), base=BASE_UNIFORM), 5),
+            (PropertySpec(language=Language((("U", 1), ("R", 2))), base="none"), 2),
+            # 181,120 orbits of extension sets to test, about 8 s
+            pytest.param(
+                PropertySpec(language=Language((("U", 1), ("R", 2))), base="none"), 3, marks=pytest.mark.slow
+            ),
+        ],
+        ids=["3-uniform", "unary-binary", "unary-binary-3"],
+    )
+    def test_one_child_per_orbit_for_other_bases(self, spec, n):
+        """Every parent on at most n elements."""
+        for m in range(n + 1):
+            for parent in generate_members(spec, m, budget=n):
+                assert_one_child_per_orbit(spec, parent)
+
     def test_graph_search_matches_group_search(self, monkeypatch):
         """The mask search of the graph base gives the group search's children,
         candidates and order, and leaf-tests the same children, on every
@@ -401,6 +491,14 @@ class TestSpeed:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             speed(all_graphs_property(), 10)
+
+    def test_extension_group_guard(self):
+        # base none: a 4-ary relation has 14 tuples with support {1, 2}, too many
+        # subsets to enumerate; a 3-ary one has 6
+        with pytest.raises(BudgetExceeded, match="extension group of 14 tuples"):
+            speed(PropertySpec(Language((("R", 4),)), "none"), 2, budget=2)
+        table = speed(PropertySpec(Language((("R", 3),)), "none"), 2, budget=2)
+        assert [r.unlabeled for r in table.rows] == [2, 136]  # (2^8 + 2^4) / 2 at n=2
 
     def test_budget_override(self):
         table = speed(edgeless_property(), 10, budget=10)
