@@ -1,60 +1,64 @@
 """Canonical labeling by partition refinement plus backtracking.
 
-Colors are a list indexed by element holding the ranks 0..k-1 of the k
-cells; slot 0 holds -1.  A structure with no constants starts from the
-unit partition; constants seed cells of their own.  Refinement replaces
-colors by the ranks of the elements' signatures until the number of cells
-stops growing, which leaves an equitable partition; a discrete partition
-returns at once, since ranking it by color alone gives it back.
-Individualizing x moves every later cell up by one and gives x the color
-just above its old cell.  One search runs over one of two refinement
-steps, chosen from the input:
+A partition is an ordered list of cells, a cell's rank being its place in
+the list.  A structure with no constants starts from the unit partition;
+constants seed cells of their own.  Refinement splits cells by the
+elements' keys until no cell splits, which leaves an equitable partition,
+and a discrete partition is a leaf.  Individualizing x splits it off its
+cell and places it alone just after the rest of that cell.  One search
+runs over one of two refinement steps, chosen from the input; each holds
+the partition in its own way and gives the search the target cell's
+elements and, at a leaf, the colors: a list indexed by element holding
+the ranks 0..n-1, slot 0 holding -1.
 
 * A graph (one binary relation, no constants, symmetric and loop-free)
-  refines on adjacency masks, one int per element, with each cell a mask
-  too.  An element of color c keys as ``(c,)`` when it is alone in its
-  cell, whose rank no signature can change; as ``(c, 0)`` when it has no
-  neighbours; and otherwise as ``(c, 1, k_0, ..., k_m)``, where k_i is the
-  number of its non-neighbours in cell i (``int.bit_count``), which orders
-  as minus the number of its neighbours there.  This orders elements as
-  the general signature does, whose tail over the sorted neighbour colors
-  c_1..c_d is (-1, c_i) for each i, then (c_i, -1) for each i: more
-  neighbours of the least color where two differ come first, and no
-  neighbours before any.  Two first rounds are computed exactly, without
-  keys (the first splitting step of McKay and Piperno, "Practical graph
-  isomorphism II", 2014).  From the unit partition, the elements with no
-  neighbours come first, then the others by decreasing degree.  After
-  individualizing v in an equitable partition, every cell splits into v's
-  non-neighbours, then its neighbours, and v lands alone just above the
-  rest of its old cell; when no cell splits, that partition is already
-  equitable, and the round that would only confirm it is skipped.  A leaf
-  encodes as minus the sum of one bit per
-  relabeled ordered edge (i, j), at bit n(n - i) + n - j: where two sorted
-  edge lists of one graph first differ, the pair of the lesser list is the
-  highest bit where the sums differ, so a smaller encoding is a smaller
-  sorted list.
-* Any other structure refines on signatures: an element's signature is
-  its color and the sorted (relation index, colors of the tuple) pairs of
-  the tuples holding it, the element itself read as -1.  Each tuple is
-  compiled once per structure, through a bounded cache keyed by the
-  tuple, into ``operator.itemgetter`` readers: for each element x of the
-  tuple, one over a template with 0 where x sits, so x's signature is read
-  straight off the color list; and one over the tuple itself, through
-  which the leaf encoding reads the sorted relabeled tuples.
+  holds the partition as a list of cell masks, one bit per element, and
+  builds a color list only at a leaf.  Adjacency is one mask per element.
+  A round splits each non-singleton cell by its elements' keys, the parts
+  in key order taking the cell's place, so no global sort is needed: an
+  element keys as ``()`` when it has no neighbours, and otherwise as
+  ``(k_0, ..., k_m)``, where k_i is the number of its non-neighbours in
+  cell i (``int.bit_count``), which orders as minus the number of its
+  neighbours there.  This orders elements as the general signature does,
+  whose tail over the sorted neighbour colors c_1..c_d is (-1, c_i) for
+  each i, then (c_i, -1) for each i: more neighbours of the least color
+  where two differ come first, and no neighbours before any.  Two first
+  rounds are computed exactly, without keys (the first splitting step of
+  McKay and Piperno, "Practical graph isomorphism II", 2014).  From the
+  unit partition, the elements with no neighbours come first, then the
+  others by decreasing degree.  After individualizing v in an equitable
+  partition, every cell splits into v's non-neighbours, then its
+  neighbours; when no cell splits, that partition is already equitable,
+  and the round that would only confirm it is skipped.  A leaf encodes as
+  minus the sum of one bit per relabeled ordered edge (i, j), at bit
+  n(n - i) + n - j: where two sorted edge lists of one graph first differ,
+  the pair of the lesser list is the highest bit where the sums differ, so
+  a smaller encoding is a smaller sorted list.
+* Any other structure holds the partition as a color list and refines on
+  signatures: an element's signature is its color and the sorted
+  (relation index, colors of the tuple) pairs of the tuples holding it,
+  the element itself read as -1, and its new color is the rank of its
+  signature.  Each tuple is compiled once per structure, through a
+  bounded cache keyed by the tuple, into ``operator.itemgetter`` readers:
+  for each element x of the tuple, one over a template with 0 where x
+  sits, so x's signature is read straight off the color list; and one
+  over the tuple itself, through which the leaf encoding reads the sorted
+  relabeled tuples.
 
-Backtracking individualizes elements of the first non-singleton cell and
-keeps the leaf with the least encoding; the canonical form holds its
-relabeled tuples, each relation's frozenset filled in sorted order, so the
-form's iteration order depends only on the form.  A leaf whose encoding
-equals the first leaf's yields an automorphism, and the search backs up to
-where the two paths part, since the rest of that subtree is an image of
-one already explored.  Pruning skips children in the orbit of explored
-ones under the generators fixing the current prefix; that orbit grows by
-each explored child's orbit and is recomputed only when a generator is
-added.  The group order comes from the first path v_1..v_k: |Aut| is the
-product of the orbit sizes of v_i under the generators that fix
-v_1..v_{i-1} (McKay 1981), each taken when the search leaves v_i's node,
-as no later generator fixes v_1..v_i.  Adequate for n <~ 12.
+Backtracking individualizes the elements of the first non-singleton cell
+in ascending order and keeps the leaf with the least encoding; the
+canonical form holds its relabeled tuples, each relation's frozenset
+filled in sorted order, so the form's iteration order depends only on the
+form.  A leaf whose encoding equals the first leaf's yields an
+automorphism, and the search backs up to where the two paths part, since
+the rest of that subtree is an image of one already explored.  Pruning
+skips children in the orbit of explored ones under the generators fixing
+the current prefix; that orbit grows by each explored child's orbit and
+is recomputed only when a generator is added.  The group order comes from
+the first path v_1..v_k: |Aut| is the product of the orbit sizes of v_i
+under the generators that fix v_1..v_{i-1} (McKay 1981), each taken when
+the search leaves v_i's node, as no later generator fixes v_1..v_i.
+Adequate for n <~ 12.
 """
 
 from __future__ import annotations
@@ -121,9 +125,10 @@ def _compile(struct: "Structure") -> tuple[list[list], list[list]]:
 
 
 def _general_steps(struct: "Structure"):
-    """Signature refinement, individualizing then refining, and the sorted
+    """Signature refinement over (colors, number of cells) pairs; the sorted
     relabeled tuples as leaf encoding and as the form."""
     n = struct.n
+    elements = range(1, n + 1)
     incidence, readers = _compile(struct)
     consts = struct.const_vals
 
@@ -131,7 +136,7 @@ def _general_steps(struct: "Structure"):
         while ncells < n:
             sigs = [
                 (col[x], tuple(sorted([(ri, read(col)) for ri, read in incidence[x]])))
-                for x in range(1, n + 1)
+                for x in elements
             ]
             ordered = sorted(set(sigs))
             if len(ordered) == ncells:
@@ -141,11 +146,23 @@ def _general_steps(struct: "Structure"):
             ncells = len(ordered)
         return col, ncells
 
-    def descend(col: list[int], ncells: int, v: int) -> tuple[list[int], int]:
+    def target(part) -> list[int] | None:
+        col, ncells = part
+        if ncells == n:
+            return None
+        sizes = [0] * ncells
+        for x in elements:
+            sizes[col[x]] += 1
+        cx = next(c for c, size in enumerate(sizes) if size > 1)
+        return [x for x in elements if col[x] == cx]
+
+    def descend(part, v: int) -> tuple[list[int], int]:
+        col, ncells = part
         return refine(_individualize(col, v), ncells + 1)
 
-    def encode(col: list[int]):
-        return (
+    def encode(part):
+        col = part[0]
+        return col, (
             tuple(tuple(sorted([read(col) for read in rs])) for rs in readers),
             tuple(col[v] for v in consts),
         )
@@ -153,7 +170,9 @@ def _general_steps(struct: "Structure"):
     def relabel(lab: list[int]):
         return tuple(frozenset(sorted([read(lab) for read in rs])) for rs in readers)
 
-    return refine, descend, encode, relabel
+    # with no constants, the initial partition is the unit partition
+    start = _initial_colors(struct) if consts else ([-1] + [0] * n, min(n, 1))
+    return refine(*start), target, descend, encode, relabel
 
 
 # ---------------------------------------------------------------------------
@@ -176,104 +195,123 @@ def _graph_masks(struct: "Structure") -> list[int] | None:
     return adj
 
 
-def _mask_round(adj: list[int], col: list[int], ncells: int) -> tuple[list[int], int]:
-    """One round of mask refinement: each element's color becomes the rank
-    of its key among all keys."""
-    elements = range(1, len(col))
-    cells = [0] * ncells
-    for x in elements:
-        cells[col[x]] |= 1 << x
-    keys = []
-    for x in elements:
-        c = col[x]
-        if cells[c] == 1 << x:
-            keys.append((c,))
-        elif adj[x]:
-            # non-neighbours per cell, the element itself included
-            keys.append((c, 1, *map(int.bit_count, map((~adj[x]).__and__, cells))))
-        else:
-            keys.append((c, 0))
-    ordered = sorted(set(keys))
-    if len(ordered) == ncells:
-        return col, ncells
-    index = {k: i for i, k in enumerate(ordered)}
-    return [-1] + [index[k] for k in keys], len(ordered)
+def _bits(m: int) -> list[int]:
+    """The elements of the mask ``m``, ascending."""
+    xs = []
+    while m:
+        low = m & -m
+        xs.append(low.bit_length() - 1)
+        m ^= low
+    return xs
 
 
-def _mask_unit_round(adj: list[int]) -> tuple[list[int], int]:
+def _mask_round(adj: list[int], cells: list[int]) -> list[int]:
+    """One round of mask refinement: each non-singleton cell splits by its
+    elements' keys, the parts in key order, in place of the cell."""
+    split = []
+    for m in cells:
+        if m & (m - 1):
+            parts: dict[tuple[int, ...], int] = {}
+            rest = m
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                a = adj[low.bit_length() - 1]
+                # non-neighbours per cell, the element itself included; built
+                # at its final size, since tuple(map(...)) starts at a guessed
+                # size and is freed into another size's free list, which then
+                # holds up to 2,000 dead keys per size
+                key = (*map(int.bit_count, map((~a).__and__, cells)),) if a else ()
+                parts[key] = parts.get(key, 0) | low
+            if len(parts) > 1:
+                split += [parts[k] for k in sorted(parts)]
+                continue
+        split.append(m)
+    return split
+
+
+def _mask_unit_round(adj: list[int]) -> list[int]:
     """The first mask refinement round from the unit partition of two or more
     elements, without keys: the elements with no neighbours, then the others
     by decreasing degree."""
     n = len(adj) - 1
-    keys = [n - d if d else -1 for d in map(int.bit_count, adj[1:])]
-    index = {k: i for i, k in enumerate(sorted(set(keys)))}
-    return [-1] + [index[k] for k in keys], len(index)
+    parts: dict[int, int] = {}
+    for x in range(1, n + 1):
+        d = adj[x].bit_count()
+        key = n - d if d else -1
+        parts[key] = parts.get(key, 0) | 1 << x
+    return [parts[k] for k in sorted(parts)]
 
 
-def _mask_individualize(adj: list[int], col: list[int], ncells: int, v: int) -> tuple[list[int], int]:
+def _mask_individualize(adj: list[int], cells: list[int], v: int) -> list[int]:
     """The first mask refinement round after individualizing v in the
-    equitable partition ``col``, without keys: v lands alone just above the
-    rest of its old cell, and every cell splits into v's non-neighbours,
-    then its neighbours, an empty part making no cell."""
+    equitable partition ``cells``, without keys: every cell splits into v's
+    non-neighbours, then its neighbours, and v lands alone just after the
+    rest of its old cell."""
     near = adj[v]
-    cells = [0] * ncells
-    for x in range(1, len(col)):
-        cells[col[x]] |= 1 << x
-    cx = col[v]
-    cells[cx] ^= 1 << v
-    base = [0] * ncells  # the rank of each old cell's first part
-    shift = [0] * ncells  # 1 when v's neighbours in the cell follow a part of non-neighbours
-    rank = 0
-    for c, m in enumerate(cells):
-        base[c] = rank
-        shift[c] = 1 if m & ~near else 0
-        rank += shift[c] + (1 if m & near else 0)
-        if c == cx:
-            vrank = rank
-            rank += 1
-    new = [-1] + [base[c] + (shift[c] if near >> x & 1 else 0) for x, c in enumerate(col[1:], 1)]
-    new[v] = vrank
-    return new, rank
+    bit = 1 << v
+    split = []
+    for m in cells:
+        own = m & bit
+        m ^= own
+        close = m & near
+        if close and close != m:
+            split += (m ^ close, close)
+        else:
+            split.append(m)
+        if own:
+            split.append(bit)
+    return split
 
 
 def _mask_steps(struct: "Structure", adj: list[int]):
-    """Mask refinement, the exact first rounds from the unit partition and
-    after individualizing, the relabeled edge bits as leaf encoding, and the
-    relabeled edges as the form."""
+    """Mask refinement over lists of cell masks, the exact first rounds from
+    the unit partition and after individualizing, the relabeled edge bits
+    as leaf encoding, and the relabeled edges as the form."""
     n = struct.n
     edges = list(struct.rel_tuples[0])
     top = n * n - 1
 
-    def refine(col: list[int], ncells: int) -> tuple[list[int], int]:
-        if ncells == 1 < n:
-            col, ncells = _mask_unit_round(adj)
-            if ncells == 1:
-                return col, 1
-        while ncells < n:
-            col, grown = _mask_round(adj, col, ncells)
-            if grown == ncells:
+    def refine(cells: list[int]) -> list[int]:
+        if len(cells) == 1 < n:
+            cells = _mask_unit_round(adj)
+            if len(cells) == 1:
+                return cells
+        while len(cells) < n:
+            split = _mask_round(adj, cells)
+            if len(split) == len(cells):
                 break
-            ncells = grown
-        return col, ncells
+            cells = split
+        return cells
 
-    def descend(col: list[int], ncells: int, v: int) -> tuple[list[int], int]:
+    def target(cells: list[int]) -> list[int] | None:
+        if len(cells) == n:
+            return None
+        return _bits(next(m for m in cells if m & (m - 1)))
+
+    def descend(cells: list[int], v: int) -> list[int]:
         # when no cell splits, the individualized partition is already equitable
-        col, grown = _mask_individualize(adj, col, ncells, v)
-        return (col, grown) if grown == ncells + 1 else refine(col, grown)
+        split = _mask_individualize(adj, cells, v)
+        return split if len(split) == len(cells) + 1 else refine(split)
 
-    def encode(col: list[int]) -> int:
-        return -sum([1 << (top - n * col[a] - col[b]) for a, b in edges])
+    def encode(cells: list[int]) -> tuple[list[int], int]:
+        col = [-1] * (n + 1)
+        for c, m in enumerate(cells):
+            col[m.bit_length() - 1] = c
+        return col, -sum([1 << (top - n * col[a] - col[b]) for a, b in edges])
 
     def relabel(lab: list[int]):
         return (frozenset(sorted([(lab[a], lab[b]) for a, b in edges])),)
 
-    return refine, descend, encode, relabel
+    # the unit partition, of no cells when there are no elements
+    return refine([(1 << n + 1) - 2] if n else []), target, descend, encode, relabel
 
 
 def _steps(struct: "Structure"):
-    """For ``struct``: the refinement step, the step that individualizes an
-    element and refines, the leaf encoding of a discrete coloring and the
-    form's relabeled tuples."""
+    """For ``struct``: the refined initial partition; the target cell's
+    elements, ascending, or None at a leaf; the step that individualizes an
+    element and refines; the colors and encoding of a leaf; and the form's
+    relabeled tuples."""
     adj = _graph_masks(struct)
     return _general_steps(struct) if adj is None else _mask_steps(struct, adj)
 
@@ -312,7 +350,7 @@ class CanonicalData:
 def _search(struct: "Structure", steps=_steps):
     n = struct.n
     elements = range(1, n + 1)
-    refine, descend, encode, relabel = steps(struct)
+    root, target, descend, encode, relabel = steps(struct)
 
     first_enc = first_col = first_path = None
     best_enc = best_col = None
@@ -322,9 +360,9 @@ def _search(struct: "Structure", steps=_steps):
     def fixing(prefix):
         return [g for g in gens if all(g[p - 1] == p for p in prefix)]
 
-    def leaf(col, path) -> int:
+    def leaf(part, path) -> int:
         nonlocal first_enc, first_col, first_path, best_enc, best_col
-        enc = encode(col)
+        col, enc = encode(part)
         if best_enc is None or enc < best_enc:
             best_enc, best_col = enc, col
         if first_enc is None:
@@ -340,29 +378,26 @@ def _search(struct: "Structure", steps=_steps):
             return next(i for i, (a, b) in enumerate(zip(path, first_path)) if a != b)
         return len(path)
 
-    def rec(col, ncells, prefix) -> int:
+    def rec(part, prefix) -> int:
         """Explore below ``prefix``; return the depth to resume at."""
         nonlocal order
-        if ncells == n:
-            return leaf(col, prefix)
+        cell = target(part)
+        if cell is None:
+            return leaf(part, prefix)
         on_first_path = first_enc is None
-        sizes = [0] * ncells
-        for x in elements:
-            sizes[col[x]] += 1
-        cx = next(c for c, size in enumerate(sizes) if size > 1)
         explored: list[int] = []
         known = len(gens)
         fix = fixing(prefix)
         seen: set[int] = set()  # the orbit of the explored points under fix
-        for v in elements:
-            if col[v] != cx or v in seen:
+        for v in cell:
+            if v in seen:
                 continue
             explored.append(v)
             if fix:
                 seen |= orbit([v], fix)
             else:
                 seen.add(v)
-            depth = rec(*descend(col, ncells, v), prefix + (v,))
+            depth = rec(descend(part, v), prefix + (v,))
             if depth < len(prefix):
                 return depth
             if len(gens) != known:
@@ -379,9 +414,7 @@ def _search(struct: "Structure", steps=_steps):
             order *= len(orbit([explored[0]], fix))
         return len(prefix)
 
-    # with no constants, the initial partition is the unit partition
-    start = _initial_colors(struct) if struct.const_vals else ([-1] + [0] * n, min(n, 1))
-    rec(*refine(*start), ())
+    rec(root, ())
     del rec  # it reaches itself through its closure: free the search without the cycle collector
     lab = [c + 1 for c in best_col]
     return dict(zip(elements, lab[1:])), relabel(lab), tuple(gens), order
@@ -390,9 +423,7 @@ def _search(struct: "Structure", steps=_steps):
 @lru_cache(maxsize=65536)
 def canonical_data(struct: "Structure") -> CanonicalData:
     """Canonical form, relabeling, automorphism generators and group order."""
-    from .structures import Structure
-
     mapping, rel_tuples, gens, order = _search(struct)
     const_vals = tuple(mapping[v] for v in struct.const_vals)
-    form = Structure._trusted(struct.language, struct.n, rel_tuples, const_vals)
+    form = type(struct)._trusted(struct.language, struct.n, rel_tuples, const_vals)
     return CanonicalData(form=form, relabel=mapping, aut_generators=gens, aut_order=order)

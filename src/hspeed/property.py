@@ -287,10 +287,24 @@ BUILTIN_PROPERTIES: dict[str, Callable[[], PropertySpec]] = {
 # orderly generation
 
 
-def default_budget(language: Language) -> int:
-    """The largest n_max generation runs without an explicit budget: 9 for
-    graphs, 6 for arity >= 3 (all 3-graphs at n=7 have 7,013,320 classes)."""
-    return 9 if language.arity <= 2 else 6
+def default_budget(language: Language, base: str) -> int:
+    """The largest n_max generation runs without an explicit budget: the
+    largest n with 2^B(n)/n! <= 300,000, at most 9 for arity <= 2 and 6
+    above (all 3-graphs at n=7 have 7,013,320 classes).  B(n) is the number
+    of blocks over [n] (see ``_block``), so 2^B(n) counts the labeled
+    structures the base allows and 2^B(n)/n! bounds their classes from
+    below; 300,000 is the scale of all graphs at n=9.  Graphs keep 9 and
+    3-graphs 6; one ternary relation over base ``none`` gets 2, as its
+    extension search at n=3 has 2^19 leaves for each parent."""
+    cap = 9 if language.arity <= 2 else 6
+    top = [0] * cap  # top[k]: the blocks whose least tuple's largest entry is k
+    for _, t in _least_tuples(language, base, range(cap)):
+        top[max(t)] += 1
+    blocks = list(itertools.accumulate(top))  # blocks[n]: the blocks over [n + 1]
+    n = 0
+    while n < cap and 2 ** blocks[n] <= 300_000 * math.factorial(n + 1):
+        n += 1
+    return n
 
 
 @dataclass(frozen=True)
@@ -337,7 +351,7 @@ def generate_members(spec: PropertySpec, n: int, budget: int | None = None) -> l
 def generate_levels(spec: PropertySpec, n_max: int, budget: int | None = None):
     """Yield levels 1..n_max lazily; each level lists (canonical rep, |Aut|).
     Generation starts from the 0-element structure."""
-    cap = default_budget(spec.language) if budget is None else budget
+    cap = default_budget(spec.language, spec.base) if budget is None else budget
     if n_max > cap:
         raise BudgetExceeded(f"n_max = {n_max} exceeds budget {cap}")
     root = Structure(spec.language, 0, tuple(frozenset() for _ in spec.language.relations), ())

@@ -9,10 +9,13 @@ and 3-uniform hypergraphs.
 import hashlib
 import itertools
 import json
+import math
 import random
 
 from conftest import all_graphs
+from hspeed import canon
 from hspeed.canon import (
+    _bits,
     _general_steps,
     _graph_masks,
     _individualize,
@@ -23,6 +26,7 @@ from hspeed.canon import (
     _search,
     canonical_data,
 )
+from hspeed.property import all_graphs_property, speed
 from hspeed.structures import GRAPH, Language, graph, make_structure, structure_to_json, uniform_language
 
 MIXED = Language(relations=(("U", 1), ("E", 2), ("T", 3)), constants=("a", "b"))
@@ -173,33 +177,163 @@ def _split_test_graphs(seed: int):
             yield graph(n, [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < p])
 
 
+def _cells(col: list[int], ncells: int) -> list[int]:
+    """The cell masks of a color list, in rank order."""
+    cells = [0] * ncells
+    for x, c in enumerate(col[1:], 1):
+        cells[c] |= 1 << x
+    return cells
+
+
+def _refined(adj: list[int], cells: list[int]) -> list[int]:
+    """Full mask rounds until no cell splits."""
+    while True:
+        split = _mask_round(adj, cells)
+        if split == cells:
+            return cells
+        cells = split
+
+
 def test_first_round_split_is_one_full_round():
     """Individualizing v in an equitable partition and splitting every cell
     into v's non-neighbours, then its neighbours, gives exactly one full
     ``_mask_round``, for every vertex of every non-singleton cell of the
     equitable partitions at the root and one and two levels below it; the
-    degree ranking is the full round from the unit partition."""
+    degree ranking is the full round from the unit partition, and the root
+    has the signature refinement's ranks."""
     checked = 0
     for g in _split_test_graphs(20251):
         n = g.n
         adj = _graph_masks(g)
-        refine, descend, _, _ = _mask_steps(g, adj)
-        unit = [-1] + [0] * n
-        assert _mask_unit_round(adj) == _mask_round(adj, unit, 1), sorted(g.rel_tuples[0])
-        level = [refine(unit, 1)]
+        root, _, descend, _, _ = _mask_steps(g, adj)
+        unit = [(1 << n + 1) - 2]
+        by_degree: dict[int, int] = {}
+        for x in range(1, n + 1):
+            d = bin(adj[x]).count("1")
+            by_degree[d] = by_degree.get(d, 0) | 1 << x
+        # no neighbours first, then decreasing degree
+        ranking = [by_degree[d] for d in sorted(by_degree, key=lambda d: (d > 0, -d))]
+        assert _mask_unit_round(adj) == _mask_round(adj, unit) == ranking, sorted(g.rel_tuples[0])
+        assert root == _refined(adj, unit) == _cells(*_general_steps(g)[0])
+        level = [root]
         for depth in range(3):
             below = []
-            for col, ncells in level:
-                assert _mask_round(adj, col, ncells) == (col, ncells)  # equitable
+            for cells in level:
+                assert _mask_round(adj, cells) == cells  # equitable
+                col = [-1] * (n + 1)
+                for c, m in enumerate(cells):
+                    for x in _bits(m):
+                        col[x] = c
                 for v in range(1, n + 1):
                     if col.count(col[v]) == 1:
                         continue
-                    individualized = _individualize(col, v)
-                    split = _mask_individualize(adj, col, ncells, v)
-                    assert split == _mask_round(adj, individualized, ncells + 1), (sorted(g.rel_tuples[0]), col, v)
-                    child = descend(col, ncells, v)
-                    assert child == refine(individualized, ncells + 1)
+                    individualized = _cells(_individualize(col, v), len(cells) + 1)
+                    split = _mask_individualize(adj, cells, v)
+                    assert split == _mask_round(adj, individualized), (sorted(g.rel_tuples[0]), cells, v)
+                    child = descend(cells, v)
+                    assert child == _refined(adj, individualized)
                     below.append(child)
                     checked += 1
             level = below
     assert checked > 17000
+
+
+def _relabeled(g, seed: int):
+    """``g`` under a seeded random permutation of its elements."""
+    perm = list(range(1, g.n + 1))
+    random.Random(seed).shuffle(perm)
+    return graph(g.n, [(perm[a - 1], perm[b - 1]) for a, b in g.rel_tuples[0] if a < b])
+
+
+def _paley(q: int):
+    squares = {x * x % q for x in range(1, q)}
+    return graph(q, [(a + 1, b + 1) for a, b in itertools.combinations(range(q), 2) if (b - a) % q in squares])
+
+
+def _circulant(n: int, jumps):
+    return graph(n, [(x + 1, (x + j) % n + 1) for x in range(n) for j in jumps])
+
+
+def _multipartite(*sizes: int):
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    n = len(part)
+    return graph(n, [(a + 1, b + 1) for a, b in itertools.combinations(range(n), 2) if part[a] != part[b]])
+
+
+def _complement(g):
+    edges = g.rel_tuples[0]
+    return graph(g.n, [e for e in itertools.combinations(range(1, g.n + 1), 2) if e not in edges])
+
+
+def _symmetric_graphs():
+    """Named graphs with large automorphism groups on 10..17 vertices, with
+    |Aut| where it is known in closed form (None otherwise)."""
+    f = math.factorial
+    kneser = list(itertools.combinations(range(5), 2))
+    yield "Petersen", graph(10, [(a + 1, b + 1) for a, b in itertools.combinations(range(10), 2)
+                                 if not set(kneser[a]) & set(kneser[b])]), 120
+    yield "Paley(13)", _paley(13), 13 * 6
+    yield "Paley(17)", _paley(17), 17 * 8
+    yield "Q4", graph(16, [(a + 1, b + 1) for a, b in itertools.combinations(range(16), 2)
+                           if bin(a ^ b).count("1") == 1]), 2 ** 4 * f(4)
+    yield "C16", _circulant(16, [1]), 32
+    yield "C16(1,4)", _circulant(16, [1, 4]), None
+    yield "4K4", _complement(_multipartite(4, 4, 4, 4)), f(4) ** 4 * f(4)
+    yield "5K3", _complement(_multipartite(3, 3, 3, 3, 3)), f(3) ** 5 * f(5)
+    yield "K(2,2,2,2,2)", _multipartite(2, 2, 2, 2, 2), 2 ** 5 * f(5)
+    yield "K(3,3,3,3)", _multipartite(3, 3, 3, 3), f(3) ** 4 * f(4)
+    yield "K(5,5,5)", _multipartite(5, 5, 5), f(5) ** 3 * f(3)
+    yield "K(2,3,4,5)", _multipartite(2, 3, 4, 5), f(2) * f(3) * f(4) * f(5)
+
+
+def test_mask_path_matches_signature_path_on_symmetric_graphs():
+    """Deep searches: the mask path and the signature path give the same
+    relabeling, generators, group order and form on named symmetric graphs
+    and their complements, each also under seeded relabelings; every copy
+    has one form and the known |Aut|."""
+    for name, g, aut in _symmetric_graphs():
+        for h, label in ((g, name), (_complement(g), f"complement of {name}")):
+            forms = set()
+            for seed in (None, 1, 2, 3):
+                copy = h if seed is None else _relabeled(h, seed)
+                assert _graph_masks(copy) is not None
+                fast = _search(copy)
+                general = _search(copy, _general_steps)
+                assert fast == general, (label, seed)
+                assert repr(fast[1]) == repr(general[1]), (label, seed)
+                if aut is not None:
+                    assert fast[3] == aut, (label, seed)
+                forms.add(fast[1])
+            assert len(forms) == 1, label
+
+
+def test_search_tree_of_all_graphs_at_seven(monkeypatch):
+    """The canonizations of ``speed(all_graphs_property(), 7)`` run 1,300
+    initial refinements, 6,122 individualize-and-refine steps and 3,558
+    leaves, and find 2,253 generators: a pruning change shows as a count."""
+    counts = dict(refinements=0, descents=0, leaves=0, generators=0)
+    mask_steps = canon._mask_steps
+
+    def counted_steps(struct, adj):
+        counts["refinements"] += 1
+        root, target, descend, encode, relabel = mask_steps(struct, adj)
+
+        def counted_descend(cells, v):
+            counts["descents"] += 1
+            return descend(cells, v)
+
+        def counted_encode(cells):
+            counts["leaves"] += 1
+            return encode(cells)
+
+        return root, target, counted_descend, counted_encode, relabel
+
+    def uncached(struct):
+        data = canonical_data.__wrapped__(struct)
+        counts["generators"] += len(data.aut_generators)
+        return data
+
+    monkeypatch.setattr(canon, "_mask_steps", counted_steps)
+    monkeypatch.setattr("hspeed.property.canonical_data", uncached)
+    assert speed(all_graphs_property(), 7).labeled(7) == 2 ** 21
+    assert counts == dict(refinements=1300, descents=6122, leaves=3558, generators=2253)

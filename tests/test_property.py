@@ -22,6 +22,7 @@ from hspeed.property import (
     all_graphs_property,
     bipartite_property,
     complete_bipartite_property,
+    default_budget,
     edgeless_property,
     forbid,
     generate_levels,
@@ -549,6 +550,23 @@ class TestSpeed:
         no_edge = make_structure(uniform_language(3), 3, {"R": itertools.permutations((1, 2, 3))})
         edgeless = PropertySpec(language=uniform_language(3), base=BASE_UNIFORM, forbidden=(no_edge,))
         assert [len(level) for level in generate_levels(edgeless, 7, budget=7)] == [1] * 7
+
+    def test_default_budget_counts_the_base_blocks(self):
+        # 2^B(n)/n! <= 300,000 below the cap: B(n) = C(n, 2) for graphs, C(n, 3) for
+        # 3-graphs, n^3 for one ternary relation over base none
+        assert default_budget(GRAPH, BASE_GRAPH) == 9
+        assert default_budget(uniform_language(3), BASE_UNIFORM) == 6
+        assert default_budget(uniform_language(4), BASE_UNIFORM) == 6
+        assert default_budget(Language((("R", 3),)), "none") == 2
+        assert default_budget(Language((("R", 2),)), "none") == 5
+        assert default_budget(Language((("U", 1), ("R", 2))), "none") == 4
+
+    def test_ternary_base_none_is_refused_at_once(self):
+        # at n=3 the new vertex lies in 19 blocks: 2^19 extension sets for each of 136 parents
+        spec = PropertySpec(Language((("R", 3),)), "none")
+        with pytest.raises(BudgetExceeded, match="n_max = 3 exceeds budget 2"):
+            speed(spec, 3)
+        assert [r.unlabeled for r in speed(spec, 2).rows] == [2, 136]
 
     def test_directed_base_none(self):
         lang = uniform_language(2)
