@@ -1,49 +1,47 @@
 """Canonical labeling by partition refinement plus backtracking.
 
-A partition is an ordered list of cells, a cell's rank being its place in
-the list.  A structure with no constants starts from the unit partition;
-constants seed cells of their own.  Refinement splits cells by the
-elements' keys until no cell splits, which leaves an equitable partition,
-and a discrete partition is a leaf.  Individualizing x splits it off its
-cell and places it alone just after the rest of that cell.  One search
-runs over one of two refinement steps, chosen from the input; each holds
-the partition in its own way and gives the search the target cell's
-elements and, at a leaf, the colors: a list indexed by element holding
-the ranks 0..n-1, slot 0 holding -1.
+A partition is an ordered list of cell masks, one bit per element, a
+cell's rank being its place in the list.  A structure with no constants
+starts from the unit partition; constants split it by the names each
+element interprets.  A refinement round splits each non-singleton cell by
+its elements' keys, the parts in key order taking the cell's place, so no
+global sort is needed; rounds run until no cell splits, which leaves an
+equitable partition.  A discrete partition is a leaf, whose colors are a
+list indexed by element holding the ranks 0..n-1, slot 0 holding -1.
+Individualizing x splits it off its cell and places it alone just after
+the rest of that cell.  One search runs over one of two step sets, chosen
+from the input, which differ only in the round, the exact first rounds,
+the leaf encoding and the form.
 
 * A graph (one binary relation, no constants, symmetric and loop-free)
-  holds the partition as a list of cell masks, one bit per element, and
-  builds a color list only at a leaf.  Adjacency is one mask per element.
-  A round splits each non-singleton cell by its elements' keys, the parts
-  in key order taking the cell's place, so no global sort is needed: an
-  element keys as ``()`` when it has no neighbours, and otherwise as
-  ``(k_0, ..., k_m)``, where k_i is the number of its non-neighbours in
-  cell i (``int.bit_count``), which orders as minus the number of its
-  neighbours there.  This orders elements as the general signature does,
-  whose tail over the sorted neighbour colors c_1..c_d is (-1, c_i) for
-  each i, then (c_i, -1) for each i: more neighbours of the least color
-  where two differ come first, and no neighbours before any.  Two first
-  rounds are computed exactly, without keys (the first splitting step of
-  McKay and Piperno, "Practical graph isomorphism II", 2014).  From the
-  unit partition, the elements with no neighbours come first, then the
-  others by decreasing degree.  After individualizing v in an equitable
-  partition, every cell splits into v's non-neighbours, then its
-  neighbours; when no cell splits, that partition is already equitable,
-  and the round that would only confirm it is skipped.  A leaf encodes as
-  minus the sum of one bit per relabeled ordered edge (i, j), at bit
-  n(n - i) + n - j: where two sorted edge lists of one graph first differ,
-  the pair of the lesser list is the highest bit where the sums differ, so
-  a smaller encoding is a smaller sorted list.
-* Any other structure holds the partition as a color list and refines on
-  signatures: an element's signature is its color and the sorted
+  keys on adjacency, one mask per element: an element keys as ``()`` when
+  it has no neighbours, and otherwise as ``(k_0, ..., k_m)``, where k_i
+  is the number of its non-neighbours in cell i (``int.bit_count``),
+  which orders as minus the number of its neighbours there.  This orders
+  elements as the signature round does, whose tail over the sorted
+  neighbour colors c_1..c_d is (-1, c_i) for each i, then (c_i, -1) for
+  each i: more neighbours of the least color where two differ come
+  first, and no neighbours before any.  Two first rounds are computed
+  exactly, without keys (the first splitting step of McKay and Piperno,
+  "Practical graph isomorphism II", 2014).  From the unit partition, the
+  elements with no neighbours come first, then the others by decreasing
+  degree.  After individualizing v in an equitable partition, every cell
+  splits into v's non-neighbours, then its neighbours; when no cell
+  splits, that partition is already equitable, and the round that would
+  only confirm it is skipped.  A leaf encodes as minus the sum of one bit
+  per relabeled ordered edge (i, j), at bit n(n - i) + n - j: where two
+  sorted edge lists of one graph first differ, the pair of the lesser
+  list is the highest bit where the sums differ, so a smaller encoding is
+  a smaller sorted list.
+* Any other structure keys on signatures: an element's key is the sorted
   (relation index, colors of the tuple) pairs of the tuples holding it,
-  the element itself read as -1, and its new color is the rank of its
-  signature.  Each tuple is compiled once per structure, through a
-  bounded cache keyed by the tuple, into ``operator.itemgetter`` readers:
-  for each element x of the tuple, one over a template with 0 where x
-  sits, so x's signature is read straight off the color list; and one
-  over the tuple itself, through which the leaf encoding reads the sorted
-  relabeled tuples.
+  the element itself read as -1.  Its cell's rank leads, so the parts are
+  the ranks of a global sort of (color, key) signatures.  Each tuple is
+  compiled once per structure, through a bounded cache keyed by the
+  tuple, into ``operator.itemgetter`` readers: for each element x of the
+  tuple, one over a template with 0 where x sits, so x's key is read
+  straight off the color list; and one over the tuple itself, through
+  which the leaf encoding reads the sorted relabeled tuples.
 
 Backtracking individualizes the elements of the first non-singleton cell
 in ascending order and keeps the leaf with the least encoding; the
@@ -64,7 +62,7 @@ Adequate for n <~ 12.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
@@ -88,6 +86,39 @@ def orbit(points, generators) -> set[int]:
                 seen.add(q)
                 queue.append(q)
     return seen
+
+
+# ---------------------------------------------------------------------------
+# partitions as ordered lists of cell masks
+
+
+def _bits(m: int) -> list[int]:
+    """The elements of the mask ``m``, ascending."""
+    xs = []
+    while m:
+        low = m & -m
+        xs.append(low.bit_length() - 1)
+        m ^= low
+    return xs
+
+
+def _split_by(elements, key) -> list[int]:
+    """The masks of ``elements`` grouped by ``key``, in key order."""
+    parts: dict = {}
+    for x in elements:
+        k = key(x)
+        parts[k] = parts.get(k, 0) | 1 << x
+    return [parts[k] for k in sorted(parts)]
+
+
+def _refine(one_round, cells: list[int], n: int) -> list[int]:
+    """Rounds of ``one_round`` until no cell splits or every cell is a singleton."""
+    while len(cells) < n:
+        split = one_round(cells)
+        if len(split) == len(cells):
+            break
+        cells = split
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -124,45 +155,40 @@ def _compile(struct: "Structure") -> tuple[list[list], list[list]]:
     return incidence, readers
 
 
-def _general_steps(struct: "Structure"):
-    """Signature refinement over (colors, number of cells) pairs; the sorted
-    relabeled tuples as leaf encoding and as the form."""
+def _signature_steps(struct: "Structure"):
+    """Signature rounds from the unit partition split by constant names; the
+    sorted relabeled tuples and the constants' colors as leaf encoding, and
+    the relabeled tuples as the form."""
     n = struct.n
-    elements = range(1, n + 1)
     incidence, readers = _compile(struct)
     consts = struct.const_vals
 
-    def refine(col: list[int], ncells: int) -> tuple[list[int], int]:
-        while ncells < n:
-            sigs = [
-                (col[x], tuple(sorted([(ri, read(col)) for ri, read in incidence[x]])))
-                for x in elements
-            ]
-            ordered = sorted(set(sigs))
-            if len(ordered) == ncells:
-                break
-            index = {s: i for i, s in enumerate(ordered)}
-            col = [-1] + [index[s] for s in sigs]
-            ncells = len(ordered)
-        return col, ncells
+    def one_round(cells: list[int]) -> list[int]:
+        """Each non-singleton cell splits by its elements' keys, read off the
+        cells' ranks, the parts in key order."""
+        col = [-1] * (n + 1)
+        for c, m in enumerate(cells):
+            for x in _bits(m):
+                col[x] = c
 
-    def target(part) -> list[int] | None:
-        col, ncells = part
-        if ncells == n:
-            return None
-        sizes = [0] * ncells
-        for x in elements:
-            sizes[col[x]] += 1
-        cx = next(c for c, size in enumerate(sizes) if size > 1)
-        return [x for x in elements if col[x] == cx]
+        def key(x: int):
+            return tuple(sorted([(ri, read(col)) for ri, read in incidence[x]]))
 
-    def descend(part, v: int) -> tuple[list[int], int]:
-        col, ncells = part
-        return refine(_individualize(col, v), ncells + 1)
+        split = []
+        for m in cells:
+            if m & (m - 1):
+                split += _split_by(_bits(m), key)
+            else:
+                split.append(m)
+        return split
 
-    def encode(part):
-        col = part[0]
-        return col, (
+    def descend(cells: list[int], v: int) -> list[int]:
+        bit = 1 << v
+        i = next(i for i, m in enumerate(cells) if m & bit)
+        return _refine(one_round, [*cells[:i], cells[i] ^ bit, bit, *cells[i + 1 :]], n)
+
+    def encode(col: list[int]):
+        return (
             tuple(tuple(sorted([read(col) for read in rs])) for rs in readers),
             tuple(col[v] for v in consts),
         )
@@ -170,9 +196,12 @@ def _general_steps(struct: "Structure"):
     def relabel(lab: list[int]):
         return tuple(frozenset(sorted([read(lab) for read in rs])) for rs in readers)
 
-    # with no constants, the initial partition is the unit partition
-    start = _initial_colors(struct) if consts else ([-1] + [0] * n, min(n, 1))
-    return refine(*start), target, descend, encode, relabel
+    # constants seed cells of their own, keyed by the names each element interprets
+    named: list[list[str]] = [[] for _ in range(n + 1)]
+    for cname, val in zip(struct.language.constants, consts):
+        named[val].append(cname)
+    seeded = _split_by(range(1, n + 1), lambda x: tuple(sorted(named[x])))
+    return _refine(one_round, seeded, n), descend, encode, relabel
 
 
 # ---------------------------------------------------------------------------
@@ -193,16 +222,6 @@ def _graph_masks(struct: "Structure") -> list[int] | None:
             return None
         adj[a] |= 1 << b
     return adj
-
-
-def _bits(m: int) -> list[int]:
-    """The elements of the mask ``m``, ascending."""
-    xs = []
-    while m:
-        low = m & -m
-        xs.append(low.bit_length() - 1)
-        m ^= low
-    return xs
 
 
 def _mask_round(adj: list[int], cells: list[int]) -> list[int]:
@@ -231,9 +250,9 @@ def _mask_round(adj: list[int], cells: list[int]) -> list[int]:
 
 
 def _mask_unit_round(adj: list[int]) -> list[int]:
-    """The first mask refinement round from the unit partition of two or more
-    elements, without keys: the elements with no neighbours, then the others
-    by decreasing degree."""
+    """The first mask refinement round from the unit partition, without keys:
+    the elements with no neighbours, then the others by decreasing degree.
+    With fewer than two elements, the unit partition itself."""
     n = len(adj) - 1
     parts: dict[int, int] = {}
     for x in range(1, n + 1):
@@ -265,74 +284,36 @@ def _mask_individualize(adj: list[int], cells: list[int], v: int) -> list[int]:
 
 
 def _mask_steps(struct: "Structure", adj: list[int]):
-    """Mask refinement over lists of cell masks, the exact first rounds from
-    the unit partition and after individualizing, the relabeled edge bits
-    as leaf encoding, and the relabeled edges as the form."""
+    """Mask rounds, the exact first rounds from the unit partition and after
+    individualizing, the relabeled edge bits as leaf encoding, and the
+    relabeled edges as the form."""
     n = struct.n
     edges = list(struct.rel_tuples[0])
     top = n * n - 1
-
-    def refine(cells: list[int]) -> list[int]:
-        if len(cells) == 1 < n:
-            cells = _mask_unit_round(adj)
-            if len(cells) == 1:
-                return cells
-        while len(cells) < n:
-            split = _mask_round(adj, cells)
-            if len(split) == len(cells):
-                break
-            cells = split
-        return cells
-
-    def target(cells: list[int]) -> list[int] | None:
-        if len(cells) == n:
-            return None
-        return _bits(next(m for m in cells if m & (m - 1)))
+    one_round = partial(_mask_round, adj)
 
     def descend(cells: list[int], v: int) -> list[int]:
         # when no cell splits, the individualized partition is already equitable
         split = _mask_individualize(adj, cells, v)
-        return split if len(split) == len(cells) + 1 else refine(split)
+        return split if len(split) == len(cells) + 1 else _refine(one_round, split, n)
 
-    def encode(cells: list[int]) -> tuple[list[int], int]:
-        col = [-1] * (n + 1)
-        for c, m in enumerate(cells):
-            col[m.bit_length() - 1] = c
-        return col, -sum([1 << (top - n * col[a] - col[b]) for a, b in edges])
+    def encode(col: list[int]) -> int:
+        return -sum([1 << (top - n * col[a] - col[b]) for a, b in edges])
 
     def relabel(lab: list[int]):
         return (frozenset(sorted([(lab[a], lab[b]) for a, b in edges])),)
 
-    # the unit partition, of no cells when there are no elements
-    return refine([(1 << n + 1) - 2] if n else []), target, descend, encode, relabel
+    # a single cell after the exact first round is already equitable
+    cells = _mask_unit_round(adj)
+    return (cells if len(cells) == 1 else _refine(one_round, cells, n)), descend, encode, relabel
 
 
 def _steps(struct: "Structure"):
-    """For ``struct``: the refined initial partition; the target cell's
-    elements, ascending, or None at a leaf; the step that individualizes an
-    element and refines; the colors and encoding of a leaf; and the form's
-    relabeled tuples."""
+    """For ``struct``: the refined initial partition; the step that
+    individualizes an element and refines; the encoding of a leaf's colors;
+    and the form's relabeled tuples."""
     adj = _graph_masks(struct)
-    return _general_steps(struct) if adj is None else _mask_steps(struct, adj)
-
-
-def _initial_colors(struct: "Structure") -> tuple[list[int], int]:
-    # constants seed their own cells, keyed by the set of names they interpret
-    named = {x: [] for x in struct.elements()}
-    for cname, val in zip(struct.language.constants, struct.const_vals):
-        named[val].append(cname)
-    seeds = [tuple(sorted(named[x])) for x in struct.elements()]
-    ordered = sorted(set(seeds))
-    index = {s: i for i, s in enumerate(ordered)}
-    return [-1] + [index[s] for s in seeds], len(ordered)
-
-
-def _individualize(col: list[int], x: int) -> list[int]:
-    """Split x off its cell, just above it; later cells move up by one."""
-    cx = col[x]
-    new = [c + (c > cx) for c in col]
-    new[x] = cx + 1
-    return new
+    return _signature_steps(struct) if adj is None else _mask_steps(struct, adj)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +331,7 @@ class CanonicalData:
 def _search(struct: "Structure", steps=_steps):
     n = struct.n
     elements = range(1, n + 1)
-    root, target, descend, encode, relabel = steps(struct)
+    root, descend, encode, relabel = steps(struct)
 
     first_enc = first_col = first_path = None
     best_enc = best_col = None
@@ -360,9 +341,12 @@ def _search(struct: "Structure", steps=_steps):
     def fixing(prefix):
         return [g for g in gens if all(g[p - 1] == p for p in prefix)]
 
-    def leaf(part, path) -> int:
+    def leaf(cells: list[int], path) -> int:
         nonlocal first_enc, first_col, first_path, best_enc, best_col
-        col, enc = encode(part)
+        col = [-1] * (n + 1)
+        for c, m in enumerate(cells):
+            col[m.bit_length() - 1] = c
+        enc = encode(col)
         if best_enc is None or enc < best_enc:
             best_enc, best_col = enc, col
         if first_enc is None:
@@ -378,12 +362,13 @@ def _search(struct: "Structure", steps=_steps):
             return next(i for i, (a, b) in enumerate(zip(path, first_path)) if a != b)
         return len(path)
 
-    def rec(part, prefix) -> int:
+    def rec(cells: list[int], prefix) -> int:
         """Explore below ``prefix``; return the depth to resume at."""
         nonlocal order
-        cell = target(part)
-        if cell is None:
-            return leaf(part, prefix)
+        if len(cells) == n:
+            return leaf(cells, prefix)
+        # the target cell: the first non-singleton one
+        cell = _bits(next(m for m in cells if m & (m - 1)))
         on_first_path = first_enc is None
         explored: list[int] = []
         known = len(gens)
@@ -397,7 +382,7 @@ def _search(struct: "Structure", steps=_steps):
                 seen |= orbit([v], fix)
             else:
                 seen.add(v)
-            depth = rec(descend(part, v), prefix + (v,))
+            depth = rec(descend(cells, v), prefix + (v,))
             if depth < len(prefix):
                 return depth
             if len(gens) != known:

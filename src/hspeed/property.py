@@ -38,9 +38,12 @@ bits, and both searches mark orbits with one helper.
 Forbidden induced substructures are checked through one compiled index
 per spec.  For a forbidden size m, the slots are the least tuples of the
 blocks of [m] (i < j for the graph base, increasing tuples for the
-uniform base, all of [m]^arity per relation otherwise); the code of an ordered subset is the int whose bit b is set when slot b's
-element tuple is a tuple of the structure.  The index holds the codes of
-every labeled copy of every forbidden structure of size m, built when a
+uniform base, all of [m]^arity per relation otherwise); the code of an
+ordered subset is the int whose bit b is set when slot b's element tuple
+is a tuple of the structure.  The index holds the codes of every labeled
+copy of every forbidden structure of size m: the orbit of one copy's code
+under the bit permutations that S_m induces on the slots, marked by the
+extension searches' orbit helper.  A size's codes are built when a
 structure with at least m elements is first probed, so a probe is one set
 lookup per subset: no substructure is built and nothing is canonized.  A
 forbidden family is a tuple of structures or a function from a size m to
@@ -158,8 +161,8 @@ class _ForbiddenIndex(dict):
     and its sizes are listed once.  A function is asked for its structures
     of every size m <= n on the first probe of an n-element structure, and
     a size with none costs no subset scan.  So ``member`` on an n-element
-    structure builds each odd size <= n of the odd cycles from m! orderings
-    (362,880 for C9): a cost meant for the generation budget.
+    structure builds the codes of each odd cycle of size <= n as one orbit
+    under S_m (20,160 = 9!/18 codes for C9).
     """
 
     def __init__(self, spec: PropertySpec):
@@ -220,12 +223,19 @@ def _code(slots, rel_tuples, xs: tuple[int, ...]) -> int:
 
 def _size_codes(language: Language, base: str, m: int, structures: tuple[Structure, ...]):
     """The slots of size m and the codes of every labeled copy of
-    ``structures`` (all of size m): all m! orderings of each, deduplicated."""
+    ``structures`` (all of size m): each one's code orbit under S_m,
+    m!/|Aut| codes.  A permutation p of the positions moves slot b's bit to
+    the slot whose block holds p of b's position tuple; the transposition
+    (1 2) and the m-cycle generate S_m."""
     slots = _slots(language, base, m)
-    codes = frozenset(
-        _code(slots, f.rel_tuples, xs) for f in structures for xs in itertools.permutations(f.elements())
-    )
-    return slots, codes
+    ident = tuple(range(m))
+    bit_of = {(ri, t): bit for ri, read, bit in slots for t in _block(base, read(ident))}
+    perms = [(1, 0, *ident[2:]), (*ident[1:], 0)] if m > 1 else []
+    moves = [[bit_of[ri, read(p)] for ri, read, _ in slots] for p in perms]
+    codes: set[int] = set()
+    for f in structures:
+        _mark_orbit(codes, _code(slots, f.rel_tuples, tuple(f.elements())), moves)
+    return slots, frozenset(codes)
 
 
 def forbid(structures: Iterable[Structure]) -> PropertySpec:

@@ -44,6 +44,16 @@ def brute_group_order(generators, n: int) -> int:
     return len(seen)
 
 
+def brute_codes(slots, structures) -> set[int]:
+    """The codes over ``slots`` (see ``hspeed.property._slots``) of every
+    labeled copy of ``structures``, read off all m! orderings of each."""
+    return {
+        sum(bit for ri, read, bit in slots if read(xs) in f.rel_tuples[ri])
+        for f in structures
+        for xs in itertools.permutations(f.elements())
+    }
+
+
 def all_graphs(n: int):
     """Every labeled simple graph on [n]."""
     pairs = list(itertools.combinations(range(1, n + 1), 2))

@@ -3,6 +3,7 @@ one without limit.  And no search leaves a reference cycle behind."""
 
 import gc
 import importlib
+import itertools
 import inspect
 import pkgutil
 
@@ -41,17 +42,27 @@ def test_searches_leave_no_reference_cycles():
     """A search whose closure calls itself is deleted before its function
     returns, so no call leaves garbage for the cycle collector."""
     from hspeed.arrays import supports_m_array, type_space
-    from hspeed.corpus import matching, symmetric_bipartite_template, tight_cycle
+    from hspeed.canon import canonical_data
+    from hspeed.corpus import cycle, matching, symmetric_bipartite_template, tight_cycle
     from hspeed.oscillate import max_subgraph_density
+    from hspeed.property import PropertySpec, speed
+    from hspeed.structures import Language, make_structure, uniform_language
     from hspeed.template import enumerate_compatible, in_age
 
     template = symmetric_bipartite_template()
     tp = type_space(matching(3), "E", [1], [])[0]
+    triples = make_structure(uniform_language(3), 6, {"R": [p for e in ((1, 2, 3), (3, 4, 5), (5, 6, 1))
+                                                          for p in itertools.permutations(e)]})
+    named = make_structure(Language((("E", 2),), ("a", "b")), 5, {"E": [(1, 2), (2, 3), (4, 5)]}, {"a": 1, "b": 3})
     calls = [
         lambda: supports_m_array(tp, 2),
         lambda: enumerate_compatible(template, 5),
         lambda: in_age(matching(2), template),
         lambda: max_subgraph_density(tight_cycle(3, 16)),
+        lambda: canonical_data.__wrapped__(cycle(8)),  # the mask path
+        lambda: canonical_data.__wrapped__(triples),  # the signature path
+        lambda: canonical_data.__wrapped__(named),  # the signature path, seeded by constants
+        lambda: speed(PropertySpec(uniform_language(3), "uniform"), 5),  # the group extension search
     ]
     gc.collect()
     gc.disable()

@@ -12,21 +12,21 @@ import json
 import math
 import random
 
+import pytest
 from conftest import all_graphs
 from hspeed import canon
 from hspeed.canon import (
     _bits,
-    _general_steps,
     _graph_masks,
-    _individualize,
     _mask_individualize,
     _mask_round,
     _mask_steps,
     _mask_unit_round,
     _search,
+    _signature_steps,
     canonical_data,
 )
-from hspeed.property import all_graphs_property, speed
+from hspeed.property import PropertySpec, all_graphs_property, speed
 from hspeed.structures import GRAPH, Language, graph, make_structure, structure_to_json, uniform_language
 
 MIXED = Language(relations=(("U", 1), ("E", 2), ("T", 3)), constants=("a", "b"))
@@ -123,7 +123,7 @@ def test_mask_path_matches_signature_path():
     for g in _seeded_graphs(20241, 500, range(7, 13)):
         assert _graph_masks(g) is not None
         fast = _search(g)
-        general = _search(g, _general_steps)
+        general = _search(g, _signature_steps)
         assert fast == general, sorted(g.rel_tuples[0])
         assert repr(fast[1]) == repr(general[1])
 
@@ -177,12 +177,10 @@ def _split_test_graphs(seed: int):
             yield graph(n, [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < p])
 
 
-def _cells(col: list[int], ncells: int) -> list[int]:
-    """The cell masks of a color list, in rank order."""
-    cells = [0] * ncells
-    for x, c in enumerate(col[1:], 1):
-        cells[c] |= 1 << x
-    return cells
+def _individualized(cells: list[int], v: int) -> list[int]:
+    """``cells`` with v split off its cell and placed alone just after it."""
+    i = next(i for i, m in enumerate(cells) if m >> v & 1)
+    return cells[:i] + [cells[i] ^ 1 << v, 1 << v] + cells[i + 1:]
 
 
 def _refined(adj: list[int], cells: list[int]) -> list[int]:
@@ -205,7 +203,7 @@ def test_first_round_split_is_one_full_round():
     for g in _split_test_graphs(20251):
         n = g.n
         adj = _graph_masks(g)
-        root, _, descend, _, _ = _mask_steps(g, adj)
+        root, descend, _, _ = _mask_steps(g, adj)
         unit = [(1 << n + 1) - 2]
         by_degree: dict[int, int] = {}
         for x in range(1, n + 1):
@@ -214,7 +212,7 @@ def test_first_round_split_is_one_full_round():
         # no neighbours first, then decreasing degree
         ranking = [by_degree[d] for d in sorted(by_degree, key=lambda d: (d > 0, -d))]
         assert _mask_unit_round(adj) == _mask_round(adj, unit) == ranking, sorted(g.rel_tuples[0])
-        assert root == _refined(adj, unit) == _cells(*_general_steps(g)[0])
+        assert root == _refined(adj, unit) == _signature_steps(g)[0]
         level = [root]
         for depth in range(3):
             below = []
@@ -227,7 +225,7 @@ def test_first_round_split_is_one_full_round():
                 for v in range(1, n + 1):
                     if col.count(col[v]) == 1:
                         continue
-                    individualized = _cells(_individualize(col, v), len(cells) + 1)
+                    individualized = _individualized(cells, v)
                     split = _mask_individualize(adj, cells, v)
                     assert split == _mask_round(adj, individualized), (sorted(g.rel_tuples[0]), cells, v)
                     child = descend(cells, v)
@@ -298,7 +296,7 @@ def test_mask_path_matches_signature_path_on_symmetric_graphs():
                 copy = h if seed is None else _relabeled(h, seed)
                 assert _graph_masks(copy) is not None
                 fast = _search(copy)
-                general = _search(copy, _general_steps)
+                general = _search(copy, _signature_steps)
                 assert fast == general, (label, seed)
                 assert repr(fast[1]) == repr(general[1]), (label, seed)
                 if aut is not None:
@@ -307,33 +305,58 @@ def test_mask_path_matches_signature_path_on_symmetric_graphs():
             assert len(forms) == 1, label
 
 
-def test_search_tree_of_all_graphs_at_seven(monkeypatch):
-    """The canonizations of ``speed(all_graphs_property(), 7)`` run 1,300
-    initial refinements, 6,122 individualize-and-refine steps and 3,558
-    leaves, and find 2,253 generators: a pruning change shows as a count."""
+def _search_tree(monkeypatch, steps_name: str, spec, n_max: int):
+    """``speed(spec, n_max)`` with generation canonizing past the cache and
+    the step set ``canon.<steps_name>`` counted: its initial refinements,
+    individualize-and-refine steps and leaves, and the generators found."""
     counts = dict(refinements=0, descents=0, leaves=0, generators=0)
-    mask_steps = canon._mask_steps
+    steps = getattr(canon, steps_name)
 
-    def counted_steps(struct, adj):
+    def counted_steps(*args):
         counts["refinements"] += 1
-        root, target, descend, encode, relabel = mask_steps(struct, adj)
+        root, descend, encode, relabel = steps(*args)
 
         def counted_descend(cells, v):
             counts["descents"] += 1
             return descend(cells, v)
 
-        def counted_encode(cells):
+        def counted_encode(col):
             counts["leaves"] += 1
-            return encode(cells)
+            return encode(col)
 
-        return root, target, counted_descend, counted_encode, relabel
+        return root, counted_descend, counted_encode, relabel
 
     def uncached(struct):
         data = canonical_data.__wrapped__(struct)
         counts["generators"] += len(data.aut_generators)
         return data
 
-    monkeypatch.setattr(canon, "_mask_steps", counted_steps)
+    monkeypatch.setattr(canon, steps_name, counted_steps)
     monkeypatch.setattr("hspeed.property.canonical_data", uncached)
-    assert speed(all_graphs_property(), 7).labeled(7) == 2 ** 21
+    return speed(spec, n_max), counts
+
+
+def test_search_tree_of_all_graphs_at_seven(monkeypatch):
+    """The canonizations of ``speed(all_graphs_property(), 7)`` run 1,300
+    initial refinements, 6,122 individualize-and-refine steps and 3,558
+    leaves, and find 2,253 generators: a pruning change shows as a count."""
+    table, counts = _search_tree(monkeypatch, "_mask_steps", all_graphs_property(), 7)
+    assert table.labeled(7) == 2 ** 21
     assert counts == dict(refinements=1300, descents=6122, leaves=3558, generators=2253)
+
+
+@pytest.mark.parametrize(
+    "spec, n_max, classes, tree",
+    [
+        (PropertySpec(uniform_language(3), "uniform"), 6, [1, 1, 2, 5, 34, 2136], (2884, 4968, 5024, 1993)),
+        (PropertySpec(Language((("U", 1), ("R", 2)))), 3, [4, 36, 752], (798, 304, 946, 148)),
+    ],
+    ids=["3-graphs", "unary-binary"],
+)
+def test_search_tree_of_the_signature_path(monkeypatch, spec, n_max, classes, tree):
+    """The signature path's search tree, counted as the graph pin counts the
+    mask path's: all 3-graphs to n=6 and the structures over U/1 + R/2
+    (base none) to n=3, none of which is a graph."""
+    table, counts = _search_tree(monkeypatch, "_signature_steps", spec, n_max)
+    assert [row.unlabeled for row in table.rows] == classes
+    assert counts == dict(zip(("refinements", "descents", "leaves", "generators"), tree))

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import all_graphs, brute_group_order
+from conftest import all_graphs, brute_codes, brute_group_order
 from hspeed.canon import canonical_data
 from hspeed.corpus import cycle, inf_clique_template, path
 from hspeed.errors import BudgetExceeded, TooFewRows
@@ -850,6 +850,25 @@ class TestForbiddenIndex:
             assert len(_slots(TRIPLES, BASE_UNIFORM, m)) == math.comb(m, 3)
             assert len(_slots(LOOPED, "none", m)) == m * m
             assert len(_slots(UNARY_BINARY, "none", m)) == m + m * m
+
+    @pytest.mark.parametrize("lang, base", CASES, ids=["graph", "looped", "unary-binary", "uniform-3"])
+    def test_codes_are_the_orbit_of_one_copy(self, lang, base):
+        """A size's codes, marked as orbits under S_m, are the codes of all m!
+        orderings of each forbidden structure."""
+        from hspeed.property import _size_codes
+
+        rng = random.Random(len(lang.relations) * 7 + len(base))
+        for m in range(7):
+            for count in (1, 1, 1, 1, 2, 3):
+                family = tuple(random_member_of_base(rng, lang, base, m) for _ in range(count))
+                slots, codes = _size_codes(lang, base, m, family)
+                assert codes == brute_codes(slots, family), (m, family)
+
+    def test_odd_cycle_codes_are_cosets(self):
+        """C_m has m!/2m labeled copies: 20,160 for C9."""
+        index = bipartite_property()._forbidden_index
+        for m in (3, 5, 7, 9):
+            assert len(index[m][1]) == math.factorial(m) // (2 * m)
 
     def test_codes_of_a_size_are_built_on_first_probe_at_that_size(self, monkeypatch):
         import hspeed.property
