@@ -134,11 +134,21 @@ def _cmd_probe(args):
         payload = {
             "verdict": "refuted",
             "witness": structure_to_json(verdict.witness),
-            "detail": {k: str(v) for k, v in verdict.detail.items()},
+            "detail": {k: _detail_value(k, v) for k, v in verdict.detail.items()},
         }
     else:
         payload = {"verdict": "consistent", "checked_upto": verdict.checked_upto}
     _emit(payload, args)
+
+
+def _detail_value(key: str, value):
+    """A refuted probe's split as 1-based positions, as ``--split`` reads
+    them, its assignment as a list, and every other detail as a string."""
+    if key == "split":
+        return [p + 1 for p in value]
+    if key == "assignment":
+        return list(value)
+    return str(value)
 
 
 def _cmd_template_count(args):
@@ -363,8 +373,8 @@ def _actions(sub, name, help):
 def _property_options(p) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--forbid", help="comma-separated forbidden structure files")
-    group.add_argument("--property", "--spec", dest="property",
-                       choices=sorted(property_mod.BUILTIN_PROPERTIES), help="built-in property name")
+    group.add_argument("--property", choices=sorted(property_mod.BUILTIN_PROPERTIES),
+                       help="built-in property name")
 
 
 @functools.lru_cache(maxsize=1)
@@ -441,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (balanced, member, sample, sequence):
         p.add_argument("--c", default="1")
     for p in (member, blowup):
-        p.add_argument("--hypergraph", "--h", dest="hypergraph", required=True)
+        p.add_argument("--hypergraph", required=True)
     for p in (blowup, sample):
         p.add_argument("--n", type=int, required=True)
     member.add_argument("--mode", choices=["q", "s", "p"], default="q")

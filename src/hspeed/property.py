@@ -305,7 +305,8 @@ def default_budget(language: Language, base: str) -> int:
     structures the base allows and 2^B(n)/n! bounds their classes from
     below; 300,000 is the scale of all graphs at n=9.  Graphs keep 9 and
     3-graphs 6; one ternary relation over base ``none`` gets 2, as its
-    extension search at n=3 has 2^19 leaves for each parent."""
+    extension search at n=3 has 2^19 leaves for each parent.  It is the
+    only cap on generation, and an explicit budget replaces it."""
     cap = 9 if language.arity <= 2 else 6
     top = [0] * cap  # top[k]: the blocks whose least tuple's largest entry is k
     for _, t in _least_tuples(language, base, range(cap)):
@@ -439,10 +440,6 @@ def _group_extensions(spec: PropertySpec, parent: Structure, generators):
         return len(elements), sorted(elements)
 
     blocks.sort(key=support)
-    for _, group in itertools.groupby(blocks, key=support):
-        size = sum(1 for _ in group)
-        if size > 12:
-            raise BudgetExceeded(f"extension group of {size} tuples is too large to enumerate")
     # each generator, fixing v, maps block b's bit to the bit of its image
     bit_of = {rt: 1 << b for b, block in enumerate(blocks) for rt in block}
     moves = []

@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .canon import canonical_data, orbit
 from .errors import (
     ArityMismatch,
     InterpretationIncomplete,
@@ -419,5 +420,3 @@ def dump_structure(struct: Structure, path: str):
         json.dump(structure_to_json(struct), fh, sort_keys=True, indent=1)
         fh.write("\n")
 
-
-from .canon import canonical_data, orbit  # noqa: E402  (cycle: canon needs Structure)

@@ -170,29 +170,35 @@ def is_compatible(struct: Structure, template: Template):
     Finite classes must be matched in size exactly; parts for infinite
     classes must exceed the threshold K.
     """
-    K = template.threshold
-    return _assign(struct, template, [int(s) if s != INF else K + 1 for s in template.sizes])
+    return next(_partitions(template, struct.n, _exact_minimums(template), struct), None)
 
 
 def in_age(struct: Structure, template: Template) -> bool:
     """Membership in the template's age: embeds with part sizes at most the
     class sizes, with no minimum on parts for infinite classes."""
-    return _assign(struct, template, [0] * template.k) is not None
+    return next(_partitions(template, struct.n, [0] * template.k, struct), None) is not None
 
 
-def _assign(struct: Structure, template: Template, low: list[int]):
-    """First ordered partition instantiating the structure with part i of
-    size between low[i-1] and the i-th class size, or None.  Elements 1..n
-    try classes 1..k in turn, pruned by the signature and the part minimums."""
-    if struct.language != template.language:
+def _exact_minimums(template: Template) -> list[int]:
+    """The part minimums of Omega: a finite class's size, K + 1 for an infinite class."""
+    K = template.threshold
+    return [int(s) if s != INF else K + 1 for s in template.sizes]
+
+
+def _partitions(template: Template, n: int, low: list[int], struct: Structure | None = None):
+    """Each ordered partition of [n] with part i of size between low[i-1]
+    and the i-th class size, and, when a structure is given, instantiating
+    it.  Elements 1..n try classes 1..k in turn, pruned by the part
+    minimums and by the signature.  This is the one class-assignment search
+    behind compatibility, ages and enumeration."""
+    if struct is not None and struct.language != template.language:
         raise LanguageMismatch("structure and template over different languages")
-    n, k = struct.n, template.k
     if n < sum(low):
-        return None
+        return
     sigma = dict(template.sigma)
-    want = {d: realizations(struct, d) for d in sigma}
+    want = {d: realizations(struct, d) for d in sigma} if struct is not None else {}
     assign: dict[int, int] = {}
-    counts = [0] * k
+    parts: list[set[int]] = [set() for _ in template.sizes]
 
     def consistent_with(e: int) -> bool:
         # verify every atom tuple involving e against the signature, both directions
@@ -211,25 +217,25 @@ def _assign(struct: Structure, template: Template, low: list[int]):
 
     def rec(e: int):
         if e > n:
-            return tuple(frozenset(x for x, c in assign.items() if c == i) for i in range(1, k + 1))
-        for i in range(k):
-            if counts[i] >= template.sizes[i]:
+            # a frozenset's iteration order, and so a member's repr, follows insertion order
+            yield tuple(frozenset(sorted(P)) for P in parts)
+            return
+        for i, part in enumerate(parts):
+            if len(part) >= template.sizes[i]:
                 continue
-            counts[i] += 1
+            part.add(e)
             assign[e] = i + 1
             # the elements after e must still fill every part to its minimum
-            deficit = sum(max(0, lo - c) for lo, c in zip(low, counts))
-            if deficit <= n - e and consistent_with(e):
-                res = rec(e + 1)
-                if res is not None:
-                    return res
-            counts[i] -= 1
+            deficit = sum(max(0, lo - len(P)) for lo, P in zip(low, parts))
+            if deficit <= n - e and (struct is None or consistent_with(e)):
+                yield from rec(e + 1)
+            part.discard(e)
             del assign[e]
-        return None
 
-    found = rec(1)
-    del rec  # it reaches itself through its closure: free the search without the cycle collector
-    return found
+    try:
+        yield from rec(1)
+    finally:
+        del rec  # it reaches itself through its closure; a caller may stop early, so free it on close
 
 
 # ---------------------------------------------------------------------------
@@ -241,21 +247,14 @@ def omega_count(template: Template, n: int) -> int:
     if n < 0:
         raise ValueError("n must be >= 0")
     c = template.finite_total
-    ell = template.ell
-    K = template.threshold
-    if ell == 0:
-        return 1 if n == c else 0
     total = 0
-    for comp in _compositions(n - c, ell, K + 1):
+    for comp in _compositions(n - c, template.ell, template.threshold + 1):
         total += _multinomial(n, list(comp) + list(template.finite_sizes))
     return total
 
 
 def _compositions(total: int, parts: int, minimum: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
+    """Ordered tuples of ``parts`` >= 1 integers, each at least ``minimum``, summing to ``total``."""
     if parts == 1:
         if total >= minimum:
             yield (total,)
@@ -350,43 +349,23 @@ def count_compatible(template: Template, n: int) -> int:
 def enumerate_compatible(template: Template, n: int, budget: int = ENUMERATION_BUDGET) -> list[Structure]:
     """All distinct structures on [n] compatible with the template.
 
-    Aut* permutes the ordered partitions and keeps each one's structure, so
-    only the partition least in the visiting order of its Aut* orbit is
-    instantiated."""
+    The search of ``is_compatible`` and ``in_age`` lists the ordered
+    partitions.  Aut* permutes them and keeps each one's structure, so a
+    member is built only from the partition least in its Aut* orbit by the
+    per-part (size, sorted elements) key, and those partitions are
+    instantiated in that key's order."""
     if n > budget:
         raise BudgetExceeded(f"n = {n} exceeds enumeration budget {budget}")
-    K = template.threshold
-    caps = [int(s) if s != INF else None for s in template.sizes]
     preimages = [[p.index(j) for j in range(1, template.k + 1)] for p in aut_star(template)[0]]
+    least = []
+    for parts in _partitions(template, n, _exact_minimums(template)):
+        key = [(len(P), sorted(P)) for P in parts]
+        if all(key <= [key[i] for i in pre] for pre in preimages):
+            least.append((key, parts))
+    least.sort(key=lambda pair: pair[0])
     seen: dict[Structure, None] = {}
-    elems = list(range(1, n + 1))
-
-    def rec(idx: int, rest: list[int], parts: list[frozenset[int]]):
-        if idx == template.k:
-            key = [(len(P), sorted(P)) for P in parts]
-            if not rest and all(key <= [key[i] for i in pre] for pre in preimages):
-                struct = instantiate(template, tuple(parts), n)
-                seen.setdefault(struct)
-            return
-        cap = caps[idx]
-        if cap is not None:
-            sizes = [cap]
-        else:
-            remaining_inf = sum(1 for c in caps[idx + 1:] if c is None)
-            hi = len(rest) - remaining_inf * (K + 1)
-            sizes = range(K + 1, hi + 1)
-        if idx == template.k - 1:
-            # the last class takes all that is left
-            sizes = [len(rest)] if len(rest) in sizes else []
-        for size in sizes:
-            if size > len(rest):
-                continue
-            for chosen in itertools.combinations(rest, size):
-                chosen_set = set(chosen)
-                rec(idx + 1, [e for e in rest if e not in chosen_set], parts + [frozenset(chosen)])
-
-    rec(0, elems, [])
-    del rec  # it reaches itself through its closure: free the search without the cycle collector
+    for _, parts in least:
+        seen.setdefault(instantiate(template, parts, n))
     return sorted(seen, key=lambda s: sorted(sorted(t) for ts in s.rel_tuples for t in ts))
 
 

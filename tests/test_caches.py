@@ -47,9 +47,10 @@ def test_searches_leave_no_reference_cycles():
     from hspeed.oscillate import max_subgraph_density
     from hspeed.property import PropertySpec, speed
     from hspeed.structures import Language, make_structure, uniform_language
-    from hspeed.template import enumerate_compatible, in_age
+    from hspeed.template import enumerate_compatible, in_age, instantiate, is_compatible
 
     template = symmetric_bipartite_template()
+    k33 = instantiate(template, (frozenset({1, 3, 5}), frozenset({2, 4, 6})), 6)
     tp = type_space(matching(3), "E", [1], [])[0]
     triples = make_structure(uniform_language(3), 6, {"R": [p for e in ((1, 2, 3), (3, 4, 5), (5, 6, 1))
                                                           for p in itertools.permutations(e)]})
@@ -58,6 +59,8 @@ def test_searches_leave_no_reference_cycles():
         lambda: supports_m_array(tp, 2),
         lambda: enumerate_compatible(template, 5),
         lambda: in_age(matching(2), template),
+        lambda: is_compatible(k33, template),  # stops at the first partition, a witness
+        lambda: is_compatible(cycle(6), template),  # runs the search to the end, no witness
         lambda: max_subgraph_density(tight_cycle(3, 16)),
         lambda: canonical_data.__wrapped__(cycle(8)),  # the mask path
         lambda: canonical_data.__wrapped__(triples),  # the signature path

@@ -146,6 +146,74 @@ class TestDispatch:
         assert json.loads(err)["error"] == "unknown-kind"
 
 
+class TestRefutedProbesUnionAndMembership:
+    """The refuted probe payloads, ``template union`` and the S and P modes of ``osc member``."""
+
+    def test_refuted_probe_basic_witness_loads_back(self, capsys, tmp_path):
+        from hspeed.simclass import class_count
+        from hspeed.structures import load_structure
+
+        code, out, _ = run(capsys, "probe", "basic", "--property", "matching", "--k", "1", "--nmax", "4")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verdict"] == "refuted"
+        assert payload["detail"] == {"bound": "1", "classes": "2"}
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(payload["witness"]))
+        assert class_count(load_structure(str(path))) == 2
+
+    def test_refuted_probe_tb_detail_is_json(self, capsys, tmp_path):
+        from hspeed.structures import load_structure
+
+        code, out, _ = run(capsys, "probe", "tb", "--property", "all-graphs", "--k", "2", "--nmax", "4")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verdict"] == "refuted"
+        # split holds 1-based positions, as --split reads them; counts stay decimal strings
+        assert payload["detail"] == {"relation": "E", "split": [1], "assignment": [1], "completions": "2"}
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(payload["witness"]))
+        witness = load_structure(str(path))
+        split, assignment = payload["detail"]["split"], payload["detail"]["assignment"]
+        completions = {t for t in witness.tuples_of("E") if [t[p - 1] for p in split] == assignment}
+        assert len(completions) == int(payload["detail"]["completions"])
+
+    def test_template_union_equals_union_speed(self, capsys, tmp_path):
+        from hspeed.corpus import inf_empty_template, symmetric_bipartite_template
+        from hspeed.template import template_to_json, union_speed
+
+        templates = [symmetric_bipartite_template(), inf_empty_template(), symmetric_bipartite_template()]
+        paths = []
+        for i, t in enumerate(templates):
+            paths.append(tmp_path / f"t{i}.json")
+            paths[-1].write_text(json.dumps(template_to_json(t)))
+        for n in (1, 5, 8):
+            code, out, _ = run(capsys, "template", "union", "--template", ",".join(map(str, paths)), "--n", str(n))
+            assert code == 0
+            assert json.loads(out) == {"n": n, "count": str(union_speed(templates, n)), "seed": 0}
+
+    @pytest.mark.parametrize("c", ["1", "9/10", "1/2", "2/5"])
+    def test_osc_member_s_and_p_modes(self, capsys, tmp_path, c):
+        from fractions import Fraction
+
+        from hspeed.oscillate import in_P, in_S, load_hypergraph
+
+        path = tmp_path / "tight.json"
+        code, out, _ = run(capsys, "corpus", "--kind", "tight-cycle", "--param", "r=3", "--param", "v=8")
+        assert code == 0
+        path.write_text(out)
+        g = load_hypergraph(str(path))
+        code, out, _ = run(capsys, "osc", "member", "--hypergraph", str(path), "--mode", "s", "--c", c)
+        assert code == 0
+        assert json.loads(out) == {"mode": "s", "c": c, "member": in_S(g, Fraction(c)), "seed": 0}
+        for nu in ("4", "4,5,6", "3,5"):
+            argv = ["osc", "member", "--hypergraph", str(path), "--mode", "p", "--nu", nu, "--c", c]
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            expected = in_P(g, [int(x) for x in nu.split(",")], Fraction(c))
+            assert json.loads(out) == {"mode": "p", "c": c, "member": expected, "seed": 0}
+
+
 class TestReproducibility:
     def test_sampler_byte_identical(self, capsys, tmp_path):
         args = [
@@ -202,6 +270,9 @@ class TestReproducibility:
         ["speed", "--property", "matching", "--forbid", "{structure}", "--nmax", "4"],
         ["speed", "--property", "no-such-property", "--nmax", "4"],
         ["speed", "--property", "matching", "--nmax", "4", "--seed", "3"],
+        # one spelling per option: --property and --hypergraph have no aliases
+        ["speed", "--spec", "matching", "--nmax", "4"],
+        ["osc", "member", "--h", "{hypergraph}"],
         ["osc", "balanced", "--steps", "2"],
         ["osc", "balanced", "--steps", "9", "--materialize"],
         ["osc", "member", "--hypergraph", "{hypergraph}", "--mode", "q", "--nu", "3"],

@@ -493,13 +493,23 @@ class TestSpeed:
         with pytest.raises(BudgetExceeded):
             speed(all_graphs_property(), 10)
 
-    def test_extension_group_guard(self):
-        # base none: a 4-ary relation has 14 tuples with support {1, 2}, too many
-        # subsets to enumerate; a 3-ary one has 6
-        with pytest.raises(BudgetExceeded, match="extension group of 14 tuples"):
-            speed(PropertySpec(Language((("R", 4),)), "none"), 2, budget=2)
+    def test_extension_search_over_base_none(self):
+        # base none: one ternary relation has 2^8 labeled structures on [2];
+        # the swap of 1 and 2 pairs its 8 tuples, so Burnside gives (2^8 + 2^4) / 2
         table = speed(PropertySpec(Language((("R", 3),)), "none"), 2, budget=2)
-        assert [r.unlabeled for r in table.rows] == [2, 136]  # (2^8 + 2^4) / 2 at n=2
+        assert [r.labeled for r in table.rows] == [2, 2**8]
+        assert [r.unlabeled for r in table.rows] == [2, 136]
+
+    @pytest.mark.slow
+    def test_quaternary_relation_at_default_budget(self):
+        # default_budget is the only cap on generation: one 4-ary relation gets n = 2,
+        # where 15 of its 16 tuples over [2] hold v = 2, 14 of them with support {1, 2}.
+        # The swap of 1 and 2 pairs the 16 tuples, so Burnside gives (2^16 + 2^8) / 2
+        lang = Language((("R", 4),))
+        assert default_budget(lang, "none") == 2
+        table = speed(PropertySpec(lang, "none"), 2)
+        assert [r.labeled for r in table.rows] == [2, 2**16]
+        assert [r.unlabeled for r in table.rows] == [2, 32_896]
 
     def test_budget_override(self):
         table = speed(edgeless_property(), 10, budget=10)
