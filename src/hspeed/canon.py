@@ -11,7 +11,7 @@ list indexed by element holding the ranks 0..n-1, slot 0 holding -1.
 Individualizing x splits it off its cell and places it alone just after
 the rest of that cell.  One search runs over one of two step sets, chosen
 from the input, which differ only in the round, the exact first rounds,
-the leaf encoding and the form.
+the leaf encoding, the form and the twin cells below.
 
 * A graph (one binary relation, no constants, symmetric and loop-free)
   keys on adjacency, one mask per element: an element keys as ``()`` when
@@ -57,12 +57,33 @@ the first path v_1..v_k: |Aut| is the product of the orbit sizes of v_i
 under the generators that fix v_1..v_{i-1} (McKay 1981), each taken when
 the search leaves v_i's node, as no later generator fixes v_1..v_i.
 Adequate for n <~ 12.
+
+On the mask path the search does not walk a node whose non-singleton
+cells are all sets of twins: elements with one closed neighbourhood (a
+clique) or one open neighbourhood (an independent set).  Such a partition
+is equitable, each transposition inside a cell is an automorphism, and
+individualizing an element splits no cell, so every leaf below it is the
+same relabeled graph (nauty needs no search there either, McKay and
+Piperno 2014).  The search emulates the walk exactly.  Individualizing
+each cell's elements a_1 < ... < a_k in ascending order, a_1..a_{k-1},
+cell by cell, it would first reach the leaf with each cell's elements in
+descending order; that leaf is recorded.  Off the first path the walk
+ends there: that leaf either equals the first one, yields a generator and
+backs up, or does not, and neither does any other leaf below.  On the
+first path, backing up from the last cell to the first, the node that
+individualized a_j next explores a_{j+1}, whose first leaf gives the
+transposition (a_j a_{j+1}); a_j's orbit is then a_j..a_k.  So the search
+records these transpositions for j = k-1 down to 1, cells last to first,
+and each cell multiplies |Aut| by k!.  A target cell of twins beside
+cells that are not twin classes is walked, as its generators depend on
+the walk.  The signature path has no such shortcut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from math import factorial
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
@@ -201,7 +222,7 @@ def _signature_steps(struct: "Structure"):
     for cname, val in zip(struct.language.constants, consts):
         named[val].append(cname)
     seeded = _split_by(range(1, n + 1), lambda x: tuple(sorted(named[x])))
-    return _refine(one_round, seeded, n), descend, encode, relabel
+    return _refine(one_round, seeded, n), descend, encode, relabel, None
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +304,27 @@ def _mask_individualize(adj: list[int], cells: list[int], v: int) -> list[int]:
     return split
 
 
+def _twin_cells(adj: list[int], cells: list[int]) -> bool:
+    """Whether every non-singleton cell is a set of twins: its elements have
+    one closed neighbourhood (a clique) or one open neighbourhood (an
+    independent set), so they share their neighbours outside it."""
+    for m in cells:
+        if m & (m - 1):
+            low = m & -m
+            a = adj[low.bit_length() - 1]
+            if a & m:
+                a |= low
+                if any(adj[x] | 1 << x != a for x in _bits(m ^ low)):
+                    return False
+            elif any(adj[x] != a for x in _bits(m ^ low)):
+                return False
+    return True
+
+
 def _mask_steps(struct: "Structure", adj: list[int]):
     """Mask rounds, the exact first rounds from the unit partition and after
-    individualizing, the relabeled edge bits as leaf encoding, and the
-    relabeled edges as the form."""
+    individualizing, the relabeled edge bits as leaf encoding, the relabeled
+    edges as the form, and the twin test."""
     n = struct.n
     edges = list(struct.rel_tuples[0])
     top = n * n - 1
@@ -305,13 +343,15 @@ def _mask_steps(struct: "Structure", adj: list[int]):
 
     # a single cell after the exact first round is already equitable
     cells = _mask_unit_round(adj)
-    return (cells if len(cells) == 1 else _refine(one_round, cells, n)), descend, encode, relabel
+    root = cells if len(cells) == 1 else _refine(one_round, cells, n)
+    return root, descend, encode, relabel, partial(_twin_cells, adj)
 
 
 def _steps(struct: "Structure"):
     """For ``struct``: the refined initial partition; the step that
     individualizes an element and refines; the encoding of a leaf's colors;
-    and the form's relabeled tuples."""
+    the form's relabeled tuples; and the test of a partition whose subtree
+    the search emulates, None where it walks every subtree."""
     adj = _graph_masks(struct)
     return _signature_steps(struct) if adj is None else _mask_steps(struct, adj)
 
@@ -331,7 +371,7 @@ class CanonicalData:
 def _search(struct: "Structure", steps=_steps):
     n = struct.n
     elements = range(1, n + 1)
-    root, descend, encode, relabel = steps(struct)
+    root, descend, encode, relabel, twins = steps(struct)
 
     first_enc = first_col = first_path = None
     best_enc = best_col = None
@@ -362,11 +402,46 @@ def _search(struct: "Structure", steps=_steps):
             return next(i for i, (a, b) in enumerate(zip(path, first_path)) if a != b)
         return len(path)
 
+    def twin_leaf(cells: list[int], prefix) -> int:
+        """What the search below ``prefix`` records when every non-singleton
+        cell of ``cells`` is a set of twins, without walking it."""
+        nonlocal order
+        on_first_path = first_enc is None
+        # the first leaf individualizes each cell's elements in ascending
+        # order, which leaves them in descending order
+        path = list(prefix)
+        discrete: list[int] = []
+        twins_of: list[list[int]] = []
+        for m in cells:
+            if m & (m - 1):
+                xs = _bits(m)
+                twins_of.append(xs)
+                path += xs[:-1]
+                discrete += [1 << x for x in reversed(xs)]
+            else:
+                discrete.append(m)
+        depth = leaf(discrete, tuple(path))
+        if on_first_path:
+            # backing up from the last cell to the first, the node that
+            # individualized a_j finds the transposition (a_j a_j+1), and its
+            # orbit is a_j..a_k: the cell contributes k! to |Aut|
+            identity = list(elements)
+            for xs in reversed(twins_of):
+                for j in range(len(xs) - 2, -1, -1):
+                    g = identity.copy()
+                    a, b = xs[j], xs[j + 1]
+                    g[a - 1], g[b - 1] = b, a
+                    gens.append(tuple(g))
+                order *= factorial(len(xs))
+        return min(depth, len(prefix))
+
     def rec(cells: list[int], prefix) -> int:
         """Explore below ``prefix``; return the depth to resume at."""
         nonlocal order
         if len(cells) == n:
             return leaf(cells, prefix)
+        if twins is not None and twins(cells):
+            return twin_leaf(cells, prefix)
         # the target cell: the first non-singleton one
         cell = _bits(next(m for m in cells if m & (m - 1)))
         on_first_path = first_enc is None

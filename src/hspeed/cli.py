@@ -346,7 +346,11 @@ def _cmd_corpus(args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """A grammar error raises UsageError, so it leaves main as JSON on stderr with exit 2."""
+    """A grammar error raises UsageError, so it leaves main as JSON on stderr with exit 2.
+    Every option has one spelling: no parser, subparsers included, takes a prefix of it."""
+
+    def __init__(self, *args, allow_abbrev=False, **kwargs):
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")

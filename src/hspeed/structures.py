@@ -401,12 +401,23 @@ def structure_from_json(obj: dict) -> Structure:
     )
 
 
+class _JSONObject(dict):
+    """A JSON object read by ``load_json``: asking it for a key it lacks
+    raises KeyError saying that the key is missing."""
+
+    def __missing__(self, key):
+        raise KeyError(f"missing key {key!r}")
+
+
 def load_json(path: str, decode):
-    """``decode`` applied to the JSON in ``path``; a file of a shape it cannot read raises ValueError."""
+    """``decode`` applied to the JSON in ``path``; a file of a shape it cannot
+    read, or lacking a key it reads, raises ValueError naming the path."""
     with open(path) as fh:
-        obj = json.load(fh)
+        obj = json.load(fh, object_hook=_JSONObject)
     try:
         return decode(obj)
+    except KeyError as exc:
+        raise ValueError(f"{path}: {exc.args[0]}") from None
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 

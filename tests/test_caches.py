@@ -46,7 +46,7 @@ def test_searches_leave_no_reference_cycles():
     from hspeed.corpus import cycle, matching, symmetric_bipartite_template, tight_cycle
     from hspeed.oscillate import max_subgraph_density
     from hspeed.property import PropertySpec, speed
-    from hspeed.structures import Language, make_structure, uniform_language
+    from hspeed.structures import Language, graph, make_structure, uniform_language
     from hspeed.template import enumerate_compatible, in_age, instantiate, is_compatible
 
     template = symmetric_bipartite_template()
@@ -63,6 +63,8 @@ def test_searches_leave_no_reference_cycles():
         lambda: is_compatible(cycle(6), template),  # runs the search to the end, no witness
         lambda: max_subgraph_density(tight_cycle(3, 16)),
         lambda: canonical_data.__wrapped__(cycle(8)),  # the mask path
+        lambda: canonical_data.__wrapped__(graph(6, itertools.combinations(range(1, 7), 2))),  # twin cells: K6's root
+        lambda: canonical_data.__wrapped__(cycle(4)),  # twin cells below C4's root
         lambda: canonical_data.__wrapped__(triples),  # the signature path
         lambda: canonical_data.__wrapped__(named),  # the signature path, seeded by constants
         lambda: speed(PropertySpec(uniform_language(3), "uniform"), 5),  # the group extension search

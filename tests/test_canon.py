@@ -203,7 +203,7 @@ def test_first_round_split_is_one_full_round():
     for g in _split_test_graphs(20251):
         n = g.n
         adj = _graph_masks(g)
-        root, descend, _, _ = _mask_steps(g, adj)
+        root, descend, *_ = _mask_steps(g, adj)
         unit = [(1 << n + 1) - 2]
         by_degree: dict[int, int] = {}
         for x in range(1, n + 1):
@@ -305,6 +305,90 @@ def test_mask_path_matches_signature_path_on_symmetric_graphs():
             assert len(forms) == 1, label
 
 
+def _threshold(rng: random.Random, n: int):
+    """A seeded threshold graph: each new vertex comes isolated or dominating."""
+    edges = []
+    for v in range(2, n + 1):
+        if rng.random() < 0.5:
+            edges += [(u, v) for u in range(1, v)]
+    return graph(n, edges)
+
+
+def _blow_up(base_n: int, base_edges, sizes, cliques):
+    """The graph with base vertex i replaced by ``sizes[i]`` twins, a clique
+    where ``cliques[i]`` holds and an independent set otherwise."""
+    blob = [i for i, size in enumerate(sizes) for _ in range(size)]
+    linked = {frozenset((a - 1, b - 1)) for a, b in base_edges}
+    n = len(blob)
+    return graph(n, [(a + 1, b + 1) for a, b in itertools.combinations(range(n), 2)
+                     if (blob[a] == blob[b] and cliques[blob[a]])
+                     or frozenset((blob[a], blob[b])) in linked])
+
+
+def _twin_rich_graphs():
+    """Graphs on up to 12 vertices made of twins: complete and empty graphs,
+    stars, complete multipartite graphs (their complements are disjoint
+    unions of cliques), seeded threshold graphs, and blow-ups of small
+    graphs with each vertex replaced by a clique or an independent set;
+    those of P5 and C6 have independent cells that are not twin classes."""
+    for n in (1, 2, 3, 6, 12):
+        yield f"K{n}", _complement(graph(n, []))
+    for n in (3, 5, 12):
+        yield f"K1,{n - 1}", graph(n, [(1, v) for v in range(2, n + 1)])
+    for sizes in ((2, 2), (1, 1, 2), (2, 3), (3, 3, 3), (1, 2, 3, 4), (2, 2, 2, 2, 2, 2), (4, 4, 4), (1, 3, 3, 5)):
+        yield f"K{sizes}", _multipartite(*sizes)
+    rng = random.Random(20261)
+    for n in (4, 6, 8, 10, 12):
+        yield f"threshold {n}", _threshold(rng, n)
+    bases = [
+        ("P3", 3, [(1, 2), (2, 3)]),
+        ("P4", 4, [(1, 2), (2, 3), (3, 4)]),
+        ("C4", 4, [(1, 2), (2, 3), (3, 4), (4, 1)]),
+        ("C5", 5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]),
+        ("P5", 5, [(1, 2), (2, 3), (3, 4), (4, 5)]),
+        ("C6", 6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)]),
+        ("paw", 4, [(1, 2), (2, 3), (3, 1), (3, 4)]),
+        ("K1,3", 4, [(1, 2), (1, 3), (1, 4)]),
+    ]
+    for name, base_n, base_edges in bases:
+        for equal in (True, False):
+            for _ in range(2):
+                sizes = [2] * base_n if equal else [rng.randint(1, 12 // base_n) for _ in range(base_n)]
+                cliques = [rng.random() < 0.5 for _ in range(base_n)]
+                yield f"{name}{sizes}{cliques}", _blow_up(base_n, base_edges, sizes, cliques)
+
+
+def test_twin_cells_emulate_the_search(monkeypatch):
+    """The search with the twin-cell shortcut gives the walk's relabeling,
+    generators in order, group order and form on twin-rich graphs and their
+    complements, each also under seeded relabelings; some take the shortcut
+    at the root and some only below it."""
+    calls: list[bool] = []
+    twin_cells = canon._twin_cells
+
+    def logged(adj, cells):
+        calls.append(twin_cells(adj, cells))
+        return calls[-1]
+
+    at_root = below_root = 0
+    for name, g in _twin_rich_graphs():
+        for h, label in ((g, name), (_complement(g), f"complement of {name}")):
+            for seed in (None, 1, 2, 3):
+                copy = h if seed is None else _relabeled(h, seed)
+                calls.clear()
+                monkeypatch.setattr(canon, "_twin_cells", logged)
+                fast = _search(copy)
+                monkeypatch.setattr(canon, "_twin_cells", lambda adj, cells: False)
+                walked = _search(copy)
+                assert fast == walked, (label, seed)
+                assert repr(fast[1]) == repr(walked[1]), (label, seed)
+                if calls[:1] == [True]:
+                    at_root += 1
+                elif True in calls:
+                    below_root += 1
+    assert at_root > 50 and below_root > 50, (at_root, below_root)
+
+
 def _search_tree(monkeypatch, steps_name: str, spec, n_max: int):
     """``speed(spec, n_max)`` with generation canonizing past the cache and
     the step set ``canon.<steps_name>`` counted: its initial refinements,
@@ -314,7 +398,7 @@ def _search_tree(monkeypatch, steps_name: str, spec, n_max: int):
 
     def counted_steps(*args):
         counts["refinements"] += 1
-        root, descend, encode, relabel = steps(*args)
+        root, descend, encode, relabel, twins = steps(*args)
 
         def counted_descend(cells, v):
             counts["descents"] += 1
@@ -324,7 +408,7 @@ def _search_tree(monkeypatch, steps_name: str, spec, n_max: int):
             counts["leaves"] += 1
             return encode(col)
 
-        return root, counted_descend, counted_encode, relabel
+        return root, counted_descend, counted_encode, relabel, twins
 
     def uncached(struct):
         data = canonical_data.__wrapped__(struct)
@@ -338,11 +422,12 @@ def _search_tree(monkeypatch, steps_name: str, spec, n_max: int):
 
 def test_search_tree_of_all_graphs_at_seven(monkeypatch):
     """The canonizations of ``speed(all_graphs_property(), 7)`` run 1,300
-    initial refinements, 6,122 individualize-and-refine steps and 3,558
-    leaves, and find 2,253 generators: a pruning change shows as a count."""
+    initial refinements, 1,375 individualize-and-refine steps and 1,942
+    leaves, and find 2,253 generators: a pruning change shows as a count.
+    A subtree below twin cells counts one leaf and no step."""
     table, counts = _search_tree(monkeypatch, "_mask_steps", all_graphs_property(), 7)
     assert table.labeled(7) == 2 ** 21
-    assert counts == dict(refinements=1300, descents=6122, leaves=3558, generators=2253)
+    assert counts == dict(refinements=1300, descents=1375, leaves=1942, generators=2253)
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import pytest
 
 from hspeed.cli import build_parser, main
 from hspeed.property import K3, P3
-from hspeed.structures import GRAPH, dump_structure, make_structure, uniform_language
+from hspeed.structures import GRAPH, dump_structure, make_structure, structure_to_json, uniform_language
 
 
 @pytest.fixture
@@ -273,6 +273,10 @@ class TestReproducibility:
         # one spelling per option: --property and --hypergraph have no aliases
         ["speed", "--spec", "matching", "--nmax", "4"],
         ["osc", "member", "--h", "{hypergraph}"],
+        # ... and no prefix of an option is taken for it
+        ["speed", "--prop", "matching", "--nmax", "3"],
+        ["speed", "--property", "matching", "--nm", "3"],
+        ["speed", "--forb", "{structure}", "--nmax", "3"],
         ["osc", "balanced", "--steps", "2"],
         ["osc", "balanced", "--steps", "9", "--materialize"],
         ["osc", "member", "--hypergraph", "{hypergraph}", "--mode", "q", "--nu", "3"],
@@ -320,6 +324,31 @@ def test_missing_action_argument_is_usage_error(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "usage"
+
+
+def test_option_prefix_is_unrecognized(capsys):
+    code, out, err = run(capsys, "speed", "--property", "matching", "--nmax", "3", "--form", "json")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "usage", "message": "hspeed: unrecognized arguments: --form json"}
+
+
+def test_malformed_structure_file_is_named(capsys, tmp_path):
+    """A hypergraph file given as a forbidden structure lacks the key
+    'language', and a structure file may name a relation its language
+    lacks: each usage error names the file and the key."""
+    path = tmp_path / "t.json"
+    code, _, _ = run(capsys, "corpus", "--kind", "tight-cycle", "--out", str(path))
+    assert code == 0
+    code, out, err = run(capsys, "speed", "--forbid", str(path), "--nmax", "3")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "usage", "message": f"{path}: missing key 'language'"}
+    other = tmp_path / "f.json"
+    obj = structure_to_json(P3)
+    obj["tuples"] = {"F": obj["tuples"]["E"]}
+    other.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "speed", "--forbid", str(other), "--nmax", "3")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "usage", "message": f"{other}: unknown relation F"}
 
 
 def test_range_floors_are_accepted(capsys):
