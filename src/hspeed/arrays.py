@@ -233,19 +233,3 @@ def bounded_array_probe(
         rows.append(ProbeRow(n=n, max_count=best, witness=best_struct, witness_parameters=tuple(best_A)))
     return ProbeTable(rows=tuple(rows), seed=seed)
 
-
-def halfgraph_blowup(m: int) -> Structure:
-    """Blown-up half graph: a_1..a_m plus m copies of each b_j; a_i ~ b_j-copy iff i <= j.
-
-    Elements 1..m are the a_i; element m + (j-1)*m + t is the t-th copy of b_j.
-    """
-    n = m + m * m
-    edges = []
-    for j in range(1, m + 1):
-        for t in range(1, m + 1):
-            b = m + (j - 1) * m + t
-            for i in range(1, j + 1):
-                edges.append((i, b))
-    from .structures import graph
-
-    return graph(n, edges)

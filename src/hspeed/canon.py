@@ -109,6 +109,27 @@ def orbit(points, generators) -> set[int]:
     return seen
 
 
+def classes(n: int, links) -> list[frozenset[int]]:
+    """The classes of [n] under the equivalence generated by the pairs in
+    ``links``, ordered by least element (union-find with path halving)."""
+    parent = list(range(n + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    groups: dict[int, set[int]] = {}  # first met at, so keyed in order of, its least element
+    for e in range(1, n + 1):
+        groups.setdefault(find(e), set()).add(e)
+    return [frozenset(g) for g in groups.values()]
+
+
 # ---------------------------------------------------------------------------
 # partitions as ordered lists of cell masks
 

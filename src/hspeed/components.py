@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .canon import canonical_data
+from .canon import canonical_data, classes
 from .errors import BudgetExceeded, InsufficientComponents, OutOfRange
 from .property import PropertySpec, generate_levels
 from .structures import Structure, apply_bijection, induced_substructure
@@ -28,25 +28,8 @@ def components_of(struct: Structure) -> ComponentReport:
     Tuples with repeated entries contribute their support set; isolated
     elements are singleton components.
     """
-    parent = list(range(struct.n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for tuples in struct.rel_tuples:
-        for t in tuples:
-            support = sorted(set(t))
-            for a, b in zip(support, support[1:]):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-    groups: dict[int, set[int]] = {}
-    for e in struct.elements():
-        groups.setdefault(find(e), set()).add(e)
-    comps = tuple(sorted((frozenset(g) for g in groups.values()), key=lambda c: (len(c), min(c))))
+    links = ((t[0], x) for tuples in struct.rel_tuples for t in tuples for x in t)
+    comps = tuple(sorted(classes(struct.n, links), key=lambda c: (len(c), min(c))))
     hist: dict[int, int] = {}
     for c in comps:
         hist[len(c)] = hist.get(len(c), 0) + 1

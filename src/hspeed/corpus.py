@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import random
 
-from .arrays import halfgraph_blowup
 from .errors import UnknownKind
 from .oscillate import Hypergraph, hypergraph
 from .structures import GRAPH, Structure, graph
@@ -39,6 +38,21 @@ def disjoint_triangles(m: int) -> Structure:
         base = 3 * i
         edges += [(base + 1, base + 2), (base + 2, base + 3), (base + 1, base + 3)]
     return graph(3 * m, edges)
+
+
+def halfgraph_blowup(m: int) -> Structure:
+    """Blown-up half graph: a_1..a_m plus m copies of each b_j; a_i ~ b_j-copy iff i <= j.
+
+    Elements 1..m are the a_i; element m + (j-1)*m + t is the t-th copy of b_j.
+    """
+    n = m + m * m
+    edges = []
+    for j in range(1, m + 1):
+        for t in range(1, m + 1):
+            b = m + (j - 1) * m + t
+            for i in range(1, j + 1):
+                edges.append((i, b))
+    return graph(n, edges)
 
 
 def tight_cycle(r: int, v: int) -> Hypergraph:

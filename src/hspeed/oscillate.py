@@ -458,29 +458,15 @@ def _equipartition(n: int, t: int) -> list[list[int]]:
 def _maximal_matchings(parts: list[list[int]]):
     """All maximal part-transversal matchings inside the given parts.
 
-    Every maximal matching saturates the smallest part, so matchings are
-    enumerated by pairing its vertices in order.
+    Every maximal matching saturates the smallest part (the anchor): its m
+    vertices, in order, meet an m-permutation of each other part.  Matchings
+    come sorted by their rows, the other parts' picks for each anchor vertex.
     """
     m = min(len(p) for p in parts)
     anchor = min(range(len(parts)), key=lambda i: (len(parts[i]), i))
-    anchor_vertices = sorted(parts[anchor])[:m]
-    others = [sorted(p) for i, p in enumerate(parts) if i != anchor]
-
-    def rec(i: int, used: tuple[set, ...], acc: list[frozenset]):
-        if i == m:
-            yield frozenset(acc)
-            return
-        pools = [[x for x in p if x not in used[j]] for j, p in enumerate(others)]
-        for picks in itertools.product(*pools):
-            for j, x in enumerate(picks):
-                used[j].add(x)
-            acc.append(frozenset((anchor_vertices[i],) + picks))
-            yield from rec(i + 1, used, acc)
-            acc.pop()
-            for j, x in enumerate(picks):
-                used[j].remove(x)
-
-    yield from rec(0, tuple(set() for _ in others), [])
+    others = [itertools.permutations(sorted(p), m) for i, p in enumerate(parts) if i != anchor]
+    for rows in sorted(tuple(zip(*picks)) for picks in itertools.product(*others)):
+        yield frozenset(frozenset((a,) + row) for a, row in zip(sorted(parts[anchor]), rows))
 
 
 def count_maximal_matchings(parts: list[list[int]]) -> int:

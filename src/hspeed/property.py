@@ -59,6 +59,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .canon import _getter, canonical_data, orbit
+from .corpus import cycle
 from .errors import BudgetExceeded, LanguageMismatch, TooFewRows
 from .simclass import class_count
 from .structures import GRAPH, Language, Structure, graph
@@ -268,8 +269,6 @@ def all_graphs_property() -> PropertySpec:
 
 def _odd_cycles(m: int) -> tuple[Structure, ...]:
     """The odd cycle on m vertices when m >= 3 is odd, else nothing."""
-    from .corpus import cycle  # corpus -> arrays -> property: a module-level import is circular
-
     return (cycle(m),) if m % 2 and m >= 3 else ()
 
 

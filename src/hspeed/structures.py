@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .canon import canonical_data, orbit
+from .canon import canonical_data, classes
 from .errors import (
     ArityMismatch,
     InterpretationIncomplete,
@@ -246,11 +246,7 @@ class AutomorphismGroup:
 
     def orbits(self) -> list[frozenset[int]]:
         """Orbits on [n], ordered by least element."""
-        out: list[frozenset[int]] = []
-        for e in range(1, self.n + 1):
-            if not any(e in o for o in out):
-                out.append(frozenset(orbit([e], self.generators)))
-        return out
+        return classes(self.n, ((x, g[x - 1]) for g in self.generators for x in range(1, self.n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -413,13 +409,12 @@ def load_json(path: str, decode):
     """``decode`` applied to the JSON in ``path``; a file of a shape it cannot
     read, or lacking a key it reads, raises ValueError naming the path."""
     with open(path) as fh:
-        obj = json.load(fh, object_hook=_JSONObject)
-    try:
-        return decode(obj)
-    except KeyError as exc:
-        raise ValueError(f"{path}: {exc.args[0]}") from None
-    except (TypeError, AttributeError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        try:
+            return decode(json.load(fh, object_hook=_JSONObject))
+        except KeyError as exc:
+            raise ValueError(f"{path}: {exc.args[0]}") from None
+        except (TypeError, AttributeError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def load_structure(path: str) -> Structure:

@@ -281,22 +281,17 @@ def aut_star(template: Template) -> tuple[tuple[tuple[int, ...], ...], int]:
     Returns (permutations, order); each permutation maps 1-based class
     index i to sigma[i-1].
     """
-    k = template.k
-    perms = tuple(
-        p
-        for p in itertools.permutations(range(1, k + 1))
-        if all(template.sizes[p[i] - 1] == template.sizes[i] for i in range(k))
-        and _carries_signature(p, template, template)
-    )
+    perms = tuple(p for p, sized in _class_maps(template, template) if sized)
     return perms, len(perms)
 
 
-def _carries_signature(p: tuple[int, ...], a: Template, b: Template) -> bool:
-    """Does the class permutation p (class i to p[i-1]) carry a's signature onto b's?"""
-    return all(
-        frozenset(tuple(p[i - 1] for i in idx) for idx in entries) == b.sigma_of(diff)
-        for diff, entries in a.sigma
-    )
+def _class_maps(a: Template, b: Template):
+    """Each class permutation p (class i to p[i-1]) carrying a's signature onto
+    b's, in lexicographic order, with whether it carries a's sizes onto b's too."""
+    for p in itertools.permutations(range(1, a.k + 1)):
+        if all(frozenset(tuple(p[i - 1] for i in idx) for idx in entries) == b.sigma_of(diff)
+               for diff, entries in a.sigma):
+            yield p, all(b.sizes[p[i] - 1] == a.sizes[i] for i in range(a.k))
 
 
 def _terms(template: Template):
@@ -420,8 +415,8 @@ def speed_form(template: Template, window: tuple[int, int]) -> SpeedForm:
     K = template.threshold
     c = template.finite_total
     n0 = ell * K + c
-    if lo < n0:
-        raise FitFailed(f"window starts below the validity threshold {n0}")
+    if lo <= n0:
+        raise FitFailed(f"window starts at or below the validity threshold {n0}; it must start above n0")
     if hi < lo:
         raise FitFailed(f"window {lo}..{hi} is empty")
     _, order = aut_star(template)
@@ -477,12 +472,9 @@ def templates_equivalent_or_disjoint(a: Template, b: Template):
         raise LanguageMismatch("templates over different languages")
     if a.k != b.k:
         return Disjoint()
-    k = a.k
     mixed = None
-    for p in itertools.permutations(range(1, k + 1)):
-        if not _carries_signature(p, a, b):
-            continue
-        if all(b.sizes[p[i - 1] - 1] == a.sizes[i - 1] for i in range(1, k + 1)):
+    for p, sized in _class_maps(a, b):
+        if sized:
             return Equivalent(p)
         if _sizes_overlap(a, b, p):
             mixed = p

@@ -15,12 +15,11 @@ import pytest
 from conftest import all_graphs, brute_isomorphic
 from hspeed.arrays import (
     bounded_array_probe,
-    halfgraph_blowup,
     is_k_mutually_algebraic,
     n_array_count,
 )
 from hspeed.components import component_lowerbound_members, partitions_into_blocks
-from hspeed.corpus import BUILTIN_TEMPLATES, matching, random_hypergraph, tight_cycle
+from hspeed.corpus import BUILTIN_TEMPLATES, halfgraph_blowup, matching, random_hypergraph, tight_cycle
 from hspeed.errors import InfeasibleDensity
 from hspeed.oscillate import (
     blowup_members,

@@ -5,15 +5,21 @@ import pytest
 from conftest import all_graphs
 from hspeed.arrays import (
     bounded_array_probe,
-    halfgraph_blowup,
     is_k_mutually_algebraic,
     n_array_count,
     supports_m_array,
     type_space,
 )
-from hspeed.corpus import complete_bipartite, matching
+from hspeed.corpus import complete_bipartite, halfgraph_blowup, matching
 from hspeed.errors import BadSplit
-from hspeed.property import bipartite_property, edgeless_property, generate_members, matching_property
+from hspeed.property import (
+    all_graphs_property,
+    bipartite_property,
+    edgeless_property,
+    generate_levels,
+    generate_members,
+    matching_property,
+)
 from hspeed.structures import Structure, graph, make_structure, uniform_language
 
 
@@ -203,6 +209,18 @@ class TestProbe:
     def test_edgeless_constant_one(self):
         table = bounded_array_probe(edgeless_property(), "E", [0], 2, 6, seed=3)
         assert [r.max_count for r in table.rows][1:] == [1] * 5
+
+    def test_hill_climbing_reaches_the_brute_maximum(self):
+        # at n = 5 no parameter set of size <= 3 reaches the maximum, so the
+        # recorded witness comes from the hill climb over 4-sets
+        spec = all_graphs_property()
+        table = bounded_array_probe(spec, "E", [0], 1, 5, a_max=5)
+        for row, level in zip(table.rows, generate_levels(spec, 5)):
+            brute = max(n_array_count(rep, "E", [0], 1, A) for rep, _ in level
+                        for size in range(rep.n + 1) for A in itertools.combinations(rep.elements(), size))
+            assert row.max_count == brute, row.n
+            assert n_array_count(row.witness, "E", [0], 1, row.witness_parameters) == brute, row.n
+        assert len(table.rows) == 5 and len(table.rows[-1].witness_parameters) == 4
 
     def test_reproducible(self):
         a = bounded_array_probe(matching_property(), "E", [0], 2, 6, seed=5)

@@ -365,3 +365,89 @@ def test_readme_cli_lines_parse():
     assert len(lines) >= 10
     for line in lines:
         build_parser().parse_args(shlex.split(line)[1:])  # a grammar error raises UsageError
+
+
+class TestRemainingPaths:
+    """Commands and exits that the tests above do not reach, each against its library oracle."""
+
+    def test_template_enumerate(self, capsys, tmp_path):
+        from hspeed.corpus import symmetric_bipartite_template
+        from hspeed.structures import structure_from_json
+        from hspeed.template import count_compatible, is_compatible, template_to_json
+
+        template = symmetric_bipartite_template()
+        path = tmp_path / "bip.json"
+        path.write_text(json.dumps(template_to_json(template)))
+        code, out, _ = run(capsys, "template", "enumerate", "--template", str(path), "--n", "6")
+        assert code == 0
+        payload = json.loads(out)
+        members = [structure_from_json(m) for m in payload["members"]]
+        assert int(payload["count"]) == len(members) == count_compatible(template, 6) > 0
+        assert len(set(members)) == len(members)
+        assert all(is_compatible(m, template) is not None for m in members)
+
+    def test_arrays_count(self, capsys, tmp_path):
+        from hspeed.arrays import n_array_count
+        from hspeed.corpus import halfgraph_blowup
+
+        struct = halfgraph_blowup(3)
+        path = tmp_path / "half.json"
+        dump_structure(struct, str(path))
+        for m, A in ((1, ""), (2, "1,2"), (2, "1,5,9")):
+            code, out, _ = run(capsys, "arrays", "count", "--structure", str(path), "--m", str(m), "--A", A)
+            assert code == 0
+            expected = n_array_count(struct, "E", [0], m, [int(x) for x in A.split(",")] if A else [])
+            assert json.loads(out) == {"m": m, "count": expected, "seed": 0}
+
+    @pytest.mark.parametrize("c", ["1", "9/10", "1/2", "2/5"])
+    def test_osc_member_q_mode(self, capsys, tmp_path, c):
+        from fractions import Fraction
+
+        from hspeed.oscillate import in_Q, load_hypergraph
+
+        path = tmp_path / "tight.json"
+        code, out, _ = run(capsys, "corpus", "--kind", "tight-cycle", "--param", "r=3", "--param", "v=8")
+        assert code == 0
+        path.write_text(out)
+        code, out, _ = run(capsys, "osc", "member", "--hypergraph", str(path), "--mode", "q", "--c", c)
+        assert code == 0
+        expected = in_Q(load_hypergraph(str(path)), Fraction(c))
+        assert json.loads(out) == {"mode": "q", "c": c, "member": expected, "seed": 0}
+
+    def test_osc_blowup_materialize(self, capsys, tmp_path):
+        path = tmp_path / "path2.json"
+        path.write_text(json.dumps({"r": 2, "v": 3, "edges": [[1, 2], [2, 3]]}))
+        code, out, _ = run(capsys, "osc", "blowup", "--hypergraph", str(path), "--n", "8", "--materialize")
+        assert code == 0
+        payload = json.loads(out)
+        edge_sets = {frozenset(map(tuple, m["edges"])) for m in payload["members"]}
+        assert int(payload["count"]) == len(payload["members"]) == len(edge_sets) == 36
+
+    def test_help_exits_zero(self, capsys):
+        code, out, err = run(capsys, "--help")
+        assert code == 0 and out.startswith("usage: hspeed") and err == ""
+
+    def test_internal_failure_exits_one(self, capsys, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("hspeed.components.partitions_into_blocks", fail)
+        code, out, err = run(capsys, "blocks", "--n", "6", "--k", "2")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "internal", "message": "boom"}
+
+    def test_non_integer_option_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "speed", "--property", "matching", "--nmax", "x")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "usage"
+        assert "invalid int value: 'x'" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("text", [json.dumps({**structure_to_json(P3), "n": "x"}), "not json"])
+    def test_unreadable_structure_file_is_named(self, capsys, tmp_path, text):
+        """A size that is not an integer, and a file that is not JSON."""
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "components", str(path))
+        assert (code, out) == (2, "")
+        payload = json.loads(err)
+        assert payload["error"] == "usage" and payload["message"].startswith(f"{path}: ")

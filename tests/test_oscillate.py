@@ -16,8 +16,11 @@ from hspeed.errors import (
 )
 from hspeed.oscillate import (
     OscSequence,
+    _certified_bound,
+    _maximal_matchings,
     blowup_members,
     build_sequence,
+    count_maximal_matchings,
     density,
     feasible_density,
     find_strictly_balanced,
@@ -364,6 +367,39 @@ class TestBlowup:
         assert result.count >= result.guaranteed_lower_bound
 
 
+def brute_maximal_matchings(parts) -> set:
+    """Every set of m pairwise disjoint edges meeting each part once, m the
+    smallest part's size: the maximal part-transversal matchings."""
+    m = min(len(p) for p in parts)
+    edges = [frozenset(e) for e in itertools.product(*parts)]
+    return {frozenset(c) for c in itertools.combinations(edges, m)
+            if len(frozenset().union(*c)) == m * len(parts)}
+
+
+class TestMaximalMatchings:
+    def test_against_brute_oracle(self):
+        rng = random.Random(3)
+        for _ in range(60):
+            sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 3))]
+            labels = rng.sample(range(1, 20), sum(sizes))
+            parts = [labels[sum(sizes[:i]):sum(sizes[:i + 1])] for i in range(len(sizes))]
+            got = list(_maximal_matchings(parts))
+            assert set(got) == brute_maximal_matchings(parts), parts
+            assert len(got) == len(set(got)) == count_maximal_matchings(parts), parts
+
+    def test_sorted_by_anchor_major_rows(self):
+        # the anchor is the first smallest part; a row lists, in part order,
+        # the other parts' vertices matched to one anchor vertex
+        for parts in ([[3, 1, 2], [5, 4], [9, 7, 8]], [[2, 1], [4, 3], [6, 5]], [[1, 2, 3, 4], [6, 5, 7]]):
+            anchor = min(range(len(parts)), key=lambda i: (len(parts[i]), i))
+            rows = []
+            for matching in _maximal_matchings(parts):
+                by_anchor = {min(e & set(parts[anchor])): e for e in matching}
+                rows.append(tuple(tuple(min(by_anchor[a] & set(p)) for j, p in enumerate(parts) if j != anchor)
+                                  for a in sorted(by_anchor)))
+            assert rows == sorted(rows) and len(set(rows)) == len(rows), parts
+
+
 def brute_in_p(g, nu, c) -> bool:
     """Scan every vertex set of every listed size."""
     for size in {s for s in nu if 1 <= s <= g.v}:
@@ -435,6 +471,14 @@ class TestSampler:
         with pytest.raises(SampleBudgetExceeded):
             sample_dense_member(2, 3, F(2, 3), 30, F(8, 5), seed=42, max_attempts=5)
         assert 1 <= len(checks) <= 5  # each rejected draw used up an attempt
+
+    def test_hopeless_size_draws_nothing(self, monkeypatch):
+        # at n = 20 the expected edge count of a 3-graph draw is far below n^(r - eps)
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampler called at a hopeless n")
+
+        monkeypatch.setattr("hspeed.oscillate.sample_dense_member", refuse)
+        assert _certified_bound(3, 4, F(1), F(3, 2), 20, seed=0) is None
 
 
 class TestSequence:

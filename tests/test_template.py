@@ -310,6 +310,19 @@ class TestInclusionExclusion:
         orders = {name: aut_star(t)[1] for name, t in three_infinite_templates().items()}
         assert orders == {"2,3,inf,inf,inf": 2, "1,inf,inf,inf": 6}
 
+    def test_aut_star_permutations_in_order(self):
+        # enumerate_compatible reads its preimages off this tuple, so its order is pinned
+        perms = {name: aut_star(t)[0] for name, t in oracle_templates().items()}
+        assert perms == {
+            "inf-clique": ((1,),),
+            "inf-empty": ((1,),),
+            "symmetric-bipartite": ((1, 2), (2, 1)),
+            "clique-plus-singleton": ((1, 2),),
+            "asymmetric-two-class": ((1, 2),),
+            "2,3,inf,inf,inf": ((1, 2, 3, 4, 5), (1, 2, 3, 5, 4)),
+            "1,inf,inf,inf": ((1, 2, 3, 4), (1, 2, 4, 3), (1, 3, 2, 4), (1, 3, 4, 2), (1, 4, 2, 3), (1, 4, 3, 2)),
+        }
+
     def test_large_n_skips_the_composition_sum(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("composition sum on the counting path")
@@ -373,9 +386,11 @@ class TestSpeedForm:
         with pytest.raises(FitFailed, match="below the validity threshold 4"):
             speed_form(symmetric_bipartite_template(), (3, 16))
 
-    def test_window_at_n0_fails_the_check(self):
-        with pytest.raises(FitFailed, match="composition sum at n = 4"):
+    def test_window_at_n0_is_refused(self):
+        # the base-0 terms do not vanish at n0 itself, so no window may start there
+        with pytest.raises(FitFailed, match="at or below the validity threshold 4; it must start above n0"):
             speed_form(symmetric_bipartite_template(), (4, 16))
+        assert speed_form(symmetric_bipartite_template(), (5, 16)).n0 == 4
 
     def test_empty_window(self):
         with pytest.raises(FitFailed, match="empty"):
