@@ -501,7 +501,7 @@ def _search(struct: "Structure", steps=_steps):
     return dict(zip(elements, lab[1:])), relabel(lab), tuple(gens), order
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=4096)
 def canonical_data(struct: "Structure") -> CanonicalData:
     """Canonical form, relabeling, automorphism generators and group order."""
     mapping, rel_tuples, gens, order = _search(struct)

@@ -130,94 +130,73 @@ def max_subgraph_density_brute(g: Hypergraph) -> tuple[Fraction, frozenset[int]]
     return Fraction(best_e, best_v), witness
 
 
-class _Dinic:
-    def __init__(self, n: int):
-        self.n = n
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add(self, u: int, v: int, c: int):
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def maxflow(self, s: int, t: int) -> int:
-        flow = 0
-        INFCAP = 1 << 62
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for ei in self.adj[u]:
-                    if self.cap[ei] > 0 and level[self.to[ei]] < 0:
-                        level[self.to[ei]] = level[u] + 1
-                        queue.append(self.to[ei])
-            if level[t] < 0:
-                return flow
-            it = [0] * self.n
-
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while it[u] < len(self.adj[u]):
-                    ei = self.adj[u][it[u]]
-                    v = self.to[ei]
-                    if self.cap[ei] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[ei]))
-                        if got:
-                            self.cap[ei] -= got
-                            self.cap[ei ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
-            while True:
-                pushed = dfs(s, INFCAP)
-                if not pushed:
-                    break
-                flow += pushed
-            del dfs  # it reaches itself through its closure: free the search without the cycle collector
-
-    def source_side(self, s: int) -> set[int]:
-        seen = {s}
+def _min_cut_side(nodes: int, arcs: Iterable[tuple[int, int, int]], s: int, t: int) -> set[int]:
+    """The source side of the minimal minimum s-t cut over (tail, head,
+    capacity) arcs: Dinic's blocking flows along BFS levels of the residual
+    graph until t is out of reach, and the nodes that last BFS reached."""
+    adj: list[list[int]] = [[] for _ in range(nodes)]
+    to: list[int] = []
+    cap: list[int] = []
+    for u, v, c in arcs:
+        adj[u].append(len(to))
+        to.append(v)
+        cap.append(c)
+        adj[v].append(len(to))
+        to.append(u)
+        cap.append(0)
+    while True:
+        level = [-1] * nodes
+        level[s] = 0
         queue = [s]
-        while queue:
-            u = queue.pop()
-            for ei in self.adj[u]:
-                if self.cap[ei] > 0 and self.to[ei] not in seen:
-                    seen.add(self.to[ei])
-                    queue.append(self.to[ei])
-        return seen
+        for u in queue:
+            for a in adj[u]:
+                if cap[a] > 0 and level[to[a]] < 0:
+                    level[to[a]] = level[u] + 1
+                    queue.append(to[a])
+        if level[t] < 0:
+            return set(queue)
+        it = [0] * nodes
+
+        def push(u: int, pushed: int) -> int:
+            if u == t:
+                return pushed
+            while it[u] < len(adj[u]):
+                a = adj[u][it[u]]
+                if cap[a] > 0 and level[to[a]] == level[u] + 1:
+                    got = push(to[a], min(pushed, cap[a]))
+                    if got:
+                        cap[a] -= got
+                        cap[a ^ 1] += got
+                        return got
+                it[u] += 1
+            return 0
+
+        while push(s, 1 << 62):
+            pass
+        del push  # it reaches itself through its closure: free the search without the cycle collector
 
 
-def _excess_subgraph(g: Hypergraph, threshold: Fraction) -> frozenset[int] | None:
-    """A vertex set with e(U) - threshold*|U| > 0, or None if none exists.
+def _excess_subgraph(g: Hypergraph, threshold: Fraction, without: int | None = None) -> frozenset[int] | None:
+    """The least vertex set U maximizing q*e(U) - p*|U|, threshold = p/q,
+    when that maximum is positive (some U has e(U) > threshold*|U|), else
+    None; ``without`` leaves out one vertex and its edges.
 
-    Network: source -> edge nodes (cap q), edge -> its vertices (cap inf),
-    vertex -> sink (cap p), with threshold = p/q and capacities scaled by q.
+    Network: source -> edge node (cap q) -> its vertices (cap inf) ->
+    sink (cap p).  A min cut keeps a maximizer U and its edges on the
+    source side; the maximizers are closed under intersection, so the
+    minimal cut's side is the least one, and it holds a vertex exactly
+    when the maximum is positive.
     """
     p, q = threshold.numerator, threshold.denominator
-    edges = sorted(sorted(e) for e in g.edges)
-    ne = len(edges)
-    source, sink = 0, 1 + ne + g.v
-    net = _Dinic(sink + 1)
-    big = q * max(ne, 1) + 1
-    for i, e in enumerate(edges):
-        net.add(source, 1 + i, q)
-        for x in e:
-            net.add(1 + i, 1 + ne + (x - 1), big)
-    for x in range(1, g.v + 1):
-        net.add(1 + ne + (x - 1), sink, p)
-    flow = net.maxflow(source, sink)
-    if q * ne - flow <= 0:
-        return None
-    side = net.source_side(source)
-    return frozenset(x for x in range(1, g.v + 1) if (1 + ne + x - 1) in side)
+    edges = [e for e in g.edges if without not in e]
+    source, sink = 0, g.v + len(edges) + 1  # vertex x is node x, edges follow
+    big = q * len(edges) + 1
+    arcs = [(x, sink, p) for x in range(1, g.v + 1)]
+    for node, e in enumerate(edges, g.v + 1):
+        arcs.append((source, node, q))
+        arcs += ((node, x, big) for x in e)
+    side = _min_cut_side(sink + 1, arcs, source, sink)
+    return frozenset(x for x in side if 1 <= x <= g.v) or None
 
 
 def max_subgraph_density(g: Hypergraph) -> tuple[Fraction, frozenset[int]]:
@@ -248,10 +227,11 @@ def is_strictly_balanced(g: Hypergraph) -> bool:
     """Every proper nonempty induced subhypergraph has strictly smaller density.
 
     Up to v = 15 every subset's edge count is read off one subset-sum table.
-    Past that, each one-point deletion H is asked by one min cut whether
-    some set beats rho - 1/(v(H) q) strictly, where rho = p/q is g's
-    density: a set U of density below rho lies at least 1/(|U| q) below it,
-    so such a set exists exactly when H has a subgraph of density >= rho.
+    Past that, each one-point deletion H = g - x is asked by one min cut
+    over the edges of g that avoid x, with no copy of H, whether some set
+    beats rho - 1/(v(H) q) strictly, where rho = p/q is g's density: a set
+    U of density below rho lies at least 1/(|U| q) below it, so such a set
+    exists exactly when H has a subgraph of density >= rho.
     """
     if g.v < 1:
         raise EmptyVertexSet("no vertices")
@@ -265,11 +245,8 @@ def is_strictly_balanced(g: Hypergraph) -> bool:
         return True
     if not g.e:
         return False  # a single vertex already reaches density 0
-    for x in range(1, g.v + 1):
-        sub = g.induced([y for y in range(1, g.v + 1) if y != x])
-        if _excess_subgraph(sub, rho - Fraction(1, sub.v * rho.denominator)) is not None:
-            return False
-    return True
+    sharper = rho - Fraction(1, (g.v - 1) * rho.denominator)
+    return all(_excess_subgraph(g, sharper, without=x) is None for x in range(1, g.v + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -143,10 +143,10 @@ def _has_forbidden(spec: PropertySpec, struct: Structure, anchor: int | None = N
     rels = struct.rel_tuples
     extra = () if anchor is None else (anchor,)
     others = [e for e in struct.elements() if e != anchor]
-    for m in index.sizes(struct.n):
-        if m < len(extra):
-            continue
+    for m in range(len(extra), struct.n + 1):
         slots, codes = index[m]
+        if not codes:
+            continue
         for xs in itertools.combinations(others, m - len(extra)):
             if _code(slots, rels, xs + extra) in codes:
                 return True
@@ -157,20 +157,20 @@ class _ForbiddenIndex(dict):
     """Forbidden size m -> (slots, codes) of a spec, each built on its first
     lookup and kept, so the index holds at most one entry per size.
 
-    This is the one place that tells the two kinds of family apart.  A tuple
-    is checked against the spec's language and base here, at construction,
-    and its sizes are listed once.  A function is asked for its structures
-    of every size m <= n on the first probe of an n-element structure, and
-    a size with none costs no subset scan.  So ``member`` on an n-element
-    structure builds the codes of each odd cycle of size <= n as one orbit
-    under S_m (20,160 = 9!/18 codes for C9).
+    A tuple family is checked against the spec's language and base here, at
+    construction; after that both kinds of family are asked for their
+    structures of each size m <= n on the first probe of an n-element
+    structure.  A size with none stores empty slots and codes and costs no
+    subset scan.  So ``member`` on an n-element structure builds the codes
+    of each odd cycle of size <= n as one orbit under S_m (20,160 = 9!/18
+    codes for C9).
     """
 
     def __init__(self, spec: PropertySpec):
         super().__init__()
         self.language, self.base, family = spec.language, spec.base, spec.forbidden
         if callable(family):
-            self.family, self.listed = family, None
+            self.family = family
             return
         for f in family:
             if f.language != spec.language:
@@ -178,16 +178,10 @@ class _ForbiddenIndex(dict):
             if not spec._base_ok(f):
                 raise ValueError(f"a forbidden structure does not satisfy the {spec.base} base")
         self.family = lambda m: tuple(f for f in family if f.n == m)
-        self.listed = sorted({f.n for f in family})
-
-    def sizes(self, n: int) -> Iterable[int]:
-        """The forbidden sizes m <= n that have structures, ascending."""
-        if self.listed is None:
-            return [m for m in range(n + 1) if self[m][1]]
-        return itertools.takewhile(n.__ge__, self.listed)
 
     def __missing__(self, m: int):
-        self[m] = _size_codes(self.language, self.base, m, self.family(m))
+        structures = self.family(m)
+        self[m] = _size_codes(self.language, self.base, m, structures) if structures else ((), frozenset())
         return self[m]
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from hspeed.cli import build_parser, main
 from hspeed.property import K3, P3
-from hspeed.structures import GRAPH, dump_structure, make_structure, structure_to_json, uniform_language
+from hspeed.structures import GRAPH, dump_structure, graph, make_structure, structure_to_json, uniform_language
 
 
 @pytest.fixture
@@ -115,6 +115,20 @@ class TestDispatch:
         code, out, _ = run(capsys, "probe", "tb", "--forbid", forbidden_files, "--k", "2", "--nmax", "6")
         assert code == 0
         assert json.loads(out)["verdict"] == "consistent"
+
+    def test_components(self, capsys, tmp_path):
+        from hspeed.components import components_of
+
+        struct = graph(7, [(1, 2), (2, 3), (5, 6)])
+        path = tmp_path / "g.json"
+        dump_structure(struct, str(path))
+        code, out, _ = run(capsys, "components", str(path))
+        assert code == 0
+        payload = json.loads(out)
+        report = components_of(struct)
+        assert payload["components"] == [sorted(c) for c in report.components]
+        assert payload["size_histogram"] == {str(k): v for k, v in report.size_histogram.items()}
+        assert report.components == (frozenset({4}), frozenset({7}), frozenset({5, 6}), frozenset({1, 2, 3}))
 
     def test_blocks(self, capsys):
         code, out, _ = run(capsys, "blocks", "--n", "6", "--k", "2")

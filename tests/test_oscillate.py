@@ -15,8 +15,10 @@ from hspeed.errors import (
     TooSmall,
 )
 from hspeed.oscillate import (
+    ESTIMATOR_ATTEMPTS,
     OscSequence,
     _certified_bound,
+    _excess_subgraph,
     _maximal_matchings,
     blowup_members,
     build_sequence,
@@ -137,6 +139,50 @@ class TestMaxSubgraphDensity:
     def test_edgeless(self):
         value, witness = max_subgraph_density(hypergraph(2, 5, []))
         assert value == 0
+
+
+def excess_maximizers(g, threshold, without=None) -> tuple[int, list[frozenset]]:
+    """Oracle: the maximum of q*e(U) - p*|U|, threshold = p/q, over every
+    vertex set U avoiding ``without`` (the empty set gives 0), and the sets
+    attaining it, by a plain subset loop."""
+    p, q = threshold.numerator, threshold.denominator
+    vertices = [x for x in range(1, g.v + 1) if x != without]
+    best, attained = 0, [frozenset()]
+    for size in range(1, len(vertices) + 1):
+        for subset in itertools.combinations(vertices, size):
+            s = frozenset(subset)
+            value = q * scan_edge_count(g, s) - p * size
+            if value > best:
+                best, attained = value, [s]
+            elif value == best:
+                attained.append(s)
+    return best, attained
+
+
+class TestExcessSubgraph:
+    """One threshold min cut returns the least set of maximum excess."""
+
+    def test_least_maximizer_matches_subset_oracle(self):
+        rng = random.Random(24)
+        corpus = [random_hypergraph(2 + seed % 2, 3 + seed % 8, (0.2, 0.4, 0.6)[seed % 3], seed)
+                  for seed in range(32)]
+        # K4 with a pendant edge and two isolated vertices: at threshold 1
+        # K4 and K4 + 5 tie, and only K4 is their intersection
+        corpus.append(hypergraph(2, 7, list(itertools.combinations(range(1, 5), 2)) + [(1, 5)]))
+        corpus.append(hypergraph(3, 6, []))
+        positive = ties = 0
+        for g in corpus:
+            thresholds = [F(0), F(1, 2), F(1), F(3, 2)]
+            thresholds += [F(rng.randint(0, 12), rng.randint(1, 7)) for _ in range(3)]
+            for c in thresholds:
+                for without in (None, 1, g.v):
+                    best, attained = excess_maximizers(g, c, without)
+                    least = frozenset.intersection(*attained)
+                    assert _excess_subgraph(g, c, without) == (least if best > 0 else None), (
+                        g.r, g.v, sorted(map(sorted, g.edges)), c, without)
+                    positive += best > 0
+                    ties += best > 0 and len(attained) > 1
+        assert positive > 200 and ties > 20
 
 
 class TestStrictBalance:
@@ -479,6 +525,18 @@ class TestSampler:
 
         monkeypatch.setattr("hspeed.oscillate.sample_dense_member", refuse)
         assert _certified_bound(3, 4, F(1), F(3, 2), 20, seed=0) is None
+
+    def test_failed_draws_give_no_bound(self, monkeypatch):
+        # n = 14 is not hopeless, so every estimator attempt draws, and fails
+        calls = []
+
+        def over_budget(*args, **kwargs):
+            calls.append(kwargs["seed"])
+            raise SampleBudgetExceeded("no member")
+
+        monkeypatch.setattr("hspeed.oscillate.sample_dense_member", over_budget)
+        assert _certified_bound(2, 3, F(1), F(3, 2), 14, seed=0) is None
+        assert len(set(calls)) == ESTIMATOR_ATTEMPTS == 8  # one fresh seed per attempt
 
 
 class TestSequence:

@@ -914,7 +914,14 @@ class TestForbiddenIndex:
         monkeypatch.setattr(hspeed.property, "_size_codes", counting)
         spec = bipartite_property()
         assert spec.member(cycle(6)) and not spec.member(cycle(7))
-        assert built == [(m, int(m >= 3 and m % 2 == 1)) for m in range(8)]
-        # only the sizes with structures are scanned
-        assert list(spec._forbidden_index.sizes(8)) == [3, 5, 7]
-        assert built[8:] == [(8, 0)]
+        assert built == [(3, 1), (5, 1), (7, 1)]
+        # a size with no structures stores empty slots and codes and is never scanned
+        index = spec._forbidden_index
+        assert sorted(index) == list(range(8))
+        assert [m for m in index if index[m][1]] == [3, 5, 7]
+        coded = []
+        code = hspeed.property._code
+        monkeypatch.setattr(hspeed.property, "_code", lambda *args: coded.append(1) or code(*args))
+        assert spec.member(cycle(8))
+        assert index[8] == ((), frozenset()) and built == [(3, 1), (5, 1), (7, 1)]
+        assert len(coded) == math.comb(8, 3) + math.comb(8, 5) + math.comb(8, 7)

@@ -434,6 +434,20 @@ class TestEquivalence:
         with pytest.raises(MixedSizeCase):
             templates_equivalent_or_disjoint(two_cliques, finite_clique)
 
+    def test_unequal_finite_sizes_are_disjoint(self):
+        # 2 and 3 neither match nor absorb: no size is infinite on either side
+        a = make_template(GRAPH, [2, INF], {"E(x1,x2)": [(2, 2)]})
+        b = make_template(GRAPH, [3, INF], {"E(x1,x2)": [(2, 2)]})
+        assert isinstance(templates_equivalent_or_disjoint(a, b), Disjoint)
+
+    def test_infinite_class_absorbing_a_finite_one_is_mixed(self):
+        # b's infinite class takes a's size-3 class, since 3 > K_b = 2
+        a = make_template(GRAPH, [3, INF], {"E(x1,x2)": [(1, 2), (2, 1)]})
+        b = make_template(GRAPH, [INF, INF], {"E(x1,x2)": [(1, 2), (2, 1)]})
+        assert b.threshold == 2
+        with pytest.raises(MixedSizeCase):
+            templates_equivalent_or_disjoint(a, b)
+
     def test_union_examples(self):
         assert union_speed([inf_clique_template(), inf_empty_template()], 6) == 2
         assert union_speed([symmetric_bipartite_template(), inf_empty_template()], 8) == 92
