@@ -12,9 +12,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Collection, Iterable
 
 from .errors import (
     BudgetExceeded,
@@ -35,6 +36,8 @@ BALANCED_COMBO_BUDGET = 300_000  # ... and only edge sets of at most this many c
 MATERIALIZE_BUDGET = 5000  # most members blowup_members builds
 ESTIMATOR_ATTEMPTS = 8  # sampler calls per (nu prefix, n) in _certified_bound
 SEQUENCE_SCAN_LIMIT = 600  # candidate n per build_sequence step
+ESTIMATOR_CHECK_BUDGET = 100_000  # most sets one in_P check of an estimator draw may visit
+DRAW_WORK_CAP = 100_000  # most n + mean edge count of a draw where a sequence step starts
 
 
 @dataclass(frozen=True)
@@ -46,12 +49,21 @@ class Hypergraph:
     edges: frozenset[frozenset[int]]
 
     def __post_init__(self):
+        """Edge sizes and vertices are checked on whole sets: the set of edge
+        sizes, the set of vertex types (int only, so no bool or float), and the
+        least and largest vertex.  Only a failed check walks the edges, to name
+        the first bad one."""
         if self.r < 2:
             raise ValueError("uniformity must be >= 2")
+        sizes = set(map(len, self.edges))
+        types = set(map(type, itertools.chain.from_iterable(self.edges)))
+        vertices = frozenset().union(*self.edges)
+        if sizes <= {self.r} and types <= {int} and (not vertices or 1 <= min(vertices) and max(vertices) <= self.v):
+            return
         for e in self.edges:
             if len(e) != self.r:
                 raise ValueError(f"edge {sorted(e)} is not an {self.r}-set")
-            if any(x < 1 or x > self.v for x in e):
+            if not all(type(x) is int and 1 <= x <= self.v for x in e):
                 raise ValueError(f"edge {sorted(e)} leaves [{self.v}]")
 
     @property
@@ -64,17 +76,16 @@ class Hypergraph:
         relabel = {x: i + 1 for i, x in enumerate(sorted(keep))}
         return Hypergraph(self.r, len(keep), frozenset(frozenset(relabel[x] for x in e) for e in sub))
 
-    def edge_count_within(self, vertices: frozenset[int]) -> int:
-        """e(G[vertices]): one lookup per r-subset when there are fewer r-subsets
-        than edges, else one subset test per edge."""
+    def edge_count_within(self, vertices: Collection[int]) -> int:
+        """e(G[vertices]) for distinct vertices: one lookup per r-subset when
+        there are fewer r-subsets than edges, else one subset test per edge."""
         if math.comb(len(vertices), self.r) < len(self.edges):
-            return sum(1 for sub in itertools.combinations(vertices, self.r)
-                       if frozenset(sub) in self.edges)
-        return sum(1 for e in self.edges if e <= vertices)
+            return sum(map(self.edges.__contains__, map(frozenset, itertools.combinations(vertices, self.r))))
+        return sum(map(frozenset(vertices).__ge__, self.edges))
 
 
 def hypergraph(r: int, v: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
-    return Hypergraph(r, v, frozenset(frozenset(e) for e in edges))
+    return Hypergraph(r, v, frozenset(map(frozenset, edges)))
 
 
 def hypergraph_to_json(g: Hypergraph) -> dict:
@@ -374,7 +385,7 @@ def _connected_violation(g: Hypergraph, reach: int, c: Fraction, budget: int) ->
                 continue
             w = ext.pop()
             grown = sub | {w}
-            count += sum(1 for edge in through[w] if edge <= grown)
+            count += sum(map(grown.__ge__, through[w]))
             visits += 1
             if visits > budget:
                 raise BudgetExceeded(f"the connected-set search exceeds the budget of {budget} sets")
@@ -400,8 +411,7 @@ def in_P(g: Hypergraph, nu: Iterable[int], c: Fraction, subset_budget: int = SUB
     """
     c = Fraction(c)
     listed = {int(x) for x in nu if 1 <= int(x) <= g.v}
-    binding = [s for s in range(1, max(listed, default=0) + 1)
-               if math.comb(s, g.r) > c * s and g.e > c * s]
+    binding = _binding_sizes(g.r, g.e, max(listed, default=0), c)
     gap = min((s for s in binding if s not in listed), default=math.inf)
     reach = max((s for s in binding if s < gap), default=0)
     if reach and _connected_violation(g, reach, c, subset_budget) is not None:
@@ -411,10 +421,20 @@ def in_P(g: Hypergraph, nu: Iterable[int], c: Fraction, subset_budget: int = SUB
             raise BudgetExceeded(
                 f"checking all {math.comb(g.v, size)} subsets of size {size} exceeds the budget"
             )
+        bound = c.numerator * size // c.denominator
         for subset in itertools.combinations(range(1, g.v + 1), size):
-            if g.edge_count_within(frozenset(subset)) > c * size:
+            if g.edge_count_within(subset) > bound:
                 return False
     return True
+
+
+def _binding_sizes(r: int, e: int, top: int, c: Fraction) -> list[int]:
+    """The sizes s <= top at which an r-graph with e edges could hold a set
+    of s vertices spanning more than c*s edges: C(s, r) and e both exceed
+    c*s.  An edge count is an integer, so it exceeds c*s exactly when it
+    exceeds floor(c*s)."""
+    num, den = c.numerator, c.denominator
+    return [s for s in range(1, top + 1) if min(math.comb(s, r), e) > num * s // den]
 
 
 # ---------------------------------------------------------------------------
@@ -499,17 +519,63 @@ def blowup_members(h: Hypergraph, n: int, count_only: bool = False) -> BlowupRes
 
 @dataclass(frozen=True)
 class SampleCertificate:
-    graph: Hypergraph
+    graph: Hypergraph | None  # None when the count alone settled membership and no graph was asked for
     edge_count: int  # the member certifies >= 2^edge_count members
     attempts: int
     seed: int
-    verification: str = "exhaustive"  # in_P decides membership exactly
+    verification: str = "exhaustive"  # in_P, or the edge count when no size binds, decides membership
 
 
 def _edge_threshold_met(e: int, n: int, r: int, delta: Fraction) -> bool:
     """Exact check of e >= n^(-delta) * C(n, r) / 2 for rational delta."""
     a, b = delta.numerator, delta.denominator
     return (2 * e) ** b * n ** a >= math.comb(n, r) ** b
+
+
+def _skip_ranks(rng: random.Random, total: int, p: float) -> list[int]:
+    """The ranks in [0, total) that a draw keeping each one with probability
+    p keeps, in increasing order.  Geometric skipping (Batagelj & Brandes,
+    Phys. Rev. E 71, 2005): the gap to the next kept rank is
+    floor(log U / log(1 - p)) for one uniform U in (0, 1], so a draw costs
+    one random number per kept rank, not one per rank."""
+    if p >= 1:
+        return list(range(total))
+    if p <= 0:
+        return []
+    scale = 1 / math.log1p(-p)
+    rand, log = rng.random, math.log
+    ranks = []
+    rank = -1
+    while (rank := rank + 1 + int(log(1.0 - rand()) * scale)) < total:
+        ranks.append(rank)
+    return ranks
+
+
+def _decode_ranks(ranks: Iterable[int], n: int, r: int):
+    """The r-subsets of [n] at the given increasing lexicographic ranks, as
+    tuples in the order of combinations(range(1, n + 1), r).
+
+    Rank R is read through its complement D = C(n, r) - 1 - R, which is
+    sum_i C(b_i, r + 1 - i) over digits n > b_1 > ... > b_r >= 0, each the
+    largest whose binomial fits in what D leaves; the r-set is {n - b_i}.
+    Ranks rise, so D falls, and each rank is decoded from the one before:
+    the leading digits whose binomials still fit are kept, and each later
+    digit is found by bisection below the digit before it.
+    """
+    table = [[math.comb(b, j) for b in range(n + 1)] for j in range(r, 0, -1)]
+    top = math.comb(n, r) - 1
+    digits = [n] * r  # C(n, j) exceeds every complement: the first rank decodes every digit
+    for rank in ranks:
+        left = top - rank
+        i = 0
+        while i < r and table[i][digits[i]] <= left:
+            left -= table[i][digits[i]]
+            i += 1
+        for j in range(i, r):
+            col = table[j]
+            b = digits[j] = bisect_right(col, left, 0, digits[j - 1] if j else n) - 1
+            left -= col[b]
+        yield tuple(n - b for b in digits)
 
 
 def sample_dense_member(
@@ -520,11 +586,22 @@ def sample_dense_member(
     delta: Fraction,
     seed: int,
     max_attempts: int = 2000,
+    *,
+    build: Callable[[int], bool] | None = None,
+    check_budget: int | None = None,
 ) -> SampleCertificate:
     """Rejection-sample G(n, p), p = n^(-delta), until a member of P^{(k),c}_n
     with e(G) >= p*C(n,r)/2 appears.  Both conditions are decided exactly,
     membership by in_P; a draw whose membership check exceeds its budget is
-    rejected and still counts as an attempt."""
+    rejected and still counts as an attempt.
+
+    A draw keeps r-sets by geometric skips over their lexicographic ranks
+    and is counted before it is built.  When no size up to k binds at its
+    edge count, the count alone makes it a member; such a draw whose count
+    ``build`` refuses comes back unbuilt (graph None), with no in_P call, so
+    every attempt ends as it would if the draw were built.  With
+    ``check_budget``, a check that would visit more sets raises
+    BudgetExceeded instead of rejecting the draw."""
     c = Fraction(c)
     delta = Fraction(delta)
     if delta * c <= 1:
@@ -535,17 +612,24 @@ def sample_dense_member(
         raise ValueError("need k*r <= n")
     rng = random.Random(seed)
     p = float(n) ** (-float(delta))
+    total = math.comb(n, r)
+    budget = {} if check_budget is None else {"subset_budget": check_budget}
     for attempt in range(1, max_attempts + 1):
-        drawn = [e for e in itertools.combinations(range(1, n + 1), r) if rng.random() < p]
-        g = hypergraph(r, n, drawn)
-        if not _edge_threshold_met(g.e, n, r, delta):
+        ranks = _skip_ranks(rng, total, p)
+        e = len(ranks)
+        if not _edge_threshold_met(e, n, r, delta):
             continue
+        if build is not None and not build(e) and not _binding_sizes(r, e, k, c):
+            return SampleCertificate(graph=None, edge_count=e, attempts=attempt, seed=seed)
+        g = Hypergraph(r, n, frozenset(map(frozenset, _decode_ranks(ranks, n, r))))
         try:
-            member = in_P(g, range(1, k + 1), c)
+            member = in_P(g, range(1, k + 1), c, **budget)
         except BudgetExceeded:
+            if budget:
+                raise
             continue  # an unchecked draw is never certified
         if member:
-            return SampleCertificate(graph=g, edge_count=g.e, attempts=attempt, seed=seed)
+            return SampleCertificate(graph=g, edge_count=e, attempts=attempt, seed=seed)
     raise SampleBudgetExceeded(
         f"no qualifying member of P^{{({k}),{c}}}_{n} in {max_attempts} attempts (p = {p:.3g})"
     )
@@ -586,6 +670,48 @@ def _threshold_met(e: int, n: int, r: int, eps: Fraction) -> bool:
     return e ** b >= n ** (r * b - a)
 
 
+def _hopeless(r: int, c: Fraction, eps: Fraction, n: int) -> bool:
+    """The estimator's draws at n have mean edge count p*C(n, r), p =
+    n^(-delta), delta = (1/c + eps)/2; certification is out of reach when
+    mean + 6 sqrt(mean) + 2 < n^(r - eps)."""
+    try:
+        mean = float(n) ** (-float((1 / c + eps) / 2)) * math.comb(n, r)
+        return mean + 6 * math.sqrt(mean) + 2 < float(n) ** (r - float(eps))
+    except OverflowError:  # C(n, r) or n^(r - eps) passes every float: compare logarithms
+        return _log_mean(r, c, eps, n) < (r - float(eps)) * math.log(n)
+
+
+def _log_mean(r: int, c: Fraction, eps: Fraction, n: int) -> float:
+    """The logarithm of the estimator's mean edge count at n, from log-gamma."""
+    return (math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)
+            - float((1 / c + eps) / 2) * math.log(n))
+
+
+def _draw_work(r: int, c: Fraction, eps: Fraction, n: int) -> float:
+    """What one estimator draw at n costs to count: n plus its mean edge count."""
+    return n + math.exp(min(_log_mean(r, c, eps, n), 700.0))
+
+
+def _first_hopeful(r: int, c: Fraction, eps: Fraction, lo: int) -> int:
+    """The least n >= lo that the hopelessness bound lets the estimator draw
+    at, solved by doubling and bisection instead of a scan.  The bisection
+    takes the bound to lift once past a hopeless lo, as the mean edge count
+    outgrows n^(r - eps) by a factor of about n^((eps - 1/c)/2); the tests
+    compare it with a scan.  Raises BudgetExceeded when one draw there
+    would cost more than DRAW_WORK_CAP; the search stops at the cap."""
+    def stop(n: int) -> bool:
+        return _draw_work(r, c, eps, n) > DRAW_WORK_CAP or not _hopeless(r, c, eps, n)
+
+    hi = lo
+    while not stop(hi):
+        lo, hi = hi + 1, 2 * hi
+    n = lo + bisect_left(range(lo, hi + 1), True, key=stop)
+    if _draw_work(r, c, eps, n) > DRAW_WORK_CAP:
+        raise BudgetExceeded(f"a sequence step starts at n >= {n}, where one draw costs more than "
+                             f"{DRAW_WORK_CAP} (n plus its mean edge count)")
+    return n
+
+
 def _certified_bound(r: int, k: int, c: Fraction, eps: Fraction, n: int, seed: int):
     """Certified lower bound log2 |P^{nu,c}_n| >= e via sample_dense_member.
 
@@ -594,21 +720,20 @@ def _certified_bound(r: int, k: int, c: Fraction, eps: Fraction, n: int, seed: i
     exactly.  Returns (e, certificate dict) or None.  The sampler's
     preconditions (k*r <= n) and a deterministic hopelessness bound
     (expected edges far below the threshold) make it return None without
-    drawing randomness.
+    drawing randomness.  A draw is built, and checked by in_P, only when
+    its edge count reaches the threshold or some size up to k binds; a
+    check that would visit more than ESTIMATOR_CHECK_BUDGET sets raises
+    BudgetExceeded.
     """
-    if k * r > n:
+    if k * r > n or _hopeless(r, c, eps, n):
         return None
     delta = (1 / c + eps) / 2
-    p = float(n) ** (-float(delta))
-    mean = p * math.comb(n, r)
-    need = float(n) ** (r - float(eps))
-    if mean + 6 * math.sqrt(mean) + 2 < need:
-        return None  # certification out of reach at this n
     best = None
     for i in range(ESTIMATOR_ATTEMPTS):
         try:
             cert = sample_dense_member(r, k, c, n, delta, seed=seed * 100003 + n * 101 + i,
-                                       max_attempts=40)
+                                       max_attempts=40, build=lambda e: _threshold_met(e, n, r, eps),
+                                       check_budget=ESTIMATOR_CHECK_BUDGET)
         except SampleBudgetExceeded:
             continue
         if best is None or cert.edge_count > best.edge_count:
@@ -626,7 +751,15 @@ def _certified_bound(r: int, k: int, c: Fraction, eps: Fraction, n: int, seed: i
 
 def build_sequence(r: int, c: Fraction, eps: Fraction, steps: int, seed: int = 0) -> OscSequence:
     """Greedy sequence: nu_0 = r+1; mu_k = least n > nu_k whose certified
-    lower bound reaches 2^(n^(r-eps)); nu_{k+1} = mu_k + 1."""
+    lower bound reaches 2^(n^(r-eps)); nu_{k+1} = mu_k + 1.
+
+    A step scans SEQUENCE_SCAN_LIMIT values of n from the first that the
+    sampler (k*r <= n, k = max nu) and the hopelessness bound allow; the n
+    it skips would draw nothing.  Before the first draw, each step's start
+    is bounded below the same way, from the bound on the step before it
+    (max nu exceeds that step's n), and a bound where one draw would cost
+    more than DRAW_WORK_CAP raises BudgetExceeded.
+    """
     c = Fraction(c)
     eps = Fraction(eps)
     if r < 2:
@@ -635,13 +768,17 @@ def build_sequence(r: int, c: Fraction, eps: Fraction, steps: int, seed: int = 0
         raise ValueError("need c >= 1/(r-1)")
     if eps * c <= 1:
         raise ValueError("need eps > 1/c")
+    top = r + 1
+    for _ in range(steps):
+        top = _first_hopeful(r, c, eps, r * top) + 1
     nu = [r + 1]
     mu: list[int] = []
     certificates: list[dict] = []
     for _ in range(steps):
+        start = _first_hopeful(r, c, eps, r * nu[-1])
         found = None
-        for n in range(nu[-1] + 1, nu[-1] + 1 + SEQUENCE_SCAN_LIMIT):
-            result = _certified_bound(r, max(nu), c, eps, n, seed)
+        for n in range(start, start + SEQUENCE_SCAN_LIMIT):
+            result = _certified_bound(r, nu[-1], c, eps, n, seed)
             if result is None:
                 continue
             e, cert = result
@@ -650,7 +787,7 @@ def build_sequence(r: int, c: Fraction, eps: Fraction, steps: int, seed: int = 0
                 break
         if found is None:
             raise EstimatorFailed(
-                f"no certified n in ({nu[-1]}, {nu[-1] + SEQUENCE_SCAN_LIMIT}] reaches the threshold"
+                f"no certified n in [{start}, {start + SEQUENCE_SCAN_LIMIT}) reaches the threshold"
             )
         n, cert = found
         mu.append(n)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -317,6 +318,11 @@ class TestReproducibility:
         ["osc", "sequence", "--steps", "-1"],
         ["arrays", "probe", "--property", "matching", "--nmax", "3", "--amax", "-1"],
         ["arrays", "probe", "--property", "matching", "--nmax", "3", "--amax", "2"],
+        # a vertex is an int in [v]: no float and no bool, in every mode
+        ["osc", "member", "--hypergraph", "{float}", "--mode", "q"],
+        ["osc", "member", "--hypergraph", "{float}", "--mode", "p", "--nu", "4"],
+        ["osc", "member", "--hypergraph", "{float}", "--mode", "s"],
+        ["osc", "member", "--hypergraph", "{bool}", "--mode", "q"],
     ],
 )
 def test_missing_action_argument_is_usage_error(capsys, tmp_path, argv):
@@ -325,9 +331,11 @@ def test_missing_action_argument_is_usage_error(capsys, tmp_path, argv):
 
     files = {"template": tmp_path / "bip.json", "hypergraph": tmp_path / "edge3.json",
              "structure": tmp_path / "m2.json", "uniform": tmp_path / "e3.json",
-             "loop": tmp_path / "loop.json"}
+             "loop": tmp_path / "loop.json", "float": tmp_path / "float.json", "bool": tmp_path / "bool.json"}
     files["template"].write_text(json.dumps(template_to_json(symmetric_bipartite_template())))
     files["hypergraph"].write_text(json.dumps({"r": 3, "v": 3, "edges": [[1, 2, 3]]}))
+    files["float"].write_text(json.dumps({"r": 3, "v": 5, "edges": [[1.5, 2, 3], [1, 2, 4]]}))
+    files["bool"].write_text(json.dumps({"r": 3, "v": 5, "edges": [[True, 2, 3]]}))
     dump_structure(matching(2), str(files["structure"]))
     # a 3-uniform edge and a looped graph: neither fits the graph base of --forbid
     dump_structure(make_structure(uniform_language(3), 3, {"R": itertools.permutations((1, 2, 3))}),
@@ -363,6 +371,24 @@ def test_malformed_structure_file_is_named(capsys, tmp_path):
     code, out, err = run(capsys, "speed", "--forbid", str(other), "--nmax", "3")
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": "usage", "message": f"{other}: unknown relation F"}
+
+
+def test_non_integer_vertex_is_named(capsys, tmp_path):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"r": 3, "v": 5, "edges": [[1.5, 2, 3], [1, 2, 4]]}))
+    for mode in ("q", "p", "s"):
+        code, out, err = run(capsys, "osc", "member", "--hypergraph", str(path), "--mode", mode)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "usage", "message": f"{path}: edge [1.5, 2, 3] leaves [5]"}
+
+
+def test_runaway_sequence_exits_within_a_second(capsys):
+    # step 2 of this r = 3 sequence needs a connected-set search past the estimator's check budget
+    start = time.process_time()
+    code, out, err = run(capsys, "osc", "sequence", "--r", "3", "--steps", "2", "--seed", "3")
+    assert time.process_time() - start < 1.0
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "budget-exceeded"
 
 
 def test_range_floors_are_accepted(capsys):

@@ -29,8 +29,9 @@ INTS = {
     "seed": st.integers(-1, 3),
     "budget": st.integers(-1, 6),
 }
-# a 3-uniform sequence draws C(n, 3) coins per sample for up to 600 n per
-# step and can run for minutes, so the sequence fuzz stays at r <= 2
+# a 3-uniform sequence at c = 1, eps = 3/2 certifies near n = 1,250 in tens
+# of seconds, and at c = 2/3 scans 600 n for minutes before it fails, so the
+# sequence fuzz stays at r <= 2
 LEAF_INTS = {("osc", "sequence"): {"r": st.integers(-1, 2)}}
 RATIONALS = st.sampled_from(["0", "1", "2", "3/2", "2/3", "1/3", "8/5", "-1", "1/0", "0/0", "x", "1.5"])
 LISTS = st.sampled_from(["", "1", "2", "1,2", "0", "3,1", "a", "1,,2"])
@@ -48,7 +49,8 @@ TEXTS = {
 def files(tmp_path_factory):
     d = tmp_path_factory.mktemp("fuzz")
     paths = {name: d / f"{name}.json" for name in
-             ("graph", "hyperedge", "loop", "template", "h3", "triangle", "truncated", "list", "missing")}
+             ("graph", "hyperedge", "loop", "template", "h3", "triangle", "float", "truncated", "list",
+              "missing")}
     dump_structure(matching(2), str(paths["graph"]))
     dump_structure(make_structure(uniform_language(3), 3, {"R": itertools.permutations((1, 2, 3))}),
                    str(paths["hyperedge"]))
@@ -56,6 +58,7 @@ def files(tmp_path_factory):
     paths["template"].write_text(json.dumps(template_to_json(symmetric_bipartite_template())))
     paths["h3"].write_text(json.dumps({"r": 3, "v": 4, "edges": [[1, 2, 3], [2, 3, 4]]}))
     paths["triangle"].write_text(json.dumps({"r": 2, "v": 3, "edges": [[1, 2], [2, 3], [1, 3]]}))
+    paths["float"].write_text(json.dumps({"r": 3, "v": 5, "edges": [[1.5, 2, 3], [1, 2, 4]]}))
     paths["truncated"].write_text('{"r": 2')
     paths["list"].write_text("[1]")  # missing.json is never written
     return sorted(str(p) for p in paths.values())

@@ -2,10 +2,13 @@ import itertools
 import json
 import math
 import random
+import statistics
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from hspeed.cli import main
 from hspeed.corpus import random_hypergraph, tight_cycle
 from hspeed.errors import (
     BudgetExceeded,
@@ -15,11 +18,19 @@ from hspeed.errors import (
     TooSmall,
 )
 from hspeed.oscillate import (
+    DRAW_WORK_CAP,
     ESTIMATOR_ATTEMPTS,
+    Hypergraph,
     OscSequence,
+    _binding_sizes,
     _certified_bound,
+    _decode_ranks,
+    _draw_work,
     _excess_subgraph,
+    _first_hopeful,
+    _hopeless,
     _maximal_matchings,
+    _skip_ranks,
     blowup_members,
     build_sequence,
     count_maximal_matchings,
@@ -293,6 +304,7 @@ class TestMembership:
     def test_in_p_matches_subset_scan(self):
         rng = random.Random(2024)
         violations = 0
+        kinds = Counter()  # the integer bound floor(c*s) at c = 0, at c < 1 and at non-integral c
         for _ in range(1200):
             r = rng.choice((2, 3))
             v = rng.randint(1, 9)
@@ -300,6 +312,8 @@ class TestMembership:
             g = hypergraph(r, v, [e for e in itertools.combinations(range(1, v + 1), r)
                                   if rng.random() < p])
             c = F(rng.randint(0, 12), rng.randint(1, 6))
+            kinds.update(kind for kind, holds in (("zero", c == 0), ("below one", c < 1),
+                                                  ("non-integral", c.denominator > 1)) if holds)
             if rng.random() < 0.5:
                 nu = range(1, rng.randint(1, v + 2))  # gap-free
             else:
@@ -308,6 +322,7 @@ class TestMembership:
             violations += not expected
             assert in_P(g, nu, c) == expected, (r, v, sorted(map(sorted, g.edges)), list(nu), c)
         assert 200 < violations < 1000  # both answers are well exercised
+        assert min(kinds[k] for k in ("zero", "below one", "non-integral")) > 50, kinds
 
     def test_connected_search_budget(self):
         # C30 with c = 1: sizes 4..19 bind, no path violates, and there are
@@ -373,6 +388,56 @@ class TestMembership:
         monkeypatch.setattr("hspeed.oscillate._excess_subgraph", lambda g, c: None)
         with pytest.raises(RuntimeError):
             in_Q(g, F(1))
+
+
+def reference_edge_error(r, v, edges):
+    """Oracle: walk the edges one by one and name the first bad one."""
+    for e in edges:
+        if len(e) != r:
+            return f"edge {sorted(e)} is not an {r}-set"
+        if any(type(x) is not int or not 1 <= x <= v for x in e):
+            return f"edge {sorted(e)} leaves [{v}]"
+    return None
+
+
+class TestEdgeChecks:
+    CORRUPTIONS = {
+        "grow": lambda e, v, rng: e + [rng.randint(1, v)],
+        "shrink": lambda e, v, rng: e[1:],
+        "zero": lambda e, v, rng: e[1:] + [0],
+        "above": lambda e, v, rng: e[1:] + [v + 1],
+        "half": lambda e, v, rng: e[1:] + [e[0] + 0.5],
+        "float": lambda e, v, rng: e[1:] + [float(e[0])],
+        "bool": lambda e, v, rng: [True] + [x for x in e if x != 1][: len(e) - 1],
+    }
+
+    def test_set_level_check_names_the_reference_edge(self):
+        rng = random.Random(250)
+        seen = Counter()
+        for _ in range(600):
+            r = rng.choice((2, 3))
+            v = rng.randint(r + 1, 8)
+            edges = [list(e) for e in itertools.combinations(range(1, v + 1), r) if rng.random() < 0.4]
+            for _ in range(rng.randint(0, 2) if edges else 0):
+                i = rng.randrange(len(edges))
+                kind = rng.choice(sorted(self.CORRUPTIONS))
+                edges[i] = self.CORRUPTIONS[kind](edges[i], v, rng)
+            edge_set = frozenset(map(frozenset, edges))
+            expected = reference_edge_error(r, v, edge_set)
+            seen["valid" if expected is None else "size" if expected.endswith("-set") else "vertex"] += 1
+            if expected is None:
+                assert Hypergraph(r, v, edge_set).e == len(edge_set)
+            else:
+                with pytest.raises(ValueError) as info:
+                    Hypergraph(r, v, edge_set)
+                assert str(info.value) == expected
+        assert min(seen.values()) > 100, seen
+
+    def test_non_integer_vertices(self):
+        for edges in ([[1.5, 2, 3], [1, 2, 4]], [[True, 2, 3]], [[1.0, 2, 3]]):
+            with pytest.raises(ValueError, match=r"leaves \[5\]"):
+                hypergraph(3, 5, edges)
+        assert hypergraph(3, 5, [[1, 2, 3], [3, 4, 5]]).e == 2
 
 
 class TestBlowup:
@@ -539,6 +604,53 @@ class TestSampler:
         assert len(set(calls)) == ESTIMATOR_ATTEMPTS == 8  # one fresh seed per attempt
 
 
+    def test_rank_decoder_matches_combinations(self):
+        rng = random.Random(9)
+        for n in range(1, 10):
+            for r in (2, 3, 4):
+                order = list(itertools.combinations(range(1, n + 1), r))
+                assert list(_decode_ranks(range(len(order)), n, r)) == order
+                ranks = sorted(rng.sample(range(len(order)), len(order) // 3))
+                assert list(_decode_ranks(ranks, n, r)) == [order[i] for i in ranks]
+
+    @pytest.mark.parametrize("r, n", [(2, 30), (3, 24)])
+    def test_skip_draw_mean_edge_count(self, r, n):
+        total = math.comb(n, r)
+        p = n ** -1.25
+        counts = []
+        for seed in range(300):
+            ranks = _skip_ranks(random.Random(seed), total, p)
+            assert all(0 <= a < b < total for a, b in zip(ranks, ranks[1:]))
+            counts.append(len(ranks))
+        sigma = math.sqrt(total * p * (1 - p) / len(counts))
+        assert abs(statistics.fmean(counts) - p * total) <= 4 * sigma
+
+    def test_unbuilt_draws_end_like_built_ones(self):
+        # a draw is left unbuilt only when no size up to k binds at its count;
+        # built or not, the sampler stops at the same attempt with the same count
+        unbuilt = built_anyway = 0
+        for r, k, c, n, delta in [(2, 3, F(1), 20, F(3, 2)), (2, 4, F(1), 40, F(5, 4)),
+                                  (2, 3, F(2, 3), 30, F(8, 5)), (3, 4, F(1), 24, F(5, 4))]:
+            for seed in range(6):
+                built = sample_dense_member(r, k, c, n, delta, seed)
+                counted = sample_dense_member(r, k, c, n, delta, seed, build=lambda e: False)
+                assert (counted.edge_count, counted.attempts) == (built.edge_count, built.attempts)
+                if counted.graph is None:
+                    assert not _binding_sizes(r, built.edge_count, k, c)
+                    unbuilt += 1
+                else:
+                    assert counted.graph == built.graph
+                    built_anyway += 1
+        assert unbuilt > 5 and built_anyway > 5
+
+    def test_check_budget_raises(self):
+        # size 4 binds once a draw has 5 edges, so its check must search
+        cert = sample_dense_member(2, 4, F(1), 40, F(5, 4), seed=1)
+        assert _binding_sizes(2, cert.edge_count, 4, F(1))
+        with pytest.raises(BudgetExceeded):
+            sample_dense_member(2, 4, F(1), 40, F(5, 4), seed=1, check_budget=0)
+
+
 class TestSequence:
     def test_first_point_and_interleaving(self):
         seq = build_sequence(2, F(1), F(3, 2), steps=2, seed=7)
@@ -579,6 +691,45 @@ class TestSequence:
             build_sequence(3, F(1, 4), F(9), steps=1)  # c < 1/(r-1)
         with pytest.raises(ValueError):
             build_sequence(1, F(1), F(2), steps=1)  # r < 2
+
+
+    @pytest.mark.parametrize("r, c, eps", [(2, F(1), F(3, 2)), (3, F(1), F(3, 2)), (3, F(1), F(2)),
+                                            (3, F(2, 3), F(2)), (3, F(1), F(8, 5)), (2, F(2), F(1)),
+                                            (4, F(1, 2), F(5, 2)), (3, F(1, 2), F(9, 4))])
+    def test_solved_start_matches_scan(self, r, c, eps):
+        for lo in (6, 12, 39, 100, 300, 1000):
+            n = lo  # oracle: step n up while the bound is hopeless and a draw within the cap
+            while _hopeless(r, c, eps, n) and _draw_work(r, c, eps, n) <= DRAW_WORK_CAP:
+                n += 1
+            if _draw_work(r, c, eps, n) > DRAW_WORK_CAP:
+                with pytest.raises(BudgetExceeded):
+                    _first_hopeful(r, c, eps, lo)
+            else:
+                assert _first_hopeful(r, c, eps, lo) == n
+
+    def test_cap_admits_the_r3_step(self):
+        assert _first_hopeful(3, F(1), F(3, 2), 3 * 4) == 1161
+
+    def test_cap_is_checked_before_any_draw(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampler called before the cap was checked")
+
+        monkeypatch.setattr("hspeed.oscillate.sample_dense_member", refuse)
+        # r = 3: step 2 starts at n >= 3 * 1162; r = 2: n doubles with each step
+        for r, eps, steps in [(3, F(3, 2), 2), (2, F(3, 2), 40)]:
+            with pytest.raises(BudgetExceeded):
+                build_sequence(r, F(1), eps, steps=steps)
+
+    @pytest.mark.slow
+    def test_certified_r3_step(self, capsys):
+        seq = build_sequence(3, F(1), F(3, 2), steps=1, seed=0)
+        (mu,), (cert,) = seq.mu, seq.certificates
+        assert mu >= 1161 and cert["n"] == mu
+        assert cert["edges"] ** 2 >= mu**3  # e^b >= n^(rb - a) for eps = 3/2
+        assert cert["verification"] == "exhaustive"
+        assert main(["osc", "sequence", "--r", "3", "--c", "1", "--eps", "3/2", "--steps", "1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["nu"], out["mu"], out["certificates"]) == (list(seq.nu), list(seq.mu), [cert])
 
 
 class TestJson:
