@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from .errors import UnknownKind
-from .oscillate import Hypergraph, hypergraph
+from .oscillate import Hypergraph, _decode_ranks, _skip_ranks, hypergraph
 from .structures import GRAPH, Structure, graph
 from .template import INF, Template, make_template
 
@@ -64,9 +65,9 @@ def tight_cycle(r: int, v: int) -> Hypergraph:
 
 
 def random_hypergraph(r: int, v: int, p: float, seed: int) -> Hypergraph:
-    rng = random.Random(seed)
-    edges = [e for e in itertools.combinations(range(1, v + 1), r) if rng.random() < p]
-    return hypergraph(r, v, edges)
+    """G^(r)(v, p), drawn by the sampler's geometric skips over r-set ranks."""
+    ranks = _skip_ranks(random.Random(seed), math.comb(v, r), p)
+    return hypergraph(r, v, _decode_ranks(ranks, v, r))
 
 
 # built-in templates ----------------------------------------------------------

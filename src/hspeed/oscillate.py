@@ -26,7 +26,7 @@ from .errors import (
     SearchBudgetExceeded,
     TooSmall,
 )
-from .structures import load_json
+from .structures import json_int, load_json
 
 BRUTE_CROSSCHECK_LIMIT = 14
 SUBSET_SCAN_LIMIT = 15  # is_strictly_balanced reads every subset for v <= this
@@ -93,7 +93,7 @@ def hypergraph_to_json(g: Hypergraph) -> dict:
 
 
 def hypergraph_from_json(obj: dict) -> Hypergraph:
-    return hypergraph(int(obj["r"]), int(obj["v"]), obj.get("edges", ()))
+    return hypergraph(json_int(obj["r"], "r"), json_int(obj["v"], "v"), obj.get("edges", ()))
 
 
 def load_hypergraph(path: str) -> Hypergraph:
@@ -670,21 +670,21 @@ def _threshold_met(e: int, n: int, r: int, eps: Fraction) -> bool:
     return e ** b >= n ** (r * b - a)
 
 
-def _hopeless(r: int, c: Fraction, eps: Fraction, n: int) -> bool:
-    """The estimator's draws at n have mean edge count p*C(n, r), p =
-    n^(-delta), delta = (1/c + eps)/2; certification is out of reach when
-    mean + 6 sqrt(mean) + 2 < n^(r - eps)."""
-    try:
-        mean = float(n) ** (-float((1 / c + eps) / 2)) * math.comb(n, r)
-        return mean + 6 * math.sqrt(mean) + 2 < float(n) ** (r - float(eps))
-    except OverflowError:  # C(n, r) or n^(r - eps) passes every float: compare logarithms
-        return _log_mean(r, c, eps, n) < (r - float(eps)) * math.log(n)
-
-
 def _log_mean(r: int, c: Fraction, eps: Fraction, n: int) -> float:
     """The logarithm of the estimator's mean edge count at n, from log-gamma."""
     return (math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)
             - float((1 / c + eps) / 2) * math.log(n))
+
+
+def _hopeless(r: int, c: Fraction, eps: Fraction, n: int) -> bool:
+    """The estimator's draws at n have mean edge count m = p*C(n, r), p =
+    n^(-delta), delta = (1/c + eps)/2; certification is out of reach when
+    m + 6 sqrt(m) + 2 < n^(r - eps), compared in logarithms with every term
+    scaled by 1/max(m, 1), so no power of n overflows a float."""
+    lm = _log_mean(r, c, eps, n)
+    top = max(lm, 0.0)
+    lhs = top + math.log(math.exp(lm - top) + 6 * math.exp(lm / 2 - top) + 2 * math.exp(-top))
+    return lhs < (r - float(eps)) * math.log(n)
 
 
 def _draw_work(r: int, c: Fraction, eps: Fraction, n: int) -> float:
@@ -712,23 +712,20 @@ def _first_hopeful(r: int, c: Fraction, eps: Fraction, lo: int) -> int:
     return n
 
 
-def _certified_bound(r: int, k: int, c: Fraction, eps: Fraction, n: int, seed: int):
-    """Certified lower bound log2 |P^{nu,c}_n| >= e via sample_dense_member.
-
-    With k = max(nu prefix), the certificate graph is a member of
-    P^{(k),c}_n, hence of P^{nu,c}_n, and in_P decides that membership
-    exactly.  Returns (e, certificate dict) or None.  The sampler's
-    preconditions (k*r <= n) and a deterministic hopelessness bound
-    (expected edges far below the threshold) make it return None without
-    drawing randomness.  A draw is built, and checked by in_P, only when
-    its edge count reaches the threshold or some size up to k binds; a
+def _certified_bound(r: int, k: int, c: Fraction, eps: Fraction, n: int, seed: int) -> dict | None:
+    """A certificate dict that log2 |P^{nu,c}_n| >= n^(r - eps), or None:
+    the first of ESTIMATOR_ATTEMPTS sampler calls, each with its own seed,
+    whose member of P^{(k),c}_n (k = max nu prefix, so also of P^{nu,c}_n;
+    in_P decides it exactly) has enough edges.  The sampler's preconditions
+    (k*r <= n) and a deterministic hopelessness bound make it return None
+    without drawing randomness.  A draw is built, and checked by in_P, only
+    when its edge count reaches the threshold or some size up to k binds; a
     check that would visit more than ESTIMATOR_CHECK_BUDGET sets raises
     BudgetExceeded.
     """
     if k * r > n or _hopeless(r, c, eps, n):
         return None
     delta = (1 / c + eps) / 2
-    best = None
     for i in range(ESTIMATOR_ATTEMPTS):
         try:
             cert = sample_dense_member(r, k, c, n, delta, seed=seed * 100003 + n * 101 + i,
@@ -736,22 +733,15 @@ def _certified_bound(r: int, k: int, c: Fraction, eps: Fraction, n: int, seed: i
                                        check_budget=ESTIMATOR_CHECK_BUDGET)
         except SampleBudgetExceeded:
             continue
-        if best is None or cert.edge_count > best.edge_count:
-            best = cert
-    if best is None:
-        return None
-    return best.edge_count, {
-        "n": n,
-        "edges": best.edge_count,
-        "attempts": best.attempts,
-        "seed": best.seed,
-        "verification": best.verification,
-    }
+        if _threshold_met(cert.edge_count, n, r, eps):
+            return {"n": n, "edges": cert.edge_count, "attempts": cert.attempts, "seed": cert.seed,
+                    "verification": cert.verification}
+    return None
 
 
 def build_sequence(r: int, c: Fraction, eps: Fraction, steps: int, seed: int = 0) -> OscSequence:
-    """Greedy sequence: nu_0 = r+1; mu_k = least n > nu_k whose certified
-    lower bound reaches 2^(n^(r-eps)); nu_{k+1} = mu_k + 1.
+    """Greedy sequence: nu_0 = r+1; mu_k = least n > nu_k that
+    _certified_bound certifies to reach 2^(n^(r-eps)); nu_{k+1} = mu_k + 1.
 
     A step scans SEQUENCE_SCAN_LIMIT values of n from the first that the
     sampler (k*r <= n, k = max nu) and the hopelessness bound allow; the n
@@ -776,20 +766,14 @@ def build_sequence(r: int, c: Fraction, eps: Fraction, steps: int, seed: int = 0
     certificates: list[dict] = []
     for _ in range(steps):
         start = _first_hopeful(r, c, eps, r * nu[-1])
-        found = None
         for n in range(start, start + SEQUENCE_SCAN_LIMIT):
-            result = _certified_bound(r, nu[-1], c, eps, n, seed)
-            if result is None:
-                continue
-            e, cert = result
-            if _threshold_met(e, n, r, eps):
-                found = (n, cert)
+            cert = _certified_bound(r, nu[-1], c, eps, n, seed)
+            if cert is not None:
                 break
-        if found is None:
+        else:
             raise EstimatorFailed(
                 f"no certified n in [{start}, {start + SEQUENCE_SCAN_LIMIT}) reaches the threshold"
             )
-        n, cert = found
         mu.append(n)
         certificates.append(cert)
         nu.append(n + 1)

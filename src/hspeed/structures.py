@@ -366,9 +366,16 @@ def language_to_json(lang: Language) -> dict:
     }
 
 
+def json_int(value, what: str) -> int:
+    """A number read from a JSON file: an int, never a bool or a float."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, not {json.dumps(value)}")
+    return value
+
+
 def language_from_json(obj: dict) -> Language:
     return Language(
-        relations=tuple((r["name"], int(r["arity"])) for r in obj.get("relations", ())),
+        relations=tuple((r["name"], json_int(r["arity"], "arity")) for r in obj.get("relations", ())),
         constants=tuple(obj.get("constants", ())),
     )
 
@@ -391,9 +398,10 @@ def structure_from_json(obj: dict) -> Structure:
     lang = language_from_json(obj["language"])
     return make_structure(
         lang,
-        int(obj["n"]),
-        {name: [tuple(t) for t in ts] for name, ts in obj.get("tuples", {}).items()},
-        {name: int(v) for name, v in obj.get("constants", {}).items()},
+        json_int(obj["n"], "n"),
+        {name: [tuple(json_int(x, "a tuple entry") for x in t) for t in ts]
+         for name, ts in obj.get("tuples", {}).items()},
+        {name: json_int(v, "a constant") for name, v in obj.get("constants", {}).items()},
     )
 
 

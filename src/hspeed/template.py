@@ -39,7 +39,7 @@ from .simclass import (
     realizations,
     reconstruct_relations,
 )
-from .structures import Language, Structure, language_from_json, language_to_json, load_json
+from .structures import Language, Structure, json_int, language_from_json, language_to_json, load_json
 
 INF = float("inf")
 
@@ -536,10 +536,13 @@ def template_to_json(template: Template) -> dict:
 
 def template_from_json(obj: dict) -> Template:
     lang = language_from_json(obj["language"])
-    template = make_template(lang, obj["sizes"], obj.get("sigma", {}))
-    if "k" in obj and int(obj["k"]) != template.k:
+    sizes = [s if s == "inf" else json_int(s, "a class size") for s in obj["sizes"]]
+    sigma = {key: [tuple(json_int(i, "a class index") for i in t) for t in entries]
+             for key, entries in obj.get("sigma", {}).items()}
+    template = make_template(lang, sizes, sigma)
+    if "k" in obj and json_int(obj["k"], "k") != template.k:
         raise ValueError("declared k disagrees with sizes")
-    if "K" in obj and int(obj["K"]) != template.threshold:
+    if "K" in obj and json_int(obj["K"], "K") != template.threshold:
         raise ValueError("declared K disagrees with max(arity, largest finite size)")
     return template
 

@@ -323,6 +323,11 @@ class TestReproducibility:
         ["osc", "member", "--hypergraph", "{float}", "--mode", "p", "--nu", "4"],
         ["osc", "member", "--hypergraph", "{float}", "--mode", "s"],
         ["osc", "member", "--hypergraph", "{bool}", "--mode", "q"],
+        # ... and every number in an input file is an int: a tuple entry, r and v, a class size
+        ["components", "{float_tuple}"],
+        ["speed", "--forbid", "{float_tuple}", "--nmax", "3"],
+        ["osc", "member", "--hypergraph", "{float_rv}", "--mode", "q"],
+        ["template", "count", "--template", "{float_size}", "--n", "4"],
     ],
 )
 def test_missing_action_argument_is_usage_error(capsys, tmp_path, argv):
@@ -331,8 +336,13 @@ def test_missing_action_argument_is_usage_error(capsys, tmp_path, argv):
 
     files = {"template": tmp_path / "bip.json", "hypergraph": tmp_path / "edge3.json",
              "structure": tmp_path / "m2.json", "uniform": tmp_path / "e3.json",
-             "loop": tmp_path / "loop.json", "float": tmp_path / "float.json", "bool": tmp_path / "bool.json"}
+             "loop": tmp_path / "loop.json", "float": tmp_path / "float.json", "bool": tmp_path / "bool.json",
+             "float_tuple": tmp_path / "float_tuple.json", "float_rv": tmp_path / "float_rv.json",
+             "float_size": tmp_path / "float_size.json"}
     files["template"].write_text(json.dumps(template_to_json(symmetric_bipartite_template())))
+    files["float_size"].write_text(json.dumps({**template_to_json(symmetric_bipartite_template()),
+                                               "sizes": [2.5, "inf"], "k": 2, "K": 2}))
+    files["float_rv"].write_text(json.dumps({"r": 2.5, "v": 4.9, "edges": [[1, 2]]}))
     files["hypergraph"].write_text(json.dumps({"r": 3, "v": 3, "edges": [[1, 2, 3]]}))
     files["float"].write_text(json.dumps({"r": 3, "v": 5, "edges": [[1.5, 2, 3], [1, 2, 4]]}))
     files["bool"].write_text(json.dumps({"r": 3, "v": 5, "edges": [[True, 2, 3]]}))
@@ -341,6 +351,8 @@ def test_missing_action_argument_is_usage_error(capsys, tmp_path, argv):
     dump_structure(make_structure(uniform_language(3), 3, {"R": itertools.permutations((1, 2, 3))}),
                    str(files["uniform"]))
     dump_structure(make_structure(GRAPH, 2, {"E": [(1, 1), (1, 2), (2, 1)]}), str(files["loop"]))
+    files["float_tuple"].write_text(json.dumps({**structure_to_json(graph(2, [])),
+                                                "tuples": {"E": [[1.5, 2], [2, 1.5]]}}))
     argv = [a.format(**files) for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -371,6 +383,41 @@ def test_malformed_structure_file_is_named(capsys, tmp_path):
     code, out, err = run(capsys, "speed", "--forbid", str(other), "--nmax", "3")
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": "usage", "message": f"{other}: unknown relation F"}
+
+
+@pytest.mark.parametrize("convert", [float, str, bool])
+@pytest.mark.parametrize("kind, keys", [
+    ("structure", ["n"]), ("structure", ["language", "relations", 0, "arity"]),
+    ("structure", ["tuples", "E", 0, 0]), ("structure", ["constants", "a"]),
+    ("hypergraph", ["r"]), ("hypergraph", ["v"]),
+    ("template", ["sizes", 0]), ("template", ["k"]), ("template", ["K"]),
+    ("template", ["sigma", "E(x1,x2)", 0, 0]),
+])
+def test_non_integer_number_in_file_is_named(capsys, tmp_path, kind, keys, convert):
+    """Every number a file decoder reads is a JSON integer: a float, a
+    string or a bool in its place is a usage error naming the file."""
+    from hspeed.corpus import clique_plus_singleton_template
+    from hspeed.structures import Language
+    from hspeed.template import template_to_json
+
+    obj, argv = {
+        "structure": (structure_to_json(make_structure(Language((("E", 2),), ("a",)), 2,
+                                                       {"E": [(1, 2), (2, 1)]}, {"a": 1})), ["components"]),
+        "hypergraph": ({"r": 2, "v": 3, "edges": [[1, 2]]}, ["osc", "member", "--mode", "q", "--hypergraph"]),
+        "template": (template_to_json(clique_plus_singleton_template()),
+                     ["template", "count", "--n", "4", "--template"]),
+    }[kind]
+    *outer, last = keys
+    holder = obj
+    for key in outer:
+        holder = holder[key]
+    holder[last] = bad = convert(holder[last])
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    message = json.loads(err)["message"]
+    assert message.startswith(f"{path}: ") and message.endswith(f"must be an integer, not {json.dumps(bad)}")
 
 
 def test_non_integer_vertex_is_named(capsys, tmp_path):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from hspeed.cli import build_parser, main
 from hspeed.corpus import BUILTIN_TEMPLATES, matching, symmetric_bipartite_template
-from hspeed.structures import GRAPH, dump_structure, make_structure, uniform_language
+from hspeed.structures import GRAPH, dump_structure, graph, make_structure, structure_to_json, uniform_language
 from hspeed.template import template_to_json
 
 # integer options, always given and bounded, so no example runs at a costly default size
@@ -50,7 +50,7 @@ def files(tmp_path_factory):
     d = tmp_path_factory.mktemp("fuzz")
     paths = {name: d / f"{name}.json" for name in
              ("graph", "hyperedge", "loop", "template", "h3", "triangle", "float", "truncated", "list",
-              "missing")}
+              "missing", "float_tuple", "float_rv", "float_size")}
     dump_structure(matching(2), str(paths["graph"]))
     dump_structure(make_structure(uniform_language(3), 3, {"R": itertools.permutations((1, 2, 3))}),
                    str(paths["hyperedge"]))
@@ -59,6 +59,11 @@ def files(tmp_path_factory):
     paths["h3"].write_text(json.dumps({"r": 3, "v": 4, "edges": [[1, 2, 3], [2, 3, 4]]}))
     paths["triangle"].write_text(json.dumps({"r": 2, "v": 3, "edges": [[1, 2], [2, 3], [1, 3]]}))
     paths["float"].write_text(json.dumps({"r": 3, "v": 5, "edges": [[1.5, 2, 3], [1, 2, 4]]}))
+    paths["float_tuple"].write_text(json.dumps({**structure_to_json(graph(2, [])),
+                                                "tuples": {"E": [[1.5, 2], [2, 1.5]]}}))
+    paths["float_rv"].write_text(json.dumps({"r": 2.5, "v": 4.9, "edges": [[1, 2]]}))
+    paths["float_size"].write_text(json.dumps({**template_to_json(symmetric_bipartite_template()),
+                                               "sizes": [2.5, "inf"], "k": 2, "K": 2}))
     paths["truncated"].write_text('{"r": 2')
     paths["list"].write_text("[1]")  # missing.json is never written
     return sorted(str(p) for p in paths.values())

@@ -4,6 +4,7 @@ import math
 import random
 import statistics
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from hspeed.oscillate import (
     ESTIMATOR_ATTEMPTS,
     Hypergraph,
     OscSequence,
+    SampleCertificate,
     _binding_sizes,
     _certified_bound,
     _decode_ranks,
@@ -603,6 +605,45 @@ class TestSampler:
         assert _certified_bound(2, 3, F(1), F(3, 2), 14, seed=0) is None
         assert len(set(calls)) == ESTIMATOR_ATTEMPTS == 8  # one fresh seed per attempt
 
+    def test_first_certifying_call_stops_the_estimator(self, monkeypatch):
+        # at n = 14 the threshold is e^2 >= 14: call 1 fails, call 2's 3 edges fall
+        # short, call 3's 7 certify, and every later call would bring more edges
+        calls = []
+
+        def stub(*args, seed, **kwargs):
+            calls.append(seed)
+            if len(calls) == 1:
+                raise SampleBudgetExceeded("no member")
+            edges = 3 if len(calls) == 2 else 4 + len(calls)
+            return SampleCertificate(graph=None, edge_count=edges, attempts=10 * len(calls), seed=seed)
+
+        monkeypatch.setattr("hspeed.oscillate.sample_dense_member", stub)
+        cert = _certified_bound(2, 3, F(1), F(3, 2), 14, seed=0)
+        assert len(calls) == 3
+        assert cert == {"n": 14, "edges": 7, "attempts": 30, "seed": calls[2], "verification": "exhaustive"}
+
+    def test_hopeless_matches_decimal_bound(self):
+        # mean + 6 sqrt(mean) + 2 < n^(r - eps) at 60 digits, mean = C(n, r) n^(-(1/c + eps)/2),
+        # on points away from equality; at r = 200 a float power of n overflows
+        def dec(q):
+            return Decimal(q.numerator) / Decimal(q.denominator)
+
+        points = [(r, c, c_eps + 1 / c, n) for r in (2, 3, 4) for c in (F(1, r - 1), F(1), F(5, 2))
+                  for c_eps in (F(1, 4), F(1), F(5, 2)) for n in (r + 1, 10, 57, 400, 3001)]
+        points += [(200, F(1), F(50), 201), (200, F(1), F(199), 10_000), (3, F(1), F(3, 2), 1161)]
+        verdicts = []
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for r, c, eps, n in points:
+                mean = Decimal(math.comb(n, r)) * Decimal(n) ** -dec((1 / c + eps) / 2)
+                lhs, rhs = mean + 6 * mean.sqrt() + 2, Decimal(n) ** dec(r - eps)
+                if abs(lhs - rhs) > rhs * Decimal("1e-9"):
+                    assert _hopeless(r, c, eps, n) == (lhs < rhs), (r, c, eps, n)
+                    verdicts.append((r, n, lhs < rhs))
+        assert len(verdicts) == len(points)
+        assert (200, 201, True) in verdicts and (200, 10_000, False) in verdicts
+        assert any(v for *_, v in verdicts) and not all(v for *_, v in verdicts)
+
 
     def test_rank_decoder_matches_combinations(self):
         rng = random.Random(9)
@@ -675,6 +716,12 @@ class TestSequence:
         assert seq.nu == (3, 7, 15, 31, 63, 127, 255)
         assert all(cert["verification"] == "exhaustive" for cert in seq.certificates)
 
+    @pytest.mark.parametrize("seed, nu", [(31, (3, 8, 18, 37, 75, 151, 303)), (33, (3, 9, 19, 39, 79, 159, 319)),
+                                          (39, (3, 8, 17, 35, 71, 143, 287))])
+    def test_six_steps_past_the_first_admissible_n(self, seed, nu):
+        # these seeds certify some steps past the first n their scan admits
+        assert build_sequence(2, F(1), F(3, 2), steps=6, seed=seed).nu == nu
+
     def test_reproducible(self):
         a = build_sequence(2, F(1), F(3, 2), steps=2, seed=7)
         b = build_sequence(2, F(1), F(3, 2), steps=2, seed=7)
@@ -725,6 +772,7 @@ class TestSequence:
         seq = build_sequence(3, F(1), F(3, 2), steps=1, seed=0)
         (mu,), (cert,) = seq.mu, seq.certificates
         assert mu >= 1161 and cert["n"] == mu
+        assert (mu, cert["edges"]) == (1252, 44359)
         assert cert["edges"] ** 2 >= mu**3  # e^b >= n^(rb - a) for eps = 3/2
         assert cert["verification"] == "exhaustive"
         assert main(["osc", "sequence", "--r", "3", "--c", "1", "--eps", "3/2", "--steps", "1"]) == 0
