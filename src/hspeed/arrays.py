@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import BadSplit, OutOfRange
-from .property import PropertySpec, generate_levels
+from .property import Consistent, PropertySpec, Refuted, generate_levels
 from .simclass import _growth_pattern
 from .structures import Structure
 
@@ -157,6 +157,25 @@ def is_k_mutually_algebraic(struct: Structure, rel: str, k: int) -> MAVerdict:
                 if len(comps) >= k:
                     return MAVerdict(holds=False, bound=k, violation=(xs, key, len(comps)))
     return MAVerdict(holds=True, bound=k, violation=None)
+
+
+def is_totally_bounded_upto(spec: PropertySpec, k: int, n_max: int, budget: int | None = None):
+    """Refuted with (member, relation, split, assignment) at >= k completions."""
+    for level in generate_levels(spec, n_max, budget):
+        for rep, _ in level:
+            for name, _arity in spec.language.relations:
+                verdict = is_k_mutually_algebraic(rep, name, k)
+                if not verdict.holds:
+                    return Refuted(
+                        witness=rep,
+                        detail={
+                            "relation": name,
+                            "split": verdict.violation[0],
+                            "assignment": verdict.violation[1],
+                            "completions": verdict.violation[2],
+                        },
+                    )
+    return Consistent(checked_upto=n_max)
 
 
 @dataclass(frozen=True)

@@ -92,7 +92,7 @@ def _pretty(payload, indent: int = 0) -> str:
 
 def _load_property(args) -> property_mod.PropertySpec:
     if args.property is not None:
-        return property_mod.BUILTIN_PROPERTIES[args.property]()
+        return corpus_mod.BUILTIN_PROPERTIES[args.property]()
     return property_mod.forbid([load_structure(p) for p in args.forbid.split(",")])
 
 
@@ -129,7 +129,7 @@ def _cmd_probe(args):
     if args.which == "basic":
         verdict = property_mod.is_basic_upto(spec, args.k, args.nmax, budget=args.budget)
     else:
-        verdict = property_mod.is_totally_bounded_upto(spec, args.k, args.nmax, budget=args.budget)
+        verdict = arrays_mod.is_totally_bounded_upto(spec, args.k, args.nmax, budget=args.budget)
     if isinstance(verdict, property_mod.Refuted):
         payload = {
             "verdict": "refuted",
@@ -377,7 +377,7 @@ def _actions(sub, name, help):
 def _property_options(p) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--forbid", help="comma-separated forbidden structure files")
-    group.add_argument("--property", choices=sorted(property_mod.BUILTIN_PROPERTIES),
+    group.add_argument("--property", choices=sorted(corpus_mod.BUILTIN_PROPERTIES),
                        help="built-in property name")
 
 

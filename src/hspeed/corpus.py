@@ -1,13 +1,17 @@
-"""Deterministic built-in families for tests, docs, and the CLI."""
+"""Deterministic built-in families for tests, docs, and the CLI: graphs,
+hypergraphs, templates and hereditary properties.  ``bipartite`` forbids
+the odd cycles, because a shortest odd cycle has no chord."""
 
 from __future__ import annotations
 
 import itertools
 import math
 import random
+from typing import Callable
 
-from .errors import UnknownKind
+from .errors import UnknownKind, UsageError
 from .oscillate import Hypergraph, _decode_ranks, _skip_ranks, hypergraph
+from .property import BASE_GRAPH, PropertySpec, forbid
 from .structures import GRAPH, Structure, graph
 from .template import INF, Template, make_template
 
@@ -66,6 +70,8 @@ def tight_cycle(r: int, v: int) -> Hypergraph:
 
 def random_hypergraph(r: int, v: int, p: float, seed: int) -> Hypergraph:
     """G^(r)(v, p), drawn by the sampler's geometric skips over r-set ranks."""
+    if r < 2 or v < 0 or not 0 <= p <= 1:
+        raise ValueError(f"a random hypergraph needs r >= 2, v >= 0 and 0 <= p <= 1, not r={r}, v={v}, p={p}")
     ranks = _skip_ranks(random.Random(seed), math.comb(v, r), p)
     return hypergraph(r, v, _decode_ranks(ranks, v, r))
 
@@ -103,28 +109,68 @@ BUILTIN_TEMPLATES = {
 }
 
 
+# built-in properties ---------------------------------------------------------
+
+
+def matching_property() -> PropertySpec:
+    """Disjoint unions of edges: forbid induced P3 and K3."""
+    return forbid([path(3), clique(3)])
+
+
+def edgeless_property() -> PropertySpec:
+    return forbid([clique(2)])
+
+
+def all_graphs_property() -> PropertySpec:
+    return PropertySpec(language=GRAPH, base=BASE_GRAPH)
+
+
+def _odd_cycles(m: int) -> tuple[Structure, ...]:
+    """The odd cycle on m vertices when m >= 3 is odd, else nothing."""
+    return (cycle(m),) if m % 2 and m >= 3 else ()
+
+
+def bipartite_property() -> PropertySpec:
+    """Bipartite graphs: forbid every induced odd cycle.  A non-bipartite
+    graph has one, since its shortest odd cycle has no chord."""
+    return PropertySpec(language=GRAPH, base=BASE_GRAPH, forbidden=_odd_cycles)
+
+
+def complete_bipartite_property() -> PropertySpec:
+    """Complete bipartite graphs, edgeless ones included: forbid induced K1+K2 and K3."""
+    return forbid([graph(3, [(1, 2)]), clique(3)])
+
+
+BUILTIN_PROPERTIES: dict[str, Callable[[], PropertySpec]] = {
+    "matching": matching_property,
+    "edgeless": edgeless_property,
+    "all-graphs": all_graphs_property,
+    "bipartite": bipartite_property,
+    "complete-bipartite": complete_bipartite_property,
+}
+
+
 def corpus_generate(kind: str, params: dict, seed: int = 0):
-    """Named family instance: a Structure, Template, or Hypergraph."""
-    if kind == "matching":
-        return matching(int(params.get("m", 4)))
-    if kind == "clique":
-        return clique(int(params.get("n", 4)))
-    if kind == "path":
-        return path(int(params.get("n", 4)))
-    if kind == "cycle":
-        return cycle(int(params.get("n", 5)))
-    if kind == "complete-bipartite":
-        return complete_bipartite(int(params.get("a", 3)), int(params.get("b", 3)))
-    if kind == "triangles":
-        return disjoint_triangles(int(params.get("m", 2)))
-    if kind == "halfgraph-blowup":
-        return halfgraph_blowup(int(params.get("m", 4)))
-    if kind == "tight-cycle":
-        return tight_cycle(int(params.get("r", 3)), int(params.get("v", 5)))
-    if kind == "random-hypergraph":
-        return random_hypergraph(
-            int(params.get("r", 2)), int(params.get("v", 8)), float(params.get("p", 0.3)), seed
-        )
-    if kind in BUILTIN_TEMPLATES:
-        return BUILTIN_TEMPLATES[kind]()
-    raise UnknownKind(f"unknown corpus kind {kind!r}")
+    """Named family instance: a Structure, Template, or Hypergraph.  Each
+    kind takes only its own parameters, each value read as the type of its
+    default."""
+    families = {  # kind -> (builder, its parameters with their defaults)
+        "matching": (matching, {"m": 4}),
+        "clique": (clique, {"n": 4}),
+        "path": (path, {"n": 4}),
+        "cycle": (cycle, {"n": 5}),
+        "complete-bipartite": (complete_bipartite, {"a": 3, "b": 3}),
+        "triangles": (disjoint_triangles, {"m": 2}),
+        "halfgraph-blowup": (halfgraph_blowup, {"m": 4}),
+        "tight-cycle": (tight_cycle, {"r": 3, "v": 5}),
+        "random-hypergraph": (lambda r, v, p: random_hypergraph(r, v, p, seed), {"r": 2, "v": 8, "p": 0.3}),
+    }
+    families.update((name, (build, {})) for name, build in BUILTIN_TEMPLATES.items())
+    if kind not in families:
+        raise UnknownKind(f"unknown corpus kind {kind!r}")
+    build, defaults = families[kind]
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        takes = f"the parameters {', '.join(defaults)}" if defaults else "no parameters"
+        raise UsageError(f"corpus kind {kind!r} takes {takes}, not {', '.join(unknown)}")
+    return build(*(type(default)(params.get(key, default)) for key, default in defaults.items()))

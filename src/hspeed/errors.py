@@ -43,10 +43,6 @@ class LanguageHasConstants(ContractError):
     code = "language-has-constants"
 
 
-class ConstantInInfiniteClass(ContractError):
-    code = "constant-in-infinite-class"
-
-
 class FitFailed(ContractError):
     code = "fit-failed"
 

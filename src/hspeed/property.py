@@ -47,8 +47,8 @@ extension searches' orbit helper.  A size's codes are built when a
 structure with at least m elements is first probed, so a probe is one set
 lookup per subset: no substructure is built and nothing is canonized.  A
 forbidden family is a tuple of structures or a function from a size m to
-the structures of size m, for a family of unbounded sizes: ``bipartite``
-forbids the odd cycles, because a shortest odd cycle has no chord.
+the structures of size m, for a family of unbounded sizes.  The built-in
+properties are in ``corpus``.
 """
 
 from __future__ import annotations
@@ -59,10 +59,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .canon import _getter, canonical_data, orbit
-from .corpus import cycle
 from .errors import BudgetExceeded, LanguageMismatch, TooFewRows
 from .simclass import class_count
-from .structures import GRAPH, Language, Structure, graph
+from .structures import GRAPH, Language, Structure
 from .template import Template, in_age
 
 # ambient structural classes enforced on every member
@@ -238,52 +237,6 @@ def forbid(structures: Iterable[Structure]) -> PropertySpec:
     structures = tuple(structures)
     lang = structures[0].language if structures else GRAPH
     return PropertySpec(language=lang, base=BASE_GRAPH, forbidden=structures)
-
-
-# built-in properties ---------------------------------------------------------
-
-P3 = graph(3, [(1, 2), (2, 3)])
-K3 = graph(3, [(1, 2), (2, 3), (1, 3)])
-K2 = graph(2, [(1, 2)])
-K1_K2 = graph(3, [(1, 2)])
-
-
-def matching_property() -> PropertySpec:
-    """Disjoint unions of edges: forbid induced P3 and K3."""
-    return forbid([P3, K3])
-
-
-def edgeless_property() -> PropertySpec:
-    return forbid([K2])
-
-
-def all_graphs_property() -> PropertySpec:
-    return PropertySpec(language=GRAPH, base=BASE_GRAPH)
-
-
-def _odd_cycles(m: int) -> tuple[Structure, ...]:
-    """The odd cycle on m vertices when m >= 3 is odd, else nothing."""
-    return (cycle(m),) if m % 2 and m >= 3 else ()
-
-
-def bipartite_property() -> PropertySpec:
-    """Bipartite graphs: forbid every induced odd cycle.  A non-bipartite
-    graph has one, since its shortest odd cycle has no chord."""
-    return PropertySpec(language=GRAPH, base=BASE_GRAPH, forbidden=_odd_cycles)
-
-
-def complete_bipartite_property() -> PropertySpec:
-    """Complete bipartite graphs, edgeless ones included: forbid induced K1+K2 and K3."""
-    return forbid([K1_K2, K3])
-
-
-BUILTIN_PROPERTIES: dict[str, Callable[[], PropertySpec]] = {
-    "matching": matching_property,
-    "edgeless": edgeless_property,
-    "all-graphs": all_graphs_property,
-    "bipartite": bipartite_property,
-    "complete-bipartite": complete_bipartite_property,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -620,27 +573,6 @@ def is_basic_upto(spec: PropertySpec, k: int, n_max: int, budget: int | None = N
     return Consistent(checked_upto=n_max, detail=f"all members up to {n_max} have <= {k} classes")
 
 
-def is_totally_bounded_upto(spec: PropertySpec, k: int, n_max: int, budget: int | None = None):
-    """Refuted with (member, relation, split, assignment) at >= k completions."""
-    from .arrays import is_k_mutually_algebraic
-
-    for level in generate_levels(spec, n_max, budget):
-        for rep, _ in level:
-            for name, _arity in spec.language.relations:
-                verdict = is_k_mutually_algebraic(rep, name, k)
-                if not verdict.holds:
-                    return Refuted(
-                        witness=rep,
-                        detail={
-                            "relation": name,
-                            "split": verdict.violation[0],
-                            "assignment": verdict.violation[1],
-                            "completions": verdict.violation[2],
-                        },
-                    )
-    return Consistent(checked_upto=n_max)
-
-
 # ---------------------------------------------------------------------------
 # growth diagnostics
 
@@ -676,7 +608,9 @@ def growth_diagnostics(table: SpeedTable) -> GrowthReport:
 
 def _growth_tag(rows: list[dict]) -> str:
     last = rows[-1]
-    if last["over_factorial"] >= 1.0:
+    if last["labeled"] == 0:  # a hereditary property empty at n is empty above n: the speed is 0
+        return "polynomial/exponential"
+    if last["labeled"] >= math.factorial(last["n"]):
         return "penultimate-or-above"
     # slope of log2-count differences against log2 n over the last rows
     pts = [(math.log2(r["n"]), r["diff_log2"]) for r in rows[-4:] if r["diff_log2"] is not None]

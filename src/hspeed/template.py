@@ -25,7 +25,6 @@ from fractions import Fraction
 
 from .errors import (
     BudgetExceeded,
-    ConstantInInfiniteClass,
     FitFailed,
     LanguageHasConstants,
     LanguageMismatch,
@@ -136,8 +135,6 @@ def template_of(struct: Structure, infinite_classes: set[int]) -> Template:
     for i in infinite_classes:
         if i < 1 or i > decomp.k:
             raise ValueError(f"class index {i} out of range")
-        if decomp.classes[i - 1] & struct.constant_elements:
-            raise ConstantInInfiniteClass(f"class {i} holds a constant interpretation")
     # order: finite by (size, least element), then infinite by least element
     order = sorted(
         range(1, decomp.k + 1),

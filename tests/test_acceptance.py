@@ -19,7 +19,14 @@ from hspeed.arrays import (
     n_array_count,
 )
 from hspeed.components import component_lowerbound_members, partitions_into_blocks
-from hspeed.corpus import BUILTIN_TEMPLATES, halfgraph_blowup, matching, random_hypergraph, tight_cycle
+from hspeed.corpus import (
+    BUILTIN_TEMPLATES,
+    halfgraph_blowup,
+    matching,
+    matching_property,
+    random_hypergraph,
+    tight_cycle,
+)
 from hspeed.errors import InfeasibleDensity
 from hspeed.oscillate import (
     blowup_members,
@@ -34,7 +41,7 @@ from hspeed.oscillate import (
     max_subgraph_density_brute,
     sample_dense_member,
 )
-from hspeed.property import matching_property, speed
+from hspeed.property import speed
 from hspeed.simclass import decomposition, sim_related
 from hspeed.structures import apply_bijection, automorphisms, canonical_form, graph
 from hspeed.template import count_compatible, enumerate_compatible, speed_form

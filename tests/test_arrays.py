@@ -10,16 +10,17 @@ from hspeed.arrays import (
     supports_m_array,
     type_space,
 )
-from hspeed.corpus import complete_bipartite, halfgraph_blowup, matching
-from hspeed.errors import BadSplit
-from hspeed.property import (
+from hspeed.corpus import (
     all_graphs_property,
     bipartite_property,
+    complete_bipartite,
     edgeless_property,
-    generate_levels,
-    generate_members,
+    halfgraph_blowup,
+    matching,
     matching_property,
 )
+from hspeed.errors import BadSplit
+from hspeed.property import generate_levels, generate_members
 from hspeed.structures import Structure, graph, make_structure, uniform_language
 
 

@@ -26,7 +26,8 @@ from hspeed.canon import (
     _signature_steps,
     canonical_data,
 )
-from hspeed.property import PropertySpec, all_graphs_property, speed
+from hspeed.corpus import all_graphs_property
+from hspeed.property import PropertySpec, speed
 from hspeed.structures import GRAPH, Language, graph, make_structure, structure_to_json, uniform_language
 
 MIXED = Language(relations=(("U", 1), ("E", 2), ("T", 3)), constants=("a", "b"))

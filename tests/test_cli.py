@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 from hspeed.cli import build_parser, main
-from hspeed.property import K3, P3
+from hspeed.corpus import clique, path
 from hspeed.structures import GRAPH, dump_structure, graph, make_structure, structure_to_json, uniform_language
+
+P3, K3 = path(3), clique(3)
 
 
 @pytest.fixture
@@ -159,6 +161,24 @@ class TestDispatch:
         code, _, err = run(capsys, "corpus", "--kind", "nonsense")
         assert code == 2
         assert json.loads(err)["error"] == "unknown-kind"
+
+    @pytest.mark.parametrize("kind, param, named", [
+        # a kind takes only its own parameters
+        ("matching", "n=3", "takes the parameters m, not n"),
+        ("inf-clique", "n=9", "takes no parameters, not n"),
+        ("random-hypergraph", "q=1", "takes the parameters r, v, p, not q"),
+        # a random hypergraph needs r >= 2, v >= 0 and 0 <= p <= 1
+        ("random-hypergraph", "v=-2", "v=-2"),
+        ("random-hypergraph", "r=-1", "r=-1"),
+        ("random-hypergraph", "p=nan", "p=nan"),
+        ("random-hypergraph", "p=1.5", "p=1.5"),
+        ("random-hypergraph", "p=-0.5", "p=-0.5"),
+    ])
+    def test_bad_corpus_parameter_is_a_named_usage_error(self, capsys, kind, param, named):
+        code, out, err = run(capsys, "corpus", "--kind", kind, "--param", param)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "usage"
+        assert named in json.loads(err)["message"]
 
 
 class TestRefutedProbesUnionAndMembership:

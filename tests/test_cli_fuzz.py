@@ -41,7 +41,8 @@ TEXTS = {
     "kind": st.sampled_from(sorted(BUILTIN_TEMPLATES) + [
         "matching", "clique", "path", "cycle", "complete-bipartite", "triangles",
         "halfgraph-blowup", "tight-cycle", "random-hypergraph", "no-such-kind"]),
-    "param": st.sampled_from(["n=4", "m=2", "a=2", "b=3", "r=3", "v=6", "p=0.5", "n=-1", "n=x", "v"]),
+    "param": st.sampled_from(["n=4", "m=2", "a=2", "b=3", "r=3", "v=6", "p=0.5", "n=-1", "n=x", "v",
+                              "v=-2", "p=nan", "p=1.5", "q=1"]),
 }
 
 

@@ -11,9 +11,9 @@ from hspeed.components import (
     partitions_into_blocks,
     stirling_chain_holds,
 )
-from hspeed.corpus import disjoint_triangles, matching
+from hspeed.corpus import all_graphs_property, disjoint_triangles, edgeless_property, matching, matching_property
 from hspeed.errors import InsufficientComponents, OutOfRange
-from hspeed.property import all_graphs_property, edgeless_property, generate_members, matching_property
+from hspeed.property import generate_members
 from hspeed.structures import graph, make_structure, uniform_language
 
 

@@ -1,36 +1,41 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from conftest import all_graphs, brute_codes, brute_group_order
+from hspeed.arrays import is_totally_bounded_upto
 from hspeed.canon import canonical_data
-from hspeed.corpus import cycle, inf_clique_template, path
+from hspeed.corpus import (
+    BUILTIN_PROPERTIES,
+    all_graphs_property,
+    bipartite_property,
+    clique,
+    complete_bipartite_property,
+    cycle,
+    edgeless_property,
+    inf_clique_template,
+    matching_property,
+    path,
+)
 from hspeed.errors import BudgetExceeded, TooFewRows
 from hspeed.property import (
     BASE_GRAPH,
     BASE_UNIFORM,
-    BUILTIN_PROPERTIES,
     Consistent,
-    K2,
-    K3,
-    P3,
     PropertySpec,
     Refuted,
-    all_graphs_property,
-    bipartite_property,
-    complete_bipartite_property,
     default_budget,
-    edgeless_property,
     forbid,
     generate_levels,
     generate_members,
     growth_diagnostics,
     is_basic_upto,
-    is_totally_bounded_upto,
-    matching_property,
     speed,
     _conjugate,
     _extensions,
@@ -46,6 +51,8 @@ from hspeed.structures import (
     make_structure,
     uniform_language,
 )
+
+P3, K3, K2 = path(3), clique(3), clique(2)
 
 
 def involution_numbers(n_max: int) -> list[int]:
@@ -457,7 +464,7 @@ class TestSpeed:
 
     def test_labeled_unlabeled_consistency(self):
         # direct brute-force count oracle for n <= 6 on every built-in
-        from hspeed.property import BUILTIN_PROPERTIES
+        from hspeed.corpus import BUILTIN_PROPERTIES
 
         for name, factory in BUILTIN_PROPERTIES.items():
             spec = factory()
@@ -627,6 +634,13 @@ class TestGrowthDiagnostics:
         report = growth_diagnostics(speed(all_graphs_property(), 6))
         assert report.tag == "penultimate-or-above"
         assert report.rows[-1]["over_factorial"] > 1
+
+    @pytest.mark.parametrize("forbidden", [[graph(1, [])], [K2, graph(2, [])]], ids=["K1", "K2-2K1"])
+    def test_empty_from_some_n_is_polynomial(self, forbidden):
+        """A property with no member at n has speed 0 from n on."""
+        table = speed(forbid(forbidden), 5)
+        assert table.rows[-1].labeled == 0
+        assert growth_diagnostics(table).tag == "polynomial/exponential"
 
     def test_too_few_rows(self):
         with pytest.raises(TooFewRows):
@@ -925,3 +939,15 @@ class TestForbiddenIndex:
         assert spec.member(cycle(8))
         assert index[8] == ((), frozenset()) and built == [(3, 1), (5, 1), (7, 1)]
         assert len(coded) == math.comb(8, 3) + math.comb(8, 5) + math.comb(8, 7)
+
+
+def test_engine_imports_no_family_or_diagnostic_module():
+    """A fresh ``import hspeed.property`` loads only the layers the engine
+    runs on: no family, diagnostic or CLI module."""
+    import hspeed
+
+    src = os.path.dirname(os.path.dirname(hspeed.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, hspeed.property; print(' '.join(sorted(m for m in sys.modules if m.startswith('hspeed.'))))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == [f"hspeed.{m}" for m in ("canon", "errors", "property", "simclass", "structures", "template")]

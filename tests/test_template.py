@@ -18,7 +18,6 @@ from hspeed.corpus import (
 )
 from hspeed.errors import (
     BudgetExceeded,
-    ConstantInInfiniteClass,
     FitFailed,
     LanguageHasConstants,
     MixedSizeCase,
@@ -116,10 +115,10 @@ class TestTemplateOf:
             template_of(m, {1})
 
     def test_constant_in_marked_class(self):
-        # exercised through the dedicated error on the decomposition side
+        # a language with constants is refused before any class is marked
         lang = Language((("E", 2),), ("c",))
         m = make_structure(lang, 3, {"E": []}, {"c": 1})
-        with pytest.raises((LanguageHasConstants, ConstantInInfiniteClass)):
+        with pytest.raises(LanguageHasConstants):
             template_of(m, {1})
 
 
