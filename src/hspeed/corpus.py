@@ -30,10 +30,14 @@ def path(n: int) -> Structure:
 
 
 def cycle(n: int) -> Structure:
+    if n < 3:
+        raise ValueError(f"a cycle needs n >= 3, not n={n}")
     return graph(n, [(i, i % n + 1) for i in range(1, n + 1)])
 
 
 def complete_bipartite(a: int, b: int) -> Structure:
+    if a < 0 or b < 0:
+        raise ValueError(f"a complete bipartite graph needs a, b >= 0, not a={a}, b={b}")
     return graph(a + b, [(i, a + j) for i in range(1, a + 1) for j in range(1, b + 1)])
 
 
@@ -50,6 +54,8 @@ def halfgraph_blowup(m: int) -> Structure:
 
     Elements 1..m are the a_i; element m + (j-1)*m + t is the t-th copy of b_j.
     """
+    if m < 0:
+        raise ValueError(f"a half-graph blow-up needs m >= 0, not m={m}")
     n = m + m * m
     edges = []
     for j in range(1, m + 1):

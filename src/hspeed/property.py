@@ -20,7 +20,11 @@ built, tested or canonized.  Every representative gets one leaf test, the
 forbidden and template checks of the membership test with forbidden
 substructures probed only through the new vertex, before it is canonized.
 A child whose new vertex is the only candidate is kept with no orbit test.
-Labeled counts follow as n!/|Aut| per class.
+Labeled counts follow as n!/|Aut| per class.  At the top level, where no
+form is kept, such a child is not canonized either: its new vertex v is
+fixed by every automorphism, so by orbit-stabilizer |Aut(child)| is
+|Aut(parent)| over the size of the orbit of v's extension set, which the
+extension search marks anyway.
 
 For the graph base the extension sets are the masks S of the new vertex
 v's neighbours, automorphisms act on them as bit permutations, and v is
@@ -289,12 +293,28 @@ class SpeedTable:
 
 
 def speed(spec: PropertySpec, n_max: int, budget: int | None = None) -> SpeedTable:
-    """Exact labeled/unlabeled counts for 1 <= n <= n_max."""
+    """Exact labeled/unlabeled counts for 1 <= n <= n_max: the sum of n!/|Aut|
+    over the classes of each level.  Levels below n_max come from
+    ``generate_levels``; the top level's children are counted, not kept.  A
+    child whose new vertex v is the only deletion candidate is counted
+    without canonization, by orbit-stabilizer: v is then the unique maximum
+    of an invariant, so every automorphism of the child fixes v, Aut(child)
+    is the stabilizer in Aut(parent) of v's extension set S, and |Aut(child)|
+    = |Aut(parent)| / |orbit of S|, the orbit the extension search marks.
+    Every other child is canonized and keep-tested as in ``generate_levels``."""
+    _check_budget(spec, n_max, budget)
     rows = []
-    for n, reps in enumerate(generate_levels(spec, n_max, budget), start=1):
-        mult = tuple(sorted(math.factorial(n) // aut for _, aut in reps))
-        rows.append(SpeedRow(n=n, labeled=sum(mult), unlabeled=len(reps), multiplicities=mult))
+    level = _root_level(spec)
+    for n, level in enumerate(generate_levels(spec, n_max - 1, budget), start=1):
+        rows.append(_speed_row(n, [aut for _, aut in level]))
+    if n_max >= 1:
+        rows.append(_speed_row(n_max, [aut for _, aut in _kept(spec, level, n_max, counting=True)]))
     return SpeedTable(tuple(rows))
+
+
+def _speed_row(n: int, auts: list[int]) -> SpeedRow:
+    mult = tuple(sorted(math.factorial(n) // aut for aut in auts))
+    return SpeedRow(n=n, labeled=sum(mult), unlabeled=len(auts), multiplicities=mult)
 
 
 def generate_members(spec: PropertySpec, n: int, budget: int | None = None) -> list[Structure]:
@@ -306,28 +326,62 @@ def generate_members(spec: PropertySpec, n: int, budget: int | None = None) -> l
 
 
 def generate_levels(spec: PropertySpec, n_max: int, budget: int | None = None):
-    """Yield levels 1..n_max lazily; each level lists (canonical rep, |Aut|).
-    Generation starts from the 0-element structure."""
+    """Yield levels 1..n_max lazily; each level lists (canonical rep, |Aut|),
+    sorted by ``_sort_key``.  Generation starts from the 0-element structure."""
+    _check_budget(spec, n_max, budget)
+    level = _root_level(spec)
+    for n in range(1, n_max + 1):
+        nxt = _Level()
+        for data, _ in _kept(spec, level, n):
+            nxt.generators[data.form] = tuple(_conjugate(g, data.relabel) for g in data.aut_generators)
+            nxt.append((data.form, data.aut_order))
+        nxt.sort(key=lambda pair: _sort_key(pair[0]))
+        level = nxt
+        yield level
+
+
+def _check_budget(spec: PropertySpec, n_max: int, budget: int | None):
     cap = default_budget(spec.language, spec.base) if budget is None else budget
     if n_max > cap:
         raise BudgetExceeded(f"n_max = {n_max} exceeds budget {cap}")
+
+
+class _Level(list):
+    """A level's (canonical form, |Aut|) pairs, with ``generators``: each
+    form's automorphism generators, which the next level's extension search
+    acts with."""
+
+    def __init__(self):
+        super().__init__()
+        self.generators: dict[Structure, tuple[tuple[int, ...], ...]] = {}
+
+
+def _root_level(spec: PropertySpec) -> _Level:
     root = Structure(spec.language, 0, tuple(frozenset() for _ in spec.language.relations), ())
+    level = _Level()
+    level.generators[root] = ()
     # the leaf test assumes a member parent; only a 0-element forbidden structure rejects the root
-    level = [] if _has_forbidden(spec, root) else [(root, 1)]
-    generators = {root: ()}  # automorphism generators of this level's forms
-    for n in range(1, n_max + 1):
-        nxt = []
-        nxt_generators = {}
-        for parent, _ in level:
-            for child, candidates in _extensions(spec, parent, generators[parent]):
-                data = canonical_data(child)
-                deleted = max(candidates, key=data.relabel.__getitem__)
-                if deleted == n or deleted in orbit([n], data.aut_generators):
-                    nxt_generators[data.form] = tuple(_conjugate(g, data.relabel) for g in data.aut_generators)
-                    nxt.append((data.form, data.aut_order))
-        nxt.sort(key=lambda pair: _sort_key(pair[0]))
-        level, generators = nxt, nxt_generators
-        yield level
+    if not _has_forbidden(spec, root):
+        level.append((root, 1))
+    return level
+
+
+def _kept(spec: PropertySpec, level: _Level, n: int, counting: bool = False):
+    """Yield (canonical data, |Aut|) for each kept child on n elements of the
+    parents in ``level``: a child is kept when its deletion vertex, the
+    candidate with the largest canonical label, lies in the automorphism
+    orbit of the new vertex n.  With ``counting``, a child whose only
+    candidate is n is kept uncanonized, as (None, |Aut(parent)| // the orbit
+    size of its extension set); see ``speed``."""
+    for parent, aut in level:
+        for child, candidates, orbit_size in _extensions(spec, parent, level.generators[parent]):
+            if counting and len(candidates) == 1:
+                yield None, aut // orbit_size
+                continue
+            data = canonical_data(child)
+            deleted = max(candidates, key=data.relabel.__getitem__)
+            if deleted == n or deleted in orbit([n], data.aut_generators):
+                yield data, data.aut_order
 
 
 def _conjugate(g: tuple[int, ...], relabel: dict[int, int]) -> tuple[int, ...]:
@@ -345,7 +399,8 @@ def _sort_key(struct: Structure):
 
 def _extensions(spec: PropertySpec, parent: Structure, generators):
     """The children of ``parent`` that may be kept, each with its deletion
-    candidates: by adjacency masks for the graph base, by block masks for
+    candidates and the size of its extension set's orbit under the parent
+    automorphisms: by adjacency masks for the graph base, by block masks for
     every other base."""
     search = _graph_extensions if spec.base == BASE_GRAPH else _group_extensions
     return search(spec, parent, generators)
@@ -354,14 +409,15 @@ def _extensions(spec: PropertySpec, parent: Structure, generators):
 def _group_extensions(spec: PropertySpec, parent: Structure, generators):
     """Members on [n+1] extending the parent by vertex v = n+1 whose new
     vertex is maximal under the refined invariant, one per orbit of
-    extension sets under the parent automorphisms ``generators``, each
-    paired with the elements sharing v's incidence invariant and neighbour
-    key: the candidates for the canonical deletion vertex.  An extension
-    set is a bitmask over the blocks touching v (see ``_block``), sorted by
-    support, size first; it is chosen one block at a time, out before in,
-    and the invariants are updated as tuples are chosen, before any child
-    is built.  This is the search for every base; ``_graph_extensions``
-    gives the same children in the same order for the graph base.
+    extension sets under the parent automorphisms ``generators``, each with
+    the elements sharing v's incidence invariant and neighbour key (the
+    candidates for the canonical deletion vertex) and the size of that
+    orbit.  An extension set is a bitmask over the blocks touching v (see
+    ``_block``), sorted by support, size first; it is chosen one block at a
+    time, out before in, and the invariants are updated as tuples are
+    chosen, before any child is built.  This is the search for every base;
+    ``_graph_extensions`` gives the same children in the same order for the
+    graph base.
     """
     lang = spec.language
     n = parent.n
@@ -413,7 +469,7 @@ def _group_extensions(spec: PropertySpec, parent: Structure, generators):
         near.discard(x)
         return sorted([inv[y - 1] for y in near])
 
-    results: list[tuple[Structure, list[int]]] = []
+    results: list[tuple[Structure, list[int], int]] = []
 
     def rec(b: int, code: int):
         if b == len(blocks):
@@ -426,11 +482,11 @@ def _group_extensions(spec: PropertySpec, parent: Structure, generators):
             candidates = _deletion_candidates(tied, v, lambda x: neighbour_invariants(x, inv))
             if candidates is None:
                 return
-            _mark_orbit(marked, code, moves)
+            orbit_size = _mark_orbit(marked, code, moves)
             rel_tuples = tuple(frozenset(parent_tuples[ri] | chosen[ri]) for ri in range(len(lang.relations)))
             child = Structure._trusted(lang, v, rel_tuples, ())
             if _passes(spec, child, v):  # the parent is a member
-                results.append((child, candidates))
+                results.append((child, candidates, orbit_size))
             return
         rec(b + 1, code)
         for ri, t in blocks[b]:
@@ -446,9 +502,11 @@ def _group_extensions(spec: PropertySpec, parent: Structure, generators):
     return results
 
 
-def _mark_orbit(marked: set[int], code: int, moves: list[list[int]]):
-    """Add the orbit of the bitmask ``code`` to ``marked``; each move is a
-    bit permutation, listing the image of bit b at index b."""
+def _mark_orbit(marked: set[int], code: int, moves: list[list[int]]) -> int:
+    """Add the orbit of the bitmask ``code`` to ``marked`` and return how many
+    codes it added: the orbit's size when no code of it was marked.  Each
+    move is a bit permutation, listing the image of bit b at index b."""
+    before = len(marked)
     marked.add(code)
     queue = [code]
     while queue:
@@ -462,6 +520,7 @@ def _mark_orbit(marked: set[int], code: int, moves: list[list[int]]):
             if image not in marked:
                 marked.add(image)
                 queue.append(image)
+    return len(marked) - before
 
 
 def _graph_extensions(spec: PropertySpec, parent: Structure, generators):
@@ -499,7 +558,7 @@ def _graph_extensions(spec: PropertySpec, parent: Structure, generators):
     marked: set[int] = set()
 
     chosen: set[tuple[int, int]] = set()
-    results: list[tuple[Structure, list[int]]] = []
+    results: list[tuple[Structure, list[int], int]] = []
 
     def rec(u: int, code: int, size: int, need: int):
         # need: the largest deg(w) + [w in S] over the decided vertices w < u
@@ -510,11 +569,11 @@ def _graph_extensions(spec: PropertySpec, parent: Structure, generators):
             candidates = _deletion_candidates(tied, v, lambda x: neighbour_degrees(x, code, size))
             if candidates is None:
                 return
-            _mark_orbit(marked, code, moves)
+            orbit_size = _mark_orbit(marked, code, moves)
             # a frozenset copied from a set gets the smallest table that holds it
             child = Structure._trusted(spec.language, v, (frozenset(edges | chosen),), ())
             if _passes(spec, child, v):  # the parent is a member
-                results.append((child, candidates))
+                results.append((child, candidates, orbit_size))
             return
         if need > size + v - u:
             return

@@ -27,7 +27,7 @@ from hspeed.canon import (
     canonical_data,
 )
 from hspeed.corpus import all_graphs_property
-from hspeed.property import PropertySpec, speed
+from hspeed.property import PropertySpec, generate_levels
 from hspeed.structures import GRAPH, Language, graph, make_structure, structure_to_json, uniform_language
 
 MIXED = Language(relations=(("U", 1), ("E", 2), ("T", 3)), constants=("a", "b"))
@@ -391,8 +391,9 @@ def test_twin_cells_emulate_the_search(monkeypatch):
 
 
 def _search_tree(monkeypatch, steps_name: str, spec, n_max: int):
-    """``speed(spec, n_max)`` with generation canonizing past the cache and
-    the step set ``canon.<steps_name>`` counted: its initial refinements,
+    """The levels of ``generate_levels(spec, n_max)``, which canonizes every
+    kept child, with generation canonizing past the cache and the step set
+    ``canon.<steps_name>`` counted: its initial refinements,
     individualize-and-refine steps and leaves, and the generators found."""
     counts = dict(refinements=0, descents=0, leaves=0, generators=0)
     steps = getattr(canon, steps_name)
@@ -418,16 +419,16 @@ def _search_tree(monkeypatch, steps_name: str, spec, n_max: int):
 
     monkeypatch.setattr(canon, steps_name, counted_steps)
     monkeypatch.setattr("hspeed.property.canonical_data", uncached)
-    return speed(spec, n_max), counts
+    return list(generate_levels(spec, n_max)), counts
 
 
 def test_search_tree_of_all_graphs_at_seven(monkeypatch):
-    """The canonizations of ``speed(all_graphs_property(), 7)`` run 1,300
-    initial refinements, 1,375 individualize-and-refine steps and 1,942
-    leaves, and find 2,253 generators: a pruning change shows as a count.
-    A subtree below twin cells counts one leaf and no step."""
-    table, counts = _search_tree(monkeypatch, "_mask_steps", all_graphs_property(), 7)
-    assert table.labeled(7) == 2 ** 21
+    """The canonizations of all graphs to n=7 run 1,300 initial refinements,
+    1,375 individualize-and-refine steps and 1,942 leaves, and find 2,253
+    generators: a pruning change shows as a count.  A subtree below twin
+    cells counts one leaf and no step."""
+    levels, counts = _search_tree(monkeypatch, "_mask_steps", all_graphs_property(), 7)
+    assert sum(math.factorial(7) // aut for _, aut in levels[-1]) == 2 ** 21
     assert counts == dict(refinements=1300, descents=1375, leaves=1942, generators=2253)
 
 
@@ -443,6 +444,6 @@ def test_search_tree_of_the_signature_path(monkeypatch, spec, n_max, classes, tr
     """The signature path's search tree, counted as the graph pin counts the
     mask path's: all 3-graphs to n=6 and the structures over U/1 + R/2
     (base none) to n=3, none of which is a graph."""
-    table, counts = _search_tree(monkeypatch, "_signature_steps", spec, n_max)
-    assert [row.unlabeled for row in table.rows] == classes
+    levels, counts = _search_tree(monkeypatch, "_signature_steps", spec, n_max)
+    assert [len(level) for level in levels] == classes
     assert counts == dict(zip(("refinements", "descents", "leaves", "generators"), tree))

@@ -173,6 +173,11 @@ class TestDispatch:
         ("random-hypergraph", "p=nan", "p=nan"),
         ("random-hypergraph", "p=1.5", "p=1.5"),
         ("random-hypergraph", "p=-0.5", "p=-0.5"),
+        # a size that names no graph of the family
+        ("complete-bipartite", "a=-1", "a=-1"),
+        ("complete-bipartite", "b=-2", "b=-2"),
+        ("halfgraph-blowup", "m=-1", "m=-1"),
+        ("cycle", "n=2", "n=2"),
     ])
     def test_bad_corpus_parameter_is_a_named_usage_error(self, capsys, kind, param, named):
         code, out, err = run(capsys, "corpus", "--kind", kind, "--param", param)

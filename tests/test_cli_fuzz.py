@@ -42,7 +42,7 @@ TEXTS = {
         "matching", "clique", "path", "cycle", "complete-bipartite", "triangles",
         "halfgraph-blowup", "tight-cycle", "random-hypergraph", "no-such-kind"]),
     "param": st.sampled_from(["n=4", "m=2", "a=2", "b=3", "r=3", "v=6", "p=0.5", "n=-1", "n=x", "v",
-                              "v=-2", "p=nan", "p=1.5", "q=1"]),
+                              "v=-2", "p=nan", "p=1.5", "q=1", "a=-1", "m=-1", "n=2"]),
 }
 
 

@@ -14,7 +14,9 @@ from hspeed.canon import canonical_data
 from hspeed.corpus import (
     BUILTIN_PROPERTIES,
     all_graphs_property,
+    asymmetric_two_class_template,
     bipartite_property,
+    clique_plus_singleton_template,
     clique,
     complete_bipartite_property,
     cycle,
@@ -22,6 +24,7 @@ from hspeed.corpus import (
     inf_clique_template,
     matching_property,
     path,
+    symmetric_bipartite_template,
 )
 from hspeed.errors import BudgetExceeded, TooFewRows
 from hspeed.property import (
@@ -36,6 +39,8 @@ from hspeed.property import (
     generate_members,
     growth_diagnostics,
     is_basic_upto,
+    SpeedRow,
+    SpeedTable,
     speed,
     _conjugate,
     _extensions,
@@ -145,7 +150,7 @@ def assert_one_child_per_orbit(spec: PropertySpec, parent: Structure):
             maximal.add(mask)
     children = _extensions(spec, parent, canonical_data(parent).aut_generators)
     keys = []
-    for child, _ in children:
+    for child, *_ in children:
         mask = 0
         for ri, ts in enumerate(child.rel_tuples):
             for t in ts:
@@ -284,9 +289,11 @@ class TestCanonicalAugmentation:
             assert generate_members(spec, n) == sorted(forms, key=_sort_key), (name, n)
 
     @staticmethod
-    def canonized_children(monkeypatch, spec, n):
-        """Every child ``speed(spec, n)`` canonizes, each checked to have a
-        new vertex that is maximal under the refined invariant."""
+    def canonized_children(monkeypatch, spec, n, run=None):
+        """Every child ``run(spec, n)`` canonizes, each checked to have a new
+        vertex that is maximal under the refined invariant.  Without ``run``,
+        every level of ``generate_levels`` is read, which canonizes every
+        kept child."""
         import hspeed.property
 
         canonized = []
@@ -296,7 +303,11 @@ class TestCanonicalAugmentation:
             return canonical_data(struct)
 
         monkeypatch.setattr(hspeed.property, "canonical_data", recording)
-        speed(spec, n, budget=n)
+        if run is None:
+            for _ in generate_levels(spec, n, budget=n):
+                pass
+        else:
+            run(spec, n)
         for child in canonized:
             invariants = [refined_invariant(child, x) for x in child.elements()]
             assert invariants[-1] == max(invariants), child.rel_tuples
@@ -307,6 +318,17 @@ class TestCanonicalAugmentation:
         # 11,290 children without the prefilter, 3,132 without one child per
         # Aut(parent) orbit, 1,640 with the incidence invariant alone
         assert len(canonized) == 1300
+
+    def test_speed_canonizes_only_multi_candidate_children_at_the_top(self, monkeypatch):
+        """``speed`` canonizes the 210 children below n=7 that
+        ``generate_levels`` does, and at n=7 only the 420 children with more
+        than one deletion candidate: none of the 670 with one."""
+        canonized = self.canonized_children(monkeypatch, all_graphs_property(), 7, speed)
+        top = [child for child in canonized if child.n == 7]
+        assert (len(canonized), len(top)) == (630, 420)  # 1,300 and 1,090 through generate_levels
+        for child in top:
+            invariants = [refined_invariant(child, x) for x in child.elements()]
+            assert invariants.count(invariants[-1]) > 1, child.rel_tuples
 
     @pytest.mark.parametrize(
         "spec, n, count",
@@ -325,7 +347,7 @@ class TestCanonicalAugmentation:
         # Aut(edgeless 7) = S7: the orbits of neighbourhoods of vertex 8 are their sizes
         parent = graph(7, [])
         children = _extensions(spec, parent, canonical_data(parent).aut_generators)
-        assert sorted(len(child.tuples_of("E")) // 2 for child, _ in children) == list(range(8))
+        assert sorted(len(child.tuples_of("E")) // 2 for child, *_ in children) == list(range(8))
         for parent in generate_members(spec, 5):
             auts = [
                 perm
@@ -344,7 +366,7 @@ class TestCanonicalAugmentation:
                 if invariants[-1] == max(invariants):
                     maximal.add(orbit_key(subset))
             children = _extensions(spec, parent, canonical_data(parent).aut_generators)
-            keys = [orbit_key([a for a, b in child.tuples_of("E") if b == 6]) for child, _ in children]
+            keys = [orbit_key([a for a, b in child.tuples_of("E") if b == 6]) for child, *_ in children]
             assert len(keys) == len(set(keys)) and set(keys) == maximal, sorted(parent.tuples_of("E"))
 
     @pytest.mark.parametrize(
@@ -443,9 +465,90 @@ class TestCanonicalAugmentation:
             return canonical_data(struct)
 
         monkeypatch.setattr(hspeed.property, "canonical_data", recording)
+        *_, level = generate_levels(all_graphs_property(), 8)
+        assert (len(level), sum(math.factorial(8) // aut for _, aut in level)) == (UNLABELED_GRAPHS[7], 2 ** 28)
+        assert len(calls) == 14478  # 19,912 with the incidence invariant alone
+        calls.clear()
         row = speed(all_graphs_property(), 8).rows[-1]
         assert (row.unlabeled, row.labeled) == (UNLABELED_GRAPHS[7], 2 ** 28)
-        assert len(calls) == 14478  # 19,912 with the incidence invariant alone
+        assert len(calls) == 5390  # speed canonizes no single-candidate child at n=8
+
+
+def fully_canonized_table(spec: PropertySpec, n_max: int) -> SpeedTable:
+    """The speed table read off ``generate_levels``, which canonizes every
+    kept child: n!/|Aut| per form."""
+    rows = []
+    for n, level in enumerate(generate_levels(spec, n_max, budget=n_max), start=1):
+        mult = tuple(sorted(math.factorial(n) // aut for _, aut in level))
+        rows.append(SpeedRow(n=n, labeled=sum(mult), unlabeled=len(level), multiplicities=mult))
+    return SpeedTable(tuple(rows))
+
+
+def random_forbid_family(seed: int) -> PropertySpec:
+    """One to three seeded random graphs on 3 to 5 vertices, forbidden."""
+    rng = random.Random(seed)
+    family = []
+    for _ in range(rng.randint(1, 3)):
+        n = rng.randint(3, 5)
+        family.append(graph(n, [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.5]))
+    return forbid(family)
+
+
+def ages():
+    return [PropertySpec(language=GRAPH, base=BASE_GRAPH, templates=(t(),))
+            for t in (symmetric_bipartite_template, asymmetric_two_class_template, clique_plus_singleton_template)]
+
+
+class TestTopLevelByOrbitStabilizer:
+    """``speed`` counts a top-level child whose new vertex is the only
+    deletion candidate as |Aut(parent)| // |orbit of its extension set|,
+    without canonizing it."""
+
+    @pytest.mark.parametrize(
+        "spec, n_max",
+        [(BUILTIN_PROPERTIES[name](), 8) for name in sorted(BUILTIN_PROPERTIES)]
+        + [
+            (PropertySpec(uniform_language(3), BASE_UNIFORM), 6),
+            (PropertySpec(uniform_language(4), BASE_UNIFORM), 6),
+            (PropertySpec(Language((("U", 1), ("R", 2))), "none"), 3),
+            (forbid([graph(1, [])]), 3),  # empty from n = 1
+        ]
+        + [(spec, 7) for spec in ages()]
+        + [(random_forbid_family(seed), 7) for seed in range(8)],
+        ids=sorted(BUILTIN_PROPERTIES)
+        + ["3-graphs", "4-graphs", "unary-binary", "K1"]
+        + ["age-bip", "age-asym", "age-cps"]
+        + [f"forbid-{seed}" for seed in range(8)],
+    )
+    def test_speed_equals_fully_canonized_levels(self, spec, n_max):
+        for m in sorted({0, 1, 2, n_max}):
+            assert speed(spec, m, budget=n_max) == fully_canonized_table(spec, m), m
+
+    @pytest.mark.parametrize(
+        "spec, n_max, singles",
+        [
+            (all_graphs_property(), 7, 766),  # 670 of them at n = 7
+            (bipartite_property(), 7, 80),
+            (PropertySpec(uniform_language(3), BASE_UNIFORM), 5, 17),
+            (PropertySpec(Language((("U", 1), ("R", 2))), "none"), 3, 706),
+        ],
+        ids=["all-graphs", "bipartite", "3-graphs", "unary-binary"],
+    )
+    def test_single_candidate_aut_is_parent_aut_over_orbit_size(self, spec, n_max, singles):
+        """For every child on at most n_max elements whose new vertex is the
+        only candidate, canonization finds |Aut(parent)| // its orbit size."""
+        root = Structure(spec.language, 0, tuple(frozenset() for _ in spec.language.relations), ())
+        seen = 0
+        for level in [[(root, 1)]] + list(generate_levels(spec, n_max - 1, budget=n_max)):
+            for parent, aut in level:
+                data = canonical_data(parent)
+                assert data.aut_order == aut
+                for child, candidates, orbit_size in _extensions(spec, parent, data.aut_generators):
+                    if candidates == [child.n]:
+                        seen += 1
+                        assert aut % orbit_size == 0
+                        assert canonical_data(child).aut_order == aut // orbit_size, child.rel_tuples
+        assert seen == singles
 
 
 class TestSpeed:
@@ -499,6 +602,20 @@ class TestSpeed:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             speed(all_graphs_property(), 10)
+
+    def test_budget_is_checked_before_any_extension(self, monkeypatch):
+        """``speed`` reads its lower levels from ``generate_levels(spec, n_max - 1)``,
+        which is within the budget at n_max = cap + 1, so it checks n_max itself."""
+        import hspeed.property
+
+        def refuse(*args):
+            raise AssertionError("an extension search ran")
+
+        monkeypatch.setattr(hspeed.property, "_extensions", refuse)
+        with pytest.raises(BudgetExceeded, match="n_max = 10 exceeds budget 9"):
+            speed(all_graphs_property(), 10)
+        with pytest.raises(BudgetExceeded, match="n_max = 4 exceeds budget 3"):
+            speed(all_graphs_property(), 4, budget=3)
 
     def test_extension_search_over_base_none(self):
         # base none: one ternary relation has 2^8 labeled structures on [2];
