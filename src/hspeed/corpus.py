@@ -18,14 +18,20 @@ from .template import INF, Template, make_template
 
 def matching(m: int) -> Structure:
     """Perfect matching M_m on 2m vertices."""
+    if m < 0:
+        raise ValueError(f"a matching needs m >= 0, not m={m}")
     return graph(2 * m, [(2 * i - 1, 2 * i) for i in range(1, m + 1)])
 
 
 def clique(n: int) -> Structure:
+    if n < 0:
+        raise ValueError(f"a clique needs n >= 0, not n={n}")
     return graph(n, itertools.combinations(range(1, n + 1), 2))
 
 
 def path(n: int) -> Structure:
+    if n < 0:
+        raise ValueError(f"a path needs n >= 0, not n={n}")
     return graph(n, [(i, i + 1) for i in range(1, n)])
 
 
@@ -42,6 +48,8 @@ def complete_bipartite(a: int, b: int) -> Structure:
 
 
 def disjoint_triangles(m: int) -> Structure:
+    if m < 0:
+        raise ValueError(f"disjoint triangles need m >= 0, not m={m}")
     edges = []
     for i in range(m):
         base = 3 * i

@@ -29,7 +29,6 @@ from .errors import (
 from .structures import json_int, load_json
 
 BRUTE_CROSSCHECK_LIMIT = 14
-SUBSET_SCAN_LIMIT = 15  # is_strictly_balanced reads every subset for v <= this
 SUBSET_BUDGET = 2_000_000
 BALANCED_V_BUDGET = 12  # find_strictly_balanced searches v <= this
 BALANCED_COMBO_BUDGET = 300_000  # ... and only edge sets of at most this many combinations
@@ -107,7 +106,7 @@ def density(g: Hypergraph) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# densest subgraph: subset brute force and Dinkelbach min-cut iteration
+# densest subgraph: threshold min cuts, Dinkelbach iteration, subset brute force
 
 
 def _subset_edge_counts(g: Hypergraph) -> list[int]:
@@ -126,19 +125,18 @@ def _subset_edge_counts(g: Hypergraph) -> list[int]:
     return f
 
 
-def max_subgraph_density_brute(g: Hypergraph) -> tuple[Fraction, frozenset[int]]:
+def max_subgraph_density_brute(g: Hypergraph) -> Fraction:
     """Max density over nonempty subsets by subset-sum dynamic programming."""
     if g.v < 1:
         raise EmptyVertexSet("no vertices")
     f = _subset_edge_counts(g)
-    best_e, best_v, best_mask = 0, 1, 1
+    best_e, best_v = 0, 1
     for mask in range(1, 1 << g.v):
         cnt = f[mask]
         size = mask.bit_count()
         if cnt * best_v > best_e * size:
-            best_e, best_v, best_mask = cnt, size, mask
-    witness = frozenset(i + 1 for i in range(g.v) if best_mask >> i & 1)
-    return Fraction(best_e, best_v), witness
+            best_e, best_v = cnt, size
+    return Fraction(best_e, best_v)
 
 
 def _min_cut_side(nodes: int, arcs: Iterable[tuple[int, int, int]], s: int, t: int) -> set[int]:
@@ -217,8 +215,8 @@ def max_subgraph_density(g: Hypergraph) -> tuple[Fraction, frozenset[int]]:
     excess over the density of U until no set has any; that last min cut
     certifies optimality.  Cross-checked against the subset brute force
     whenever v <= 14.  Nothing in the package calls it: it is the reference
-    that the threshold cuts of ``in_Q`` and ``is_strictly_balanced`` are
-    tested against.
+    that the threshold cut of ``in_Q`` and the one-point-deletion cuts of
+    ``is_strictly_balanced`` are tested against, at every v.
     """
     if g.v < 1:
         raise EmptyVertexSet("no vertices")
@@ -228,7 +226,7 @@ def max_subgraph_density(g: Hypergraph) -> tuple[Fraction, frozenset[int]]:
         witness = denser
         value = Fraction(g.edge_count_within(witness), len(witness))
     if g.v <= BRUTE_CROSSCHECK_LIMIT:
-        brute_value, _ = max_subgraph_density_brute(g)
+        brute_value = max_subgraph_density_brute(g)
         if brute_value != value:
             raise RuntimeError(f"flow density {value} disagrees with brute force {brute_value}")
     return value, witness
@@ -237,8 +235,7 @@ def max_subgraph_density(g: Hypergraph) -> tuple[Fraction, frozenset[int]]:
 def is_strictly_balanced(g: Hypergraph) -> bool:
     """Every proper nonempty induced subhypergraph has strictly smaller density.
 
-    Up to v = 15 every subset's edge count is read off one subset-sum table.
-    Past that, each one-point deletion H = g - x is asked by one min cut
+    At every v, each one-point deletion H = g - x is asked by one min cut
     over the edges of g that avoid x, with no copy of H, whether some set
     beats rho - 1/(v(H) q) strictly, where rho = p/q is g's density: a set
     U of density below rho lies at least 1/(|U| q) below it, so such a set
@@ -246,16 +243,9 @@ def is_strictly_balanced(g: Hypergraph) -> bool:
     """
     if g.v < 1:
         raise EmptyVertexSet("no vertices")
-    rho = density(g)
-    if g.v <= SUBSET_SCAN_LIMIT:
-        f = _subset_edge_counts(g)
-        full = (1 << g.v) - 1
-        for mask in range(1, full):
-            if f[mask] * rho.denominator >= rho.numerator * mask.bit_count():
-                return False
-        return True
     if not g.e:
-        return False  # a single vertex already reaches density 0
+        return g.v == 1  # one vertex has no proper subset; on more, a single vertex has density 0
+    rho = density(g)
     sharper = rho - Fraction(1, (g.v - 1) * rho.denominator)
     return all(_excess_subgraph(g, sharper, without=x) is None for x in range(1, g.v + 1))
 
@@ -351,7 +341,7 @@ def in_Q(g: Hypergraph, c: Fraction) -> bool:
     c = Fraction(c)
     verdict = in_S(g, c) and _excess_subgraph(g, c) is None
     if g.v <= BRUTE_CROSSCHECK_LIMIT:
-        brute_value, _ = max_subgraph_density_brute(g)
+        brute_value = max_subgraph_density_brute(g)
         if (brute_value <= c) != verdict:
             raise RuntimeError(f"min-cut verdict {verdict} at c = {c} disagrees with "
                                f"brute-force density {brute_value}")

@@ -64,10 +64,8 @@ class Template:
         if list(self.sizes) != sorted(finite) + [INF] * (len(self.sizes) - len(finite)):
             raise ValueError("sizes must be nondecreasing with finite classes first")
         k = len(self.sizes)
-        declared = {d for d, _ in self.sigma}
-        expected = set(atomic_diffs(self.language))
-        if declared != expected:
-            raise ValueError("sigma must cover exactly the atomic patterns of the language")
+        if [d for d, _ in self.sigma] != atomic_diffs(self.language):
+            raise ValueError("sigma must list exactly the atomic patterns of the language, in its order")
         for diff, entries in self.sigma:
             for idx in entries:
                 if len(idx) != diff.num_vars:
@@ -121,7 +119,7 @@ def make_template(language: Language, sizes, sigma: dict) -> Template:
             raise ValueError(f"{diff.key()} is not an atomic pattern of the language")
         full[diff] = frozenset(tuple(t) for t in entries)
     norm = tuple(INF if s in (INF, "inf") else int(s) for s in sizes)
-    return Template(language, norm, tuple(sorted(full.items(), key=lambda kv: kv[0].key())))
+    return Template(language, norm, tuple(full.items()))
 
 
 def template_of(struct: Structure, infinite_classes: set[int]) -> Template:

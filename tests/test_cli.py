@@ -178,6 +178,10 @@ class TestDispatch:
         ("complete-bipartite", "b=-2", "b=-2"),
         ("halfgraph-blowup", "m=-1", "m=-1"),
         ("cycle", "n=2", "n=2"),
+        ("clique", "n=-1", "a clique needs n >= 0, not n=-1"),
+        ("path", "n=-1", "a path needs n >= 0, not n=-1"),
+        ("matching", "m=-1", "a matching needs m >= 0, not m=-1"),
+        ("triangles", "m=-1", "disjoint triangles need m >= 0, not m=-1"),
     ])
     def test_bad_corpus_parameter_is_a_named_usage_error(self, capsys, kind, param, named):
         code, out, err = run(capsys, "corpus", "--kind", kind, "--param", param)
@@ -510,6 +514,20 @@ class TestRemainingPaths:
             assert code == 0
             expected = n_array_count(struct, "E", [0], m, [int(x) for x in A.split(",")] if A else [])
             assert json.loads(out) == {"m": m, "count": expected, "seed": 0}
+
+    def test_arrays_types(self, capsys, tmp_path):
+        from hspeed.corpus import matching
+
+        path = tmp_path / "m2.json"
+        dump_structure(matching(2), str(path))
+        code, out, _ = run(capsys, "arrays", "types", "--structure", str(path), "--A", "1")
+        assert code == 0
+        # over A = {1}: the other edge's ends 3 and 4, the parameter 1, and its partner 2
+        assert json.loads(out) == {"count": 3, "seed": 0, "types": [
+            {"realizations": [[3], [4]], "positive_decisions": 0},
+            {"realizations": [[1]], "positive_decisions": 0},
+            {"realizations": [[2]], "positive_decisions": 1},
+        ]}
 
     @pytest.mark.parametrize("c", ["1", "9/10", "1/2", "2/5"])
     def test_osc_member_q_mode(self, capsys, tmp_path, c):

@@ -666,6 +666,14 @@ class TestSampler:
         sigma = math.sqrt(total * p * (1 - p) / len(counts))
         assert abs(statistics.fmean(counts) - p * total) <= 4 * sigma
 
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_skip_draw_at_probability_zero_and_one(self, r):
+        for v in range(r, 9):
+            for seed in range(3):
+                assert random_hypergraph(r, v, 0.0, seed) == hypergraph(r, v, [])
+                complete = hypergraph(r, v, itertools.combinations(range(1, v + 1), r))
+                assert random_hypergraph(r, v, 1.0, seed) == complete
+
     def test_unbuilt_draws_end_like_built_ones(self):
         # a draw is left unbuilt only when no size up to k binds at its count;
         # built or not, the sampler stops at the same attempt with the same count
@@ -792,13 +800,12 @@ class TestLargerInstances:
         # subset oracle explicitly
         g = random_hypergraph(2, 16, 0.25, 99)
         value, witness = max_subgraph_density(g)
-        brute_value, _ = max_subgraph_density_brute(g)
-        assert value == brute_value
+        assert value == max_subgraph_density_brute(g)
         if g.e:
             assert F(g.edge_count_within(witness), len(witness)) == value
 
     def test_balance_beyond_crosscheck_limit(self):
-        # v = 16 drives the vertex-deleted max-density fallback
+        # v = 16 is past the brute cross-check; each one-point deletion is one cut
         g = tight_cycle(2, 16)
         assert is_strictly_balanced(g)
         chorded = hypergraph(2, 16, list(g.edges) + [frozenset({1, 9})])
@@ -864,11 +871,11 @@ def balance_cases(vs):
 
 
 class TestStrictBalanceByCuts:
-    """Up to v = 15 strict balance is one subset scan; past it, one threshold
-    cut per one-point deletion."""
+    """Strict balance is one threshold cut per one-point deletion at every v,
+    checked against the subset oracle and Dinkelbach's densest subgraph."""
 
     def test_matches_subset_oracle(self):
-        cases = balance_cases([13, 15, 16])
+        cases = balance_cases([4, 6, 9, 13, 15, 16])
         verdicts = [is_strictly_balanced(g) for g in cases]
         assert verdicts == [subset_balanced(g) for g in cases]
         assert True in verdicts and False in verdicts

@@ -486,6 +486,17 @@ class TestJson:
             t = factory()
             assert template_from_json(template_to_json(t)) == t
 
+    def test_round_trip_keeps_the_language_order(self):
+        # U/1 before R/2: the language lists U(x1) first, though "R(x1,x1)" sorts first
+        lang = Language((("U", 1), ("R", 2)))
+        star = make_structure(lang, 3, {"U": [(1,)], "R": [(1, 2), (1, 3)]})
+        t = template_of(star, {2})
+        assert [d.key() for d, _ in t.sigma] == ["U(x1)", "R(x1,x1)", "R(x1,x2)"]
+        built = make_template(lang, [1, INF], {"R(x1,x2)": [(1, 2)], "U(x1)": [(1,)]})
+        assert built == t and hash(built) == hash(t)
+        back = template_from_json(template_to_json(t))
+        assert back == t and hash(back) == hash(t)
+
     def test_declared_threshold_checked(self):
         obj = template_to_json(symmetric_bipartite_template())
         obj["K"] = 7
