@@ -11,7 +11,7 @@ from fractions import Fraction
 from .canon import canonical_data, classes
 from .errors import BudgetExceeded, InsufficientComponents, OutOfRange
 from .property import PropertySpec, generate_levels
-from .structures import Structure, apply_bijection, induced_substructure
+from .structures import Structure, _integer_kth_root, apply_bijection, induced_substructure
 
 MATERIALIZE_LIMIT = 8  # largest n whose members component_lowerbound_members lists
 
@@ -93,24 +93,6 @@ def partitions_into_blocks(n: int, k: int) -> BlockCount:
     power = n ** (n * (k - 1))
     root = _integer_kth_root(power, k)
     return BlockCount(count=count, m=m, ell=ell, reference_lower_bound=root)
-
-
-def _integer_kth_root(x: int, k: int) -> int:
-    if x < 0:
-        raise ValueError("negative radicand")
-    if x < 2 or k == 1:
-        return x
-    r = 1 << ((x.bit_length() + k - 1) // k)
-    while True:  # Newton iteration, monotone from above
-        nr = ((k - 1) * r + x // r ** (k - 1)) // k
-        if nr >= r:
-            break
-        r = nr
-    while r ** k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
-    return r
 
 
 def stirling_chain_holds(n: int, k: int) -> bool:

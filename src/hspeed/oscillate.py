@@ -12,10 +12,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Collection, Iterable
+from typing import Collection, Iterable
 
 from .errors import (
     BudgetExceeded,
@@ -26,17 +26,17 @@ from .errors import (
     SearchBudgetExceeded,
     TooSmall,
 )
-from .structures import json_int, load_json
+from .structures import _integer_kth_root, json_int, load_json
 
 BRUTE_CROSSCHECK_LIMIT = 14
 SUBSET_BUDGET = 2_000_000
 BALANCED_V_BUDGET = 12  # find_strictly_balanced searches v <= this
 BALANCED_COMBO_BUDGET = 300_000  # ... and only edge sets of at most this many combinations
 MATERIALIZE_BUDGET = 5000  # most members blowup_members builds
-ESTIMATOR_ATTEMPTS = 8  # sampler calls per (nu prefix, n) in _certified_bound
+ESTIMATOR_ATTEMPTS = 8  # draws per (nu prefix, n) in _certified_bound
 SEQUENCE_SCAN_LIMIT = 600  # candidate n per build_sequence step
 ESTIMATOR_CHECK_BUDGET = 100_000  # most sets one in_P check of an estimator draw may visit
-DRAW_WORK_CAP = 100_000  # most n + mean edge count of a draw where a sequence step starts
+DRAW_WORK_CAP = 100_000  # most n + edge count of one estimator draw
 
 
 @dataclass(frozen=True)
@@ -509,11 +509,11 @@ def blowup_members(h: Hypergraph, n: int, count_only: bool = False) -> BlowupRes
 
 @dataclass(frozen=True)
 class SampleCertificate:
-    graph: Hypergraph | None  # None when the count alone settled membership and no graph was asked for
+    graph: Hypergraph
     edge_count: int  # the member certifies >= 2^edge_count members
     attempts: int
     seed: int
-    verification: str = "exhaustive"  # in_P, or the edge count when no size binds, decides membership
+    verification: str = "exhaustive"  # in_P decides membership
 
 
 def _edge_threshold_met(e: int, n: int, r: int, delta: Fraction) -> bool:
@@ -576,9 +576,6 @@ def sample_dense_member(
     delta: Fraction,
     seed: int,
     max_attempts: int = 2000,
-    *,
-    build: Callable[[int], bool] | None = None,
-    check_budget: int | None = None,
 ) -> SampleCertificate:
     """Rejection-sample G(n, p), p = n^(-delta), until a member of P^{(k),c}_n
     with e(G) >= p*C(n,r)/2 appears.  Both conditions are decided exactly,
@@ -586,12 +583,7 @@ def sample_dense_member(
     rejected and still counts as an attempt.
 
     A draw keeps r-sets by geometric skips over their lexicographic ranks
-    and is counted before it is built.  When no size up to k binds at its
-    edge count, the count alone makes it a member; such a draw whose count
-    ``build`` refuses comes back unbuilt (graph None), with no in_P call, so
-    every attempt ends as it would if the draw were built.  With
-    ``check_budget``, a check that would visit more sets raises
-    BudgetExceeded instead of rejecting the draw."""
+    and is counted before it is built."""
     c = Fraction(c)
     delta = Fraction(delta)
     if delta * c <= 1:
@@ -603,20 +595,15 @@ def sample_dense_member(
     rng = random.Random(seed)
     p = float(n) ** (-float(delta))
     total = math.comb(n, r)
-    budget = {} if check_budget is None else {"subset_budget": check_budget}
     for attempt in range(1, max_attempts + 1):
         ranks = _skip_ranks(rng, total, p)
         e = len(ranks)
         if not _edge_threshold_met(e, n, r, delta):
             continue
-        if build is not None and not build(e) and not _binding_sizes(r, e, k, c):
-            return SampleCertificate(graph=None, edge_count=e, attempts=attempt, seed=seed)
         g = Hypergraph(r, n, frozenset(map(frozenset, _decode_ranks(ranks, n, r))))
         try:
-            member = in_P(g, range(1, k + 1), c, **budget)
+            member = in_P(g, range(1, k + 1), c)
         except BudgetExceeded:
-            if budget:
-                raise
             continue  # an unchecked draw is never certified
         if member:
             return SampleCertificate(graph=g, edge_count=e, attempts=attempt, seed=seed)
@@ -652,80 +639,41 @@ class OscSequence:
                 raise ValueError("mu must interleave as nu_{i+1} - 1")
 
 
-def _threshold_met(e: int, n: int, r: int, eps: Fraction) -> bool:
-    """2^e >= 2^(n^(r - eps)), i.e. e^b >= n^(rb - a) for eps = a/b."""
+def _edge_target(n: int, r: int, eps: Fraction) -> int:
+    """M = ceil(n^(r - eps)), the edges an estimator draw at n takes: the least
+    e >= 1 with e^b >= n^(rb - a) for eps = a/b, by an integer b-th root, so
+    M = 1 when rb <= a.  Raises BudgetExceeded when n + M exceeds
+    DRAW_WORK_CAP."""
     a, b = eps.numerator, eps.denominator
-    if e <= 0:
-        return False
-    return e ** b >= n ** (r * b - a)
-
-
-def _log_mean(r: int, c: Fraction, eps: Fraction, n: int) -> float:
-    """The logarithm of the estimator's mean edge count at n, from log-gamma."""
-    return (math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)
-            - float((1 / c + eps) / 2) * math.log(n))
-
-
-def _hopeless(r: int, c: Fraction, eps: Fraction, n: int) -> bool:
-    """The estimator's draws at n have mean edge count m = p*C(n, r), p =
-    n^(-delta), delta = (1/c + eps)/2; certification is out of reach when
-    m + 6 sqrt(m) + 2 < n^(r - eps), compared in logarithms with every term
-    scaled by 1/max(m, 1), so no power of n overflows a float."""
-    lm = _log_mean(r, c, eps, n)
-    top = max(lm, 0.0)
-    lhs = top + math.log(math.exp(lm - top) + 6 * math.exp(lm / 2 - top) + 2 * math.exp(-top))
-    return lhs < (r - float(eps)) * math.log(n)
-
-
-def _draw_work(r: int, c: Fraction, eps: Fraction, n: int) -> float:
-    """What one estimator draw at n costs to count: n plus its mean edge count."""
-    return n + math.exp(min(_log_mean(r, c, eps, n), 700.0))
-
-
-def _first_hopeful(r: int, c: Fraction, eps: Fraction, lo: int) -> int:
-    """The least n >= lo that the hopelessness bound lets the estimator draw
-    at, solved by doubling and bisection instead of a scan.  The bisection
-    takes the bound to lift once past a hopeless lo, as the mean edge count
-    outgrows n^(r - eps) by a factor of about n^((eps - 1/c)/2); the tests
-    compare it with a scan.  Raises BudgetExceeded when one draw there
-    would cost more than DRAW_WORK_CAP; the search stops at the cap."""
-    def stop(n: int) -> bool:
-        return _draw_work(r, c, eps, n) > DRAW_WORK_CAP or not _hopeless(r, c, eps, n)
-
-    hi = lo
-    while not stop(hi):
-        lo, hi = hi + 1, 2 * hi
-    n = lo + bisect_left(range(lo, hi + 1), True, key=stop)
-    if _draw_work(r, c, eps, n) > DRAW_WORK_CAP:
-        raise BudgetExceeded(f"a sequence step starts at n >= {n}, where one draw costs more than "
-                             f"{DRAW_WORK_CAP} (n plus its mean edge count)")
-    return n
+    power = n ** max(r * b - a, 0)
+    root = _integer_kth_root(power, b)
+    m = root if root ** b == power else root + 1
+    if n + m > DRAW_WORK_CAP:
+        raise BudgetExceeded(f"at n = {n} a sequence draw takes {m} edges, so n plus its edge count "
+                             f"exceeds {DRAW_WORK_CAP}")
+    return m
 
 
 def _certified_bound(r: int, k: int, c: Fraction, eps: Fraction, n: int, seed: int) -> dict | None:
-    """A certificate dict that log2 |P^{nu,c}_n| >= n^(r - eps), or None:
-    the first of ESTIMATOR_ATTEMPTS sampler calls, each with its own seed,
-    whose member of P^{(k),c}_n (k = max nu prefix, so also of P^{nu,c}_n;
-    in_P decides it exactly) has enough edges.  The sampler's preconditions
-    (k*r <= n) and a deterministic hopelessness bound make it return None
-    without drawing randomness.  A draw is built, and checked by in_P, only
-    when its edge count reaches the threshold or some size up to k binds; a
-    check that would visit more than ESTIMATOR_CHECK_BUDGET sets raises
-    BudgetExceeded.
+    """A certificate dict that log2 |P^{nu,c}_n| >= n^(r - eps), or None: the
+    first of ESTIMATOR_ATTEMPTS draws, each of exactly M = ceil(n^(r - eps))
+    r-sets of [n] with its own seed, that is a member of P^{(k),c}_n (k = max
+    nu prefix, so also of P^{nu,c}_n).  Every subgraph of a member is a
+    member, so its M edges give 2^M members.  in_P decides each draw exactly;
+    a check that would visit more than ESTIMATOR_CHECK_BUDGET sets raises
+    BudgetExceeded.  Returns None without drawing when k*r > n or
+    M > C(n, r).
     """
-    if k * r > n or _hopeless(r, c, eps, n):
+    m = _edge_target(n, r, eps)
+    total = math.comb(n, r)
+    if k * r > n or m > total:
         return None
-    delta = (1 / c + eps) / 2
     for i in range(ESTIMATOR_ATTEMPTS):
-        try:
-            cert = sample_dense_member(r, k, c, n, delta, seed=seed * 100003 + n * 101 + i,
-                                       max_attempts=40, build=lambda e: _threshold_met(e, n, r, eps),
-                                       check_budget=ESTIMATOR_CHECK_BUDGET)
-        except SampleBudgetExceeded:
-            continue
-        if _threshold_met(cert.edge_count, n, r, eps):
-            return {"n": n, "edges": cert.edge_count, "attempts": cert.attempts, "seed": cert.seed,
-                    "verification": cert.verification}
+        draw_seed = seed * 100003 + n * 101 + i
+        ranks = sorted(random.Random(draw_seed).sample(range(total), m))
+        g = Hypergraph(r, n, frozenset(map(frozenset, _decode_ranks(ranks, n, r))))
+        if in_P(g, range(1, k + 1), c, subset_budget=ESTIMATOR_CHECK_BUDGET):
+            return {"n": n, "edges": m, "attempts": i + 1, "seed": draw_seed, "verification": "exhaustive"}
     return None
 
 
@@ -733,12 +681,12 @@ def build_sequence(r: int, c: Fraction, eps: Fraction, steps: int, seed: int = 0
     """Greedy sequence: nu_0 = r+1; mu_k = least n > nu_k that
     _certified_bound certifies to reach 2^(n^(r-eps)); nu_{k+1} = mu_k + 1.
 
-    A step scans SEQUENCE_SCAN_LIMIT values of n from the first that the
-    sampler (k*r <= n, k = max nu) and the hopelessness bound allow; the n
-    it skips would draw nothing.  Before the first draw, each step's start
-    is bounded below the same way, from the bound on the step before it
-    (max nu exceeds that step's n), and a bound where one draw would cost
-    more than DRAW_WORK_CAP raises BudgetExceeded.
+    A step scans SEQUENCE_SCAN_LIMIT values of n from r*nu_k, the least n
+    with k*r <= n (k = nu_k).  Before the first draw, the lowest
+    start of every step follows from top <- r*top + 1 (max nu exceeds the n
+    of the step before), and a start where n plus the draw's edge count
+    exceeds DRAW_WORK_CAP raises BudgetExceeded, as does any later n of a
+    scan.
     """
     c = Fraction(c)
     eps = Fraction(eps)
@@ -750,12 +698,13 @@ def build_sequence(r: int, c: Fraction, eps: Fraction, steps: int, seed: int = 0
         raise ValueError("need eps > 1/c")
     top = r + 1
     for _ in range(steps):
-        top = _first_hopeful(r, c, eps, r * top) + 1
+        _edge_target(r * top, r, eps)
+        top = r * top + 1
     nu = [r + 1]
     mu: list[int] = []
     certificates: list[dict] = []
     for _ in range(steps):
-        start = _first_hopeful(r, c, eps, r * nu[-1])
+        start = r * nu[-1]
         for n in range(start, start + SEQUENCE_SCAN_LIMIT):
             cert = _certified_bound(r, nu[-1], c, eps, n, seed)
             if cert is not None:

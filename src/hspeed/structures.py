@@ -356,6 +356,28 @@ def apply_interpretation(interp: Interpretation, struct: Structure) -> Structure
 
 
 # ---------------------------------------------------------------------------
+# exact integer roots
+
+
+def _integer_kth_root(x: int, k: int) -> int:
+    """The integer k-th root of x >= 0: the r with r^k <= x < (r + 1)^k.
+
+    Newton's iteration starts above the root and falls strictly while it is
+    above the floor; by AM-GM no iterate falls below the floor, so the first
+    that does not fall is the floor."""
+    if x < 0:
+        raise ValueError("negative radicand")
+    if x < 2 or k == 1:
+        return x
+    r = 1 << ((x.bit_length() + k - 1) // k)
+    while True:
+        nr = ((k - 1) * r + x // r ** (k - 1)) // k
+        if nr >= r:
+            return r
+        r = nr
+
+
+# ---------------------------------------------------------------------------
 # JSON interface
 
 

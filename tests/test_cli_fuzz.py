@@ -29,10 +29,13 @@ INTS = {
     "seed": st.integers(-1, 3),
     "budget": st.integers(-1, 6),
 }
-# a 3-uniform sequence at c = 1, eps = 3/2 certifies near n = 1,250 in tens
-# of seconds, and at c = 2/3 scans 600 n for minutes before it fails, so the
-# sequence fuzz stays at r <= 2
-LEAF_INTS = {("osc", "sequence"): {"r": st.integers(-1, 2)}}
+# a 3-uniform sequence certifies its first step at n = 12 on its first draw,
+# but a second step can scan for seconds before a budget ends it, so the
+# sequence fuzz draws r <= 2 with up to 2 steps, or r = 3 with at most 1
+LEAF_INTS = {("osc", "sequence"): st.one_of(
+    st.fixed_dictionaries({"r": st.integers(-1, 2), "steps": st.integers(-1, 2)}),
+    st.fixed_dictionaries({"r": st.just(3), "steps": st.integers(-1, 1)}),
+)}
 RATIONALS = st.sampled_from(["0", "1", "2", "3/2", "2/3", "1/3", "8/5", "-1", "1/0", "0/0", "x", "1.5"])
 LISTS = st.sampled_from(["", "1", "2", "1,2", "0", "3,1", "a", "1,,2"])
 TEXTS = {
@@ -83,11 +86,11 @@ def _leaves(parser, prefix=()):
 LEAVES = sorted(_leaves(build_parser()))
 
 
-def _value(prefix, action, files):
+def _value(action, files, ints):
     if action.choices is not None:
         return st.sampled_from(sorted(action.choices))
     if action.dest in INTS:
-        return LEAF_INTS.get(prefix, {}).get(action.dest, INTS[action.dest]).map(str)
+        return (st.just(ints[action.dest]) if action.dest in ints else INTS[action.dest]).map(str)
     if action.dest in ("c", "delta", "eps"):
         return RATIONALS
     if action.dest in ("split", "A", "nu"):
@@ -102,12 +105,13 @@ def _value(prefix, action, files):
 @st.composite
 def argvs(draw, files, out):
     prefix, leaf = draw(st.sampled_from(LEAVES))
+    ints = draw(LEAF_INTS.get(prefix, st.just({})))
     argv = list(prefix)
     for action in leaf._actions:
         if isinstance(action, argparse._HelpAction):
             continue
         if not action.option_strings:
-            argv.append(draw(_value(prefix, action, files)))
+            argv.append(draw(_value(action, files, ints)))
         elif action.required or action.dest in INTS or draw(st.booleans()):
             flag = draw(st.sampled_from(action.option_strings))
             if action.nargs == 0:
@@ -115,7 +119,7 @@ def argvs(draw, files, out):
             elif action.dest == "out":
                 argv += [flag, out]
             else:
-                argv += [flag, draw(_value(prefix, action, files))]
+                argv += [flag, draw(_value(action, files, ints))]
     return argv
 
 

@@ -4,7 +4,6 @@ import math
 import random
 import statistics
 from collections import Counter
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -21,16 +20,13 @@ from hspeed.errors import (
 from hspeed.oscillate import (
     DRAW_WORK_CAP,
     ESTIMATOR_ATTEMPTS,
+    ESTIMATOR_CHECK_BUDGET,
     Hypergraph,
     OscSequence,
-    SampleCertificate,
-    _binding_sizes,
     _certified_bound,
     _decode_ranks,
-    _draw_work,
+    _edge_target,
     _excess_subgraph,
-    _first_hopeful,
-    _hopeless,
     _maximal_matchings,
     _skip_ranks,
     blowup_members,
@@ -586,64 +582,64 @@ class TestSampler:
         assert 1 <= len(checks) <= 5  # each rejected draw used up an attempt
 
     def test_hopeless_size_draws_nothing(self, monkeypatch):
-        # at n = 20 the expected edge count of a 3-graph draw is far below n^(r - eps)
+        # k*r > n admits no member of P^{(k),c}_n; at r = 2, eps = 1/50 a draw at
+        # n = 10 would need ceil(10^(99/50)) = 96 of the C(10, 2) = 45 pairs
         def refuse(*args, **kwargs):
-            raise AssertionError("sampler called at a hopeless n")
+            raise AssertionError("a draw was checked at an inadmissible n")
 
-        monkeypatch.setattr("hspeed.oscillate.sample_dense_member", refuse)
-        assert _certified_bound(3, 4, F(1), F(3, 2), 20, seed=0) is None
+        monkeypatch.setattr("hspeed.oscillate.in_P", refuse)
+        assert _certified_bound(2, 3, F(1), F(3, 2), 5, seed=0) is None
+        assert _edge_target(10, 2, F(1, 50)) == 96
+        assert _certified_bound(2, 1, F(100), F(1, 50), 10, seed=0) is None
 
     def test_failed_draws_give_no_bound(self, monkeypatch):
-        # n = 14 is not hopeless, so every estimator attempt draws, and fails
-        calls = []
+        # at n = 14 every estimator draw has ceil(14^(1/2)) = 4 edges; each is checked, and fails
+        draws = []
 
-        def over_budget(*args, **kwargs):
-            calls.append(kwargs["seed"])
-            raise SampleBudgetExceeded("no member")
+        def reject(g, nu, c, subset_budget):
+            assert (list(nu), c, subset_budget) == ([1, 2, 3], F(1), ESTIMATOR_CHECK_BUDGET)
+            draws.append(g)
+            return False
 
-        monkeypatch.setattr("hspeed.oscillate.sample_dense_member", over_budget)
+        monkeypatch.setattr("hspeed.oscillate.in_P", reject)
         assert _certified_bound(2, 3, F(1), F(3, 2), 14, seed=0) is None
-        assert len(set(calls)) == ESTIMATOR_ATTEMPTS == 8  # one fresh seed per attempt
+        assert len(draws) == ESTIMATOR_ATTEMPTS == 8
+        assert len(set(draws)) == 8  # one fresh seed per attempt
+        assert all((g.r, g.v, g.e) == (2, 14, 4) for g in draws)
 
     def test_first_certifying_call_stops_the_estimator(self, monkeypatch):
-        # at n = 14 the threshold is e^2 >= 14: call 1 fails, call 2's 3 edges fall
-        # short, call 3's 7 certify, and every later call would bring more edges
-        calls = []
+        # draws 1 and 2 are not members and draw 3 is: the estimator stops there
+        draws = []
 
-        def stub(*args, seed, **kwargs):
-            calls.append(seed)
-            if len(calls) == 1:
-                raise SampleBudgetExceeded("no member")
-            edges = 3 if len(calls) == 2 else 4 + len(calls)
-            return SampleCertificate(graph=None, edge_count=edges, attempts=10 * len(calls), seed=seed)
+        def third(g, nu, c, subset_budget):
+            draws.append(g)
+            return len(draws) == 3
 
-        monkeypatch.setattr("hspeed.oscillate.sample_dense_member", stub)
+        monkeypatch.setattr("hspeed.oscillate.in_P", third)
         cert = _certified_bound(2, 3, F(1), F(3, 2), 14, seed=0)
-        assert len(calls) == 3
-        assert cert == {"n": 14, "edges": 7, "attempts": 30, "seed": calls[2], "verification": "exhaustive"}
+        assert len(draws) == 3
+        assert cert == {"n": 14, "edges": 4, "attempts": 3, "seed": 14 * 101 + 2, "verification": "exhaustive"}
+        assert draws[2].e == 4
 
-    def test_hopeless_matches_decimal_bound(self):
-        # mean + 6 sqrt(mean) + 2 < n^(r - eps) at 60 digits, mean = C(n, r) n^(-(1/c + eps)/2),
-        # on points away from equality; at r = 200 a float power of n overflows
-        def dec(q):
-            return Decimal(q.numerator) / Decimal(q.denominator)
+    def test_check_budget_raises(self):
+        # step 2 of the r = 3, eps = 2 sequence at seed 3 starts at n = 39 with k = 13; the
+        # check of its first draw (39 edges) would visit more than ESTIMATOR_CHECK_BUDGET sets
+        with pytest.raises(BudgetExceeded):
+            _certified_bound(3, 13, F(1), F(2), 39, seed=3)
 
-        points = [(r, c, c_eps + 1 / c, n) for r in (2, 3, 4) for c in (F(1, r - 1), F(1), F(5, 2))
-                  for c_eps in (F(1, 4), F(1), F(5, 2)) for n in (r + 1, 10, 57, 400, 3001)]
-        points += [(200, F(1), F(50), 201), (200, F(1), F(199), 10_000), (3, F(1), F(3, 2), 1161)]
-        verdicts = []
-        with localcontext() as ctx:
-            ctx.prec = 60
-            for r, c, eps, n in points:
-                mean = Decimal(math.comb(n, r)) * Decimal(n) ** -dec((1 / c + eps) / 2)
-                lhs, rhs = mean + 6 * mean.sqrt() + 2, Decimal(n) ** dec(r - eps)
-                if abs(lhs - rhs) > rhs * Decimal("1e-9"):
-                    assert _hopeless(r, c, eps, n) == (lhs < rhs), (r, c, eps, n)
-                    verdicts.append((r, n, lhs < rhs))
-        assert len(verdicts) == len(points)
-        assert (200, 201, True) in verdicts and (200, 10_000, False) in verdicts
-        assert any(v for *_, v in verdicts) and not all(v for *_, v in verdicts)
-
+    def test_edge_target_is_the_least_integer_at_the_threshold(self):
+        # M = ceil(n^(r - eps)): M >= 1, M^b >= n^(rb - a), and M - 1 falls short unless M = 1
+        epsilons = [F(1, 50), F(1, 2), F(1), F(4, 3), F(3, 2), F(8, 5), F(2), F(9, 4), F(3), F(5)]
+        for r in (2, 3, 4):
+            for eps in epsilons:
+                a, b = eps.numerator, eps.denominator
+                for n in (n for n in range(1, 41) if n + n**r <= DRAW_WORK_CAP):  # M <= n^r
+                    power = n ** max(r * b - a, 0)
+                    m = _edge_target(n, r, eps)
+                    assert m >= 1 and m**b >= power, (r, eps, n)
+                    assert m == 1 or (m - 1) ** b < power, (r, eps, n)
+                    if eps >= r:
+                        assert m == 1
 
     def test_rank_decoder_matches_combinations(self):
         rng = random.Random(9)
@@ -674,31 +670,6 @@ class TestSampler:
                 complete = hypergraph(r, v, itertools.combinations(range(1, v + 1), r))
                 assert random_hypergraph(r, v, 1.0, seed) == complete
 
-    def test_unbuilt_draws_end_like_built_ones(self):
-        # a draw is left unbuilt only when no size up to k binds at its count;
-        # built or not, the sampler stops at the same attempt with the same count
-        unbuilt = built_anyway = 0
-        for r, k, c, n, delta in [(2, 3, F(1), 20, F(3, 2)), (2, 4, F(1), 40, F(5, 4)),
-                                  (2, 3, F(2, 3), 30, F(8, 5)), (3, 4, F(1), 24, F(5, 4))]:
-            for seed in range(6):
-                built = sample_dense_member(r, k, c, n, delta, seed)
-                counted = sample_dense_member(r, k, c, n, delta, seed, build=lambda e: False)
-                assert (counted.edge_count, counted.attempts) == (built.edge_count, built.attempts)
-                if counted.graph is None:
-                    assert not _binding_sizes(r, built.edge_count, k, c)
-                    unbuilt += 1
-                else:
-                    assert counted.graph == built.graph
-                    built_anyway += 1
-        assert unbuilt > 5 and built_anyway > 5
-
-    def test_check_budget_raises(self):
-        # size 4 binds once a draw has 5 edges, so its check must search
-        cert = sample_dense_member(2, 4, F(1), 40, F(5, 4), seed=1)
-        assert _binding_sizes(2, cert.edge_count, 4, F(1))
-        with pytest.raises(BudgetExceeded):
-            sample_dense_member(2, 4, F(1), 40, F(5, 4), seed=1, check_budget=0)
-
 
 class TestSequence:
     def test_first_point_and_interleaving(self):
@@ -724,11 +695,27 @@ class TestSequence:
         assert seq.nu == (3, 7, 15, 31, 63, 127, 255)
         assert all(cert["verification"] == "exhaustive" for cert in seq.certificates)
 
-    @pytest.mark.parametrize("seed, nu", [(31, (3, 8, 18, 37, 75, 151, 303)), (33, (3, 9, 19, 39, 79, 159, 319)),
-                                          (39, (3, 8, 17, 35, 71, 143, 287))])
-    def test_six_steps_past_the_first_admissible_n(self, seed, nu):
-        # these seeds certify some steps past the first n their scan admits
-        assert build_sequence(2, F(1), F(3, 2), steps=6, seed=seed).nu == nu
+    def test_every_seed_certifies_each_step_at_the_first_admissible_n(self):
+        # a step at nu_k admits n >= r*nu_k; every seed certifies there, exhaustively
+        for seed in range(100):
+            seq = build_sequence(2, F(1), F(3, 2), steps=6, seed=seed)
+            assert seq.nu == (3, 7, 15, 31, 63, 127, 255), seed
+            assert [cert["n"] for cert in seq.certificates] == [2 * k for k in seq.nu[:-1]]
+            assert all(cert["verification"] == "exhaustive" for cert in seq.certificates)
+
+    @pytest.mark.parametrize("seed, nu", [(31, (3, 8, 18, 38, 78, 158, 318)), (33, (3, 8, 18, 38, 78, 158, 318)),
+                                          (39, (3, 8, 18, 38, 78, 158, 318))])
+    def test_six_steps_past_the_first_admissible_n(self, seed, nu, monkeypatch):
+        # with every draw at a step's first admissible n = r*nu_k refused, the scan goes on
+        # and certifies the next n with a draw that the real in_P checks
+        def refuse_first_n(g, prefix, c, **kwargs):
+            return g.v != 2 * max(prefix) and in_P(g, prefix, c, **kwargs)
+
+        monkeypatch.setattr("hspeed.oscillate.in_P", refuse_first_n)
+        seq = build_sequence(2, F(1), F(3, 2), steps=6, seed=seed)
+        assert seq.nu == nu
+        assert [cert["n"] for cert in seq.certificates] == [2 * k + 1 for k in nu[:-1]]
+        assert all(cert["verification"] == "exhaustive" for cert in seq.certificates)
 
     def test_reproducible(self):
         a = build_sequence(2, F(1), F(3, 2), steps=2, seed=7)
@@ -748,42 +735,84 @@ class TestSequence:
             build_sequence(1, F(1), F(2), steps=1)  # r < 2
 
 
+    @pytest.mark.parametrize("eps", ["3", "5"])
+    def test_eps_at_least_r_needs_one_edge(self, eps, capsys):
+        # n^(r - eps) <= 1, so a single edge meets the threshold at every step
+        assert main(["osc", "sequence", "--r", "2", "--c", "1", "--eps", eps, "--steps", "4"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["nu"] == [3, 7, 15, 31, 63]
+        assert [cert["edges"] for cert in out["certificates"]] == [1, 1, 1, 1]
+
+    def test_cap_admits_the_r3_step(self):
+        # r = 3, eps = 3/2: steps 1..5 start at n >= 12, 39, 120, 363, 1,092, which the cap
+        # admits; step 6 starts at n >= 3,279, where n + M = 3,279 + 187,764 is past it
+        assert [_edge_target(n, 3, F(3, 2)) for n in (12, 39, 120, 363, 1092)] == [42, 244, 1315, 6917, 36086]
+        assert 1092 + 36_086 <= DRAW_WORK_CAP < 3279 + 187_764
+        with pytest.raises(BudgetExceeded):
+            _edge_target(3279, 3, F(3, 2))
+
     @pytest.mark.parametrize("r, c, eps", [(2, F(1), F(3, 2)), (3, F(1), F(3, 2)), (3, F(1), F(2)),
                                             (3, F(2, 3), F(2)), (3, F(1), F(8, 5)), (2, F(2), F(1)),
                                             (4, F(1, 2), F(5, 2)), (3, F(1, 2), F(9, 4))])
-    def test_solved_start_matches_scan(self, r, c, eps):
-        for lo in (6, 12, 39, 100, 300, 1000):
-            n = lo  # oracle: step n up while the bound is hopeless and a draw within the cap
-            while _hopeless(r, c, eps, n) and _draw_work(r, c, eps, n) <= DRAW_WORK_CAP:
-                n += 1
-            if _draw_work(r, c, eps, n) > DRAW_WORK_CAP:
-                with pytest.raises(BudgetExceeded):
-                    _first_hopeful(r, c, eps, lo)
-            else:
-                assert _first_hopeful(r, c, eps, lo) == n
+    def test_solved_start_matches_scan(self, r, c, eps, monkeypatch):
+        # the pre-draw check solves each step's lowest start by top <- r*top + 1; a scan whose
+        # every step certifies its first n starts exactly there, and the check refuses a
+        # sequence only when one of those starts is past the cap
+        def least_m(n):  # oracle: the least e >= 1 with e^b >= n^(rb - a), by bisection
+            lo, hi, power = 1, max(n**r, 1), n ** max(r * eps.denominator - eps.numerator, 0)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if mid**eps.denominator >= power else (mid + 1, hi)
+            return lo
 
-    def test_cap_admits_the_r3_step(self):
-        assert _first_hopeful(3, F(1), F(3, 2), 3 * 4) == 1161
+        scanned = []
+
+        def certify_first(r, k, c, eps, n, seed):
+            scanned.append(n)
+            return {"n": n}
+
+        monkeypatch.setattr("hspeed.oscillate._certified_bound", certify_first)
+        refused = 0
+        for steps in range(20):
+            starts, top = [], r + 1
+            for _ in range(steps):
+                starts.append(r * top)
+                top = r * top + 1
+            scanned.clear()
+            if all(n + least_m(n) <= DRAW_WORK_CAP for n in starts):
+                assert list(build_sequence(r, c, eps, steps=steps).mu) == scanned == starts
+            else:
+                refused += 1
+                with pytest.raises(BudgetExceeded):
+                    build_sequence(r, c, eps, steps=steps)
+                assert scanned == []
+        assert 0 < refused < 20
 
     def test_cap_is_checked_before_any_draw(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("sampler called before the cap was checked")
+            raise AssertionError("a draw was made before the cap was checked")
 
-        monkeypatch.setattr("hspeed.oscillate.sample_dense_member", refuse)
-        # r = 3: step 2 starts at n >= 3 * 1162; r = 2: n doubles with each step
-        for r, eps, steps in [(3, F(3, 2), 2), (2, F(3, 2), 40)]:
+        monkeypatch.setattr("hspeed.oscillate._certified_bound", refuse)
+        monkeypatch.setattr("hspeed.oscillate.in_P", refuse)
+        # r = 3: step 6 starts at n >= 3,279, where M = 187,764; r = 2: n doubles with each step
+        for r, eps, steps in [(3, F(3, 2), 6), (2, F(3, 2), 40)]:
             with pytest.raises(BudgetExceeded):
                 build_sequence(r, F(1), eps, steps=steps)
 
-    @pytest.mark.slow
-    def test_certified_r3_step(self, capsys):
-        seq = build_sequence(3, F(1), F(3, 2), steps=1, seed=0)
+    @pytest.mark.parametrize("c, eps, edges", [(F(1), F(3, 2), 42), (F(2, 3), F(2), 12), (F(1), F(8, 5), 33)])
+    def test_certified_r3_step(self, c, eps, edges, capsys):
+        seq = build_sequence(3, c, eps, steps=1, seed=0)
         (mu,), (cert,) = seq.mu, seq.certificates
-        assert mu >= 1161 and cert["n"] == mu
-        assert (mu, cert["edges"]) == (1252, 44359)
-        assert cert["edges"] ** 2 >= mu**3  # e^b >= n^(rb - a) for eps = 3/2
+        assert (mu, cert["n"], cert["edges"]) == (12, 12, edges)  # mu_1 = k*r, the least admissible n
+        a, b = eps.numerator, eps.denominator
+        assert edges**b >= mu ** (3 * b - a)  # e^b >= n^(rb - a)
         assert cert["verification"] == "exhaustive"
-        assert main(["osc", "sequence", "--r", "3", "--c", "1", "--eps", "3/2", "--steps", "1"]) == 0
+        # rebuild the draw from its seed, ranks read off combinations, and re-check it by brute force
+        order = list(itertools.combinations(range(1, mu + 1), 3))
+        ranks = sorted(random.Random(cert["seed"]).sample(range(len(order)), edges))
+        assert brute_in_p(hypergraph(3, mu, [order[i] for i in ranks]), [1, 2, 3, 4], c)
+        argv = ["osc", "sequence", "--r", "3", "--c", str(c), "--eps", str(eps), "--steps", "1"]
+        assert main(argv) == 0
         out = json.loads(capsys.readouterr().out)
         assert (out["nu"], out["mu"], out["certificates"]) == (list(seq.nu), list(seq.mu), [cert])
 

@@ -16,6 +16,7 @@ from conftest import (
 )
 from hspeed.errors import LanguageMismatch, MissingConstant, NotInjective, OutOfRange
 from hspeed.structures import (
+    _integer_kth_root,
     And,
     Atom,
     GRAPH,
@@ -287,6 +288,21 @@ class TestInterpretation:
         inner, _ = induced_substructure(apply_interpretation(interp, m), X)
         outer = apply_interpretation(interp, induced_substructure(m, X)[0])
         assert inner == outer
+
+
+class TestIntegerRoot:
+    def test_root_brackets_x_between_consecutive_powers(self):
+        for k in range(1, 6):
+            exact = (3 ** -(-9431 // k)) ** k  # a k-th power of 4,500 to 4,502 digits
+            big = [3**9431 + 17, exact, exact - 1, exact + 1]
+            assert all(10**4499 <= x < 10**4502 for x in big)
+            for x in itertools.chain(range(5001), big):
+                root = _integer_kth_root(x, k)
+                assert root**k <= x < (root + 1) ** k, (x, k)
+
+    def test_negative_radicand(self):
+        with pytest.raises(ValueError):
+            _integer_kth_root(-1, 3)
 
 
 class TestJson:
