@@ -16,10 +16,11 @@ invariant is lexicographically maximal, the candidates are those whose
 neighbour key is maximal too, and the deletion vertex is the candidate
 with the largest canonical label.  A child whose new vertex is not a
 candidate, or that does not represent its orbit, is dropped before it is
-built, tested or canonized.  Every representative gets one leaf test, the
-forbidden and template checks of the membership test with forbidden
-substructures probed only through the new vertex, before it is canonized.
-A child whose new vertex is the only candidate is kept with no orbit test.
+built, tested or canonized.  Forbidden substructures through the new
+vertex are decided inside the extension search: a branch stops as soon as
+the blocks decided so far complete a forbidden copy, so a representative
+gets only the template check at its leaf, before it is canonized.  A child
+whose new vertex is the only candidate is kept with no orbit test.
 Labeled counts follow as n!/|Aut| per class.  At the top level, where no
 form is kept, such a child is not canonized either: its new vertex v is
 fixed by every automorphism, so by orbit-stabilizer |Aut(child)| is
@@ -49,7 +50,11 @@ copy of every forbidden structure of size m: the orbit of one copy's code
 under the bit permutations that S_m induces on the slots, marked by the
 extension searches' orbit helper.  A size's codes are built when a
 structure with at least m elements is first probed, so a probe is one set
-lookup per subset: no substructure is built and nothing is canonized.  A
+lookup per subset: no substructure is built and nothing is canonized.
+``member`` probes every subset.  An extension search probes none: once per
+parent it reads the code of each (m-1)-subset X of the parent over the
+slots that avoid position m - 1, and where some forbidden code completes
+it, it tests v's blocks over X as soon as the last of them is decided.  A
 forbidden family is a tuple of structures or a function from a size m to
 the structures of size m, for a family of unbounded sizes.  The built-in
 properties are in ``corpus``.
@@ -60,6 +65,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable
 
 from .canon import _getter, canonical_data, orbit
@@ -126,32 +132,35 @@ def _block(base: str, t: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.permutations(t))
 
 
-def _passes(spec: PropertySpec, struct: Structure, anchor: int | None = None) -> bool:
-    """The forbidden and template checks of ``spec.member``; with ``anchor``,
-    only forbidden substructures containing it are probed, which suffices
-    when deleting the anchor leaves a member."""
-    if spec.forbidden and _has_forbidden(spec, struct, anchor):
+def _passes(spec: PropertySpec, struct: Structure) -> bool:
+    """The forbidden and template checks of ``spec.member``."""
+    if spec.forbidden and _has_forbidden(spec, struct):
         return False
+    return _in_some_age(spec, struct)
+
+
+def _in_some_age(spec: PropertySpec, struct: Structure) -> bool:
+    """The template check of ``spec.member``, and the only check at a leaf of
+    an extension search, which decides forbidden substructures on the way."""
     return not spec.templates or any(in_age(struct, t) for t in spec.templates)
 
 
-def _has_forbidden(spec: PropertySpec, struct: Structure, anchor: int | None = None) -> bool:
-    """Does some induced substructure, containing ``anchor`` when given,
-    match a forbidden structure?  Each subset of a forbidden size m is read
-    once, in increasing order with the anchor last, as a code over the
-    size's slots, and matches exactly when that code is in the size's code
-    set; no substructure is built and nothing is canonized.  A size's codes
-    are built when a structure with at least m elements is first probed."""
+def _has_forbidden(spec: PropertySpec, struct: Structure) -> bool:
+    """Does some induced substructure match a forbidden structure?  Each
+    subset of a forbidden size m is read once, in increasing order, as a
+    code over the size's slots, and matches exactly when that code is in the
+    size's code set; no substructure is built and nothing is canonized.  A
+    size's codes are built when a structure with at least m elements is
+    first probed.  The extension searches probe no subset of a child: see
+    ``_forbidden_cuts``."""
     index = spec._forbidden_index
     rels = struct.rel_tuples
-    extra = () if anchor is None else (anchor,)
-    others = [e for e in struct.elements() if e != anchor]
-    for m in range(len(extra), struct.n + 1):
+    for m in range(struct.n + 1):
         slots, codes = index[m]
         if not codes:
             continue
-        for xs in itertools.combinations(others, m - len(extra)):
-            if _code(slots, rels, xs + extra) in codes:
+        for xs in itertools.combinations(struct.elements(), m):
+            if _code(slots, rels, xs) in codes:
                 return True
     return False
 
@@ -166,12 +175,14 @@ class _ForbiddenIndex(dict):
     structure.  A size with none stores empty slots and codes and costs no
     subset scan.  So ``member`` on an n-element structure builds the codes
     of each odd cycle of size <= n as one orbit under S_m (20,160 = 9!/18
-    codes for C9).
+    codes for C9).  ``split`` derives, once per size, the split of its codes
+    that the extension searches test.
     """
 
     def __init__(self, spec: PropertySpec):
         super().__init__()
         self.language, self.base, family = spec.language, spec.base, spec.forbidden
+        self.splits: dict[int, tuple] = {}
         if callable(family):
             self.family = family
             return
@@ -186,6 +197,67 @@ class _ForbiddenIndex(dict):
         structures = self.family(m)
         self[m] = _size_codes(self.language, self.base, m, structures) if structures else ((), frozenset())
         return self[m]
+
+    def split(self, m: int):
+        """(old slots, anchor slots, completions) of size m: the old slots
+        are those whose position tuple avoids the last position m - 1, the
+        anchor slots the others, and completions maps the old part of each
+        code to the anchor parts that complete it to a code, each as a tuple
+        of 0/1 flags, one per anchor slot.  Derived from the size's codes on
+        first use and kept; equal anchor parts and equal lists of them are
+        stored once, so the split costs about one dict entry per code."""
+        if m not in self.splits:
+            slots, codes = self[m]
+            ident = tuple(range(m))
+            anchor = tuple(slot for slot in slots if m - 1 in slot[1](ident))
+            old = tuple(slot for slot in slots if slot not in anchor)
+            anchor_bits = sum(bit for *_, bit in anchor)
+            flags_of: dict[int, tuple[int, ...]] = {}
+            shared: dict[tuple, tuple] = {}
+            completions: dict[int, tuple] = {}
+            for code in codes:
+                part = code & anchor_bits
+                if part not in flags_of:
+                    flags_of[part] = tuple(int(part & bit != 0) for *_, bit in anchor)
+                parts = tuple(sorted(completions.get(code ^ part, ()) + (flags_of[part],)))
+                completions[code ^ part] = shared.setdefault(parts, parts)
+            self.splits[m] = (old, anchor, completions)
+        return self.splits[m]
+
+
+def _forbidden_cuts(spec: PropertySpec, parent: Structure, bit_of: dict, steps: int) -> list[list]:
+    """The forbidden checks of an extension search of the member ``parent``
+    by v = n + 1, whose extension sets are bitmasks of ``steps`` bits, one
+    per block through v, decided lowest bit first; ``bit_of`` maps each
+    tuple through v to its block's bit.  For each (m-1)-subset X of the
+    parent, in increasing order, whose code over the old slots of size m
+    some forbidden code completes (see ``_ForbiddenIndex.split``), the pair
+    (mask, patterns) holds the bits of the blocks over X + (v,) and the
+    restrictions of an extension set to them that complete a forbidden code.
+    It is listed under the number of bits that decide it: one more than its
+    highest bit, 0 when it has none.  An extension set S completes a forbidden
+    copy through v exactly when S & mask is in patterns for some pair, and
+    every copy in the child goes through v, as the parent is a member."""
+    cuts: list[list] = [[] for _ in range(steps + 1)]
+    if not spec.forbidden:
+        return cuts
+    index = spec._forbidden_index
+    v = parent.n + 1
+    rels = parent.rel_tuples
+    for m in range(1, v + 1):
+        if not index[m][1]:
+            continue
+        old, anchor, completions = index.split(m)
+        for xs in itertools.combinations(range(1, v), m - 1):
+            patterns = completions.get(_code(old, rels, xs))
+            if patterns is None:
+                continue
+            xv = xs + (v,)
+            bits = [bit_of[ri, read(xv)] for ri, read, _ in anchor]
+            mask = sum(bits)
+            restrictions = frozenset([sum(itertools.compress(bits, flags)) for flags in patterns])
+            cuts[mask.bit_length()].append((mask, restrictions))
+    return cuts
 
 
 def _slots(language: Language, base: str, m: int) -> tuple[tuple[int, Callable, int], ...]:
@@ -247,6 +319,7 @@ def forbid(structures: Iterable[Structure]) -> PropertySpec:
 # orderly generation
 
 
+@lru_cache(maxsize=64)
 def default_budget(language: Language, base: str) -> int:
     """The largest n_max generation runs without an explicit budget: the
     largest n with 2^B(n)/n! <= 300,000, at most 9 for arity <= 2 and 6
@@ -256,7 +329,8 @@ def default_budget(language: Language, base: str) -> int:
     below; 300,000 is the scale of all graphs at n=9.  Graphs keep 9 and
     3-graphs 6; one ternary relation over base ``none`` gets 2, as its
     extension search at n=3 has 2^19 leaves for each parent.  It is the
-    only cap on generation, and an explicit budget replaces it."""
+    only cap on generation, and an explicit budget replaces it.  Computed
+    once per (language, base): ``speed`` checks it twice per call."""
     cap = 9 if language.arity <= 2 else 6
     top = [0] * cap  # top[k]: the blocks whose least tuple's largest entry is k
     for _, t in _least_tuples(language, base, range(cap)):
@@ -360,7 +434,7 @@ def _root_level(spec: PropertySpec) -> _Level:
     root = Structure(spec.language, 0, tuple(frozenset() for _ in spec.language.relations), ())
     level = _Level()
     level.generators[root] = ()
-    # the leaf test assumes a member parent; only a 0-element forbidden structure rejects the root
+    # the extension searches assume a member parent; only a 0-element forbidden structure rejects the root
     if not _has_forbidden(spec, root):
         level.append((root, 1))
     return level
@@ -415,9 +489,10 @@ def _group_extensions(spec: PropertySpec, parent: Structure, generators):
     orbit.  An extension set is a bitmask over the blocks touching v (see
     ``_block``), sorted by support, size first; it is chosen one block at a
     time, out before in, and the invariants are updated as tuples are
-    chosen, before any child is built.  This is the search for every base;
-    ``_graph_extensions`` gives the same children in the same order for the
-    graph base.
+    chosen, before any child is built.  A branch stops as soon as the blocks
+    decided so far complete a forbidden copy (see ``_forbidden_cuts``).
+    This is the search for every base; ``_graph_extensions`` gives the same
+    children in the same order for the graph base.
     """
     lang = spec.language
     n = parent.n
@@ -449,6 +524,7 @@ def _group_extensions(spec: PropertySpec, parent: Structure, generators):
         image = g + (v,)
         moves.append([bit_of[ri, tuple(image[x - 1] for x in t)] for (ri, t), *_ in blocks])
     marked: set[int] = set()
+    cuts = _forbidden_cuts(spec, parent, bit_of, len(blocks))
 
     parent_tuples = [set(ts) for ts in parent.rel_tuples]
     parent_near = [set() for _ in range(v + 1)]  # x and the elements sharing a parent tuple with x
@@ -472,6 +548,9 @@ def _group_extensions(spec: PropertySpec, parent: Structure, generators):
     results: list[tuple[Structure, list[int], int]] = []
 
     def rec(b: int, code: int):
+        for mask, patterns in cuts[b]:
+            if (code & mask) in patterns:
+                return
         if b == len(blocks):
             inv = [tuple(c) for c in counts]
             # an orbit's first choice represents it; every choice of the
@@ -485,7 +564,7 @@ def _group_extensions(spec: PropertySpec, parent: Structure, generators):
             orbit_size = _mark_orbit(marked, code, moves)
             rel_tuples = tuple(frozenset(parent_tuples[ri] | chosen[ri]) for ri in range(len(lang.relations)))
             child = Structure._trusted(lang, v, rel_tuples, ())
-            if _passes(spec, child, v):  # the parent is a member
+            if _in_some_age(spec, child):
                 results.append((child, candidates, orbit_size))
             return
         rec(b + 1, code)
@@ -531,8 +610,9 @@ def _graph_extensions(spec: PropertySpec, parent: Structure, generators):
     invariant-maximal when |S| >= deg(u) + [u in S] for every u; each u
     that ties is compared with v by the sorted degrees of their neighbours
     in the child.  A branch stops once the decided vertices need more
-    degree than v can still reach.  The two tuples of each pair {u, v} are
-    built once per parent and shared by its children."""
+    degree than v can still reach, or complete a forbidden copy through v.
+    The two tuples of each pair {u, v} are built once per parent and shared
+    by its children."""
     n = parent.n
     v = n + 1
     tuples = parent.rel_tuples[0]
@@ -553,15 +633,19 @@ def _graph_extensions(spec: PropertySpec, parent: Structure, generators):
         if code >> (x - 1) & 1:
             degrees.append(size)
         return sorted(degrees)
-    pairs = [()] + [_block(BASE_GRAPH, (u, v)) for u in range(1, v)]
+    pairs = [()] + [((u, v), (v, u)) for u in range(1, v)]
     moves = [[1 << (gu - 1) for gu in g] for g in generators]
     marked: set[int] = set()
+    cuts = _forbidden_cuts(spec, parent, {(0, (u, v)): 1 << (u - 1) for u in range(1, v)}, n)
 
     chosen: set[tuple[int, int]] = set()
     results: list[tuple[Structure, list[int], int]] = []
 
     def rec(u: int, code: int, size: int, need: int):
         # need: the largest deg(w) + [w in S] over the decided vertices w < u
+        for mask, patterns in cuts[u - 1]:
+            if (code & mask) in patterns:
+                return
         if u == v:
             if size < need or code in marked:
                 return
@@ -572,7 +656,7 @@ def _graph_extensions(spec: PropertySpec, parent: Structure, generators):
             orbit_size = _mark_orbit(marked, code, moves)
             # a frozenset copied from a set gets the smallest table that holds it
             child = Structure._trusted(spec.language, v, (frozenset(edges | chosen),), ())
-            if _passes(spec, child, v):  # the parent is a member
+            if _in_some_age(spec, child):
                 results.append((child, candidates, orbit_size))
             return
         if need > size + v - u:

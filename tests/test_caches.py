@@ -30,7 +30,8 @@ def _lru_caches():
 
 def test_finds_the_known_caches():
     names = {name for name, _ in _lru_caches()}
-    assert {"hspeed.canon.canonical_data", "hspeed.canon._readers", "hspeed.cli.build_parser"} <= names
+    assert {"hspeed.canon.canonical_data", "hspeed.canon._readers", "hspeed.cli.build_parser",
+            "hspeed.property.default_budget"} <= names
 
 
 def test_every_lru_cache_is_bounded():
