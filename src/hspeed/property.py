@@ -45,19 +45,20 @@ per spec.  For a forbidden size m, the slots are the least tuples of the
 blocks of [m] (i < j for the graph base, increasing tuples for the
 uniform base, all of [m]^arity per relation otherwise); the code of an
 ordered subset is the int whose bit b is set when slot b's element tuple
-is a tuple of the structure.  The index holds the codes of every labeled
-copy of every forbidden structure of size m: the orbit of one copy's code
-under the bit permutations that S_m induces on the slots, marked by the
-extension searches' orbit helper.  A size's codes are built when a
-structure with at least m elements is first probed, so a probe is one set
-lookup per subset: no substructure is built and nothing is canonized.
-``member`` probes every subset.  An extension search probes none: once per
-parent it reads the code of each (m-1)-subset X of the parent over the
-slots that avoid position m - 1, and where some forbidden code completes
-it, it tests v's blocks over X as soon as the last of them is decided.  A
-forbidden family is a tuple of structures or a function from a size m to
-the structures of size m, for a family of unbounded sizes.  The built-in
-properties are in ``corpus``.
+is a tuple of the structure.  The index stores the codes of every labeled
+copy of every forbidden structure of size m, the orbit of one copy's code
+under the bit permutations that S_m induces on the slots, in one form: the
+old slots avoid position m - 1, and each old code maps to the patterns
+over the other, anchor slots that complete it to a forbidden code.  A
+size's entry is built when a structure with at least m elements is first
+probed, so a probe is one dict lookup per subset: no substructure is built
+and nothing is canonized.  ``member`` probes every subset.  An extension
+search probes none: once per parent it reads the old code of each
+(m-1)-subset X of the parent, and where patterns complete it, it tests v's
+blocks over X as soon as the last of them is decided.  A forbidden family
+is a tuple of structures or a function from a size m to the structures of
+size m, for a family of unbounded sizes.  The built-in properties are in
+``corpus``.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ class PropertySpec:
     def member(self, struct: Structure) -> bool:
         if struct.language != self.language:
             raise LanguageMismatch("candidate over a different language")
-        return self._base_ok(struct) and _passes(self, struct)
+        return self._base_ok(struct) and not _has_forbidden(self, struct) and _in_some_age(self, struct)
 
     def _base_ok(self, struct: Structure) -> bool:
         """Every tuple's block is non-empty and lies inside its relation."""
@@ -132,13 +133,6 @@ def _block(base: str, t: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.permutations(t))
 
 
-def _passes(spec: PropertySpec, struct: Structure) -> bool:
-    """The forbidden and template checks of ``spec.member``."""
-    if spec.forbidden and _has_forbidden(spec, struct):
-        return False
-    return _in_some_age(spec, struct)
-
-
 def _in_some_age(spec: PropertySpec, struct: Structure) -> bool:
     """The template check of ``spec.member``, and the only check at a leaf of
     an extension search, which decides forbidden substructures on the way."""
@@ -147,42 +141,41 @@ def _in_some_age(spec: PropertySpec, struct: Structure) -> bool:
 
 def _has_forbidden(spec: PropertySpec, struct: Structure) -> bool:
     """Does some induced substructure match a forbidden structure?  Each
-    subset of a forbidden size m is read once, in increasing order, as a
-    code over the size's slots, and matches exactly when that code is in the
-    size's code set; no substructure is built and nothing is canonized.  A
-    size's codes are built when a structure with at least m elements is
-    first probed.  The extension searches probe no subset of a child: see
-    ``_forbidden_cuts``."""
+    subset of a forbidden size m is read, in increasing order, as a code
+    over the size's old slots, and where patterns complete that code, its
+    anchor flags are read too and matched against them; no substructure is
+    built and nothing is canonized.  The extension searches probe no subset
+    of a child: see ``_forbidden_cuts``."""
     index = spec._forbidden_index
     rels = struct.rel_tuples
     for m in range(struct.n + 1):
-        slots, codes = index[m]
-        if not codes:
+        old, anchor, completions = index[m]
+        if not completions:
             continue
         for xs in itertools.combinations(struct.elements(), m):
-            if _code(slots, rels, xs) in codes:
+            patterns = completions.get(_code(old, rels, xs))
+            if patterns is not None and _flags(anchor, rels, xs) in patterns:
                 return True
     return False
 
 
 class _ForbiddenIndex(dict):
-    """Forbidden size m -> (slots, codes) of a spec, each built on its first
-    lookup and kept, so the index holds at most one entry per size.
+    """Forbidden size m -> (old slots, anchor slots, completions) of a spec
+    (see ``_size_codes``), each built on its first lookup and kept, so the
+    index holds at most one entry per size.
 
     A tuple family is checked against the spec's language and base here, at
     construction; after that both kinds of family are asked for their
     structures of each size m <= n on the first probe of an n-element
-    structure.  A size with none stores empty slots and codes and costs no
-    subset scan.  So ``member`` on an n-element structure builds the codes
-    of each odd cycle of size <= n as one orbit under S_m (20,160 = 9!/18
-    codes for C9).  ``split`` derives, once per size, the split of its codes
-    that the extension searches test.
+    structure.  A size with none stores ``((), (), {})`` and costs no subset
+    scan.  So ``member`` on an n-element structure builds the entry of each
+    odd cycle of size <= n from one orbit under S_m (20,160 = 9!/18 codes
+    for C9).
     """
 
     def __init__(self, spec: PropertySpec):
         super().__init__()
         self.language, self.base, family = spec.language, spec.base, spec.forbidden
-        self.splits: dict[int, tuple] = {}
         if callable(family):
             self.family = family
             return
@@ -195,34 +188,8 @@ class _ForbiddenIndex(dict):
 
     def __missing__(self, m: int):
         structures = self.family(m)
-        self[m] = _size_codes(self.language, self.base, m, structures) if structures else ((), frozenset())
+        self[m] = _size_codes(self.language, self.base, m, structures) if structures else ((), (), {})
         return self[m]
-
-    def split(self, m: int):
-        """(old slots, anchor slots, completions) of size m: the old slots
-        are those whose position tuple avoids the last position m - 1, the
-        anchor slots the others, and completions maps the old part of each
-        code to the anchor parts that complete it to a code, each as a tuple
-        of 0/1 flags, one per anchor slot.  Derived from the size's codes on
-        first use and kept; equal anchor parts and equal lists of them are
-        stored once, so the split costs about one dict entry per code."""
-        if m not in self.splits:
-            slots, codes = self[m]
-            ident = tuple(range(m))
-            anchor = tuple(slot for slot in slots if m - 1 in slot[1](ident))
-            old = tuple(slot for slot in slots if slot not in anchor)
-            anchor_bits = sum(bit for *_, bit in anchor)
-            flags_of: dict[int, tuple[int, ...]] = {}
-            shared: dict[tuple, tuple] = {}
-            completions: dict[int, tuple] = {}
-            for code in codes:
-                part = code & anchor_bits
-                if part not in flags_of:
-                    flags_of[part] = tuple(int(part & bit != 0) for *_, bit in anchor)
-                parts = tuple(sorted(completions.get(code ^ part, ()) + (flags_of[part],)))
-                completions[code ^ part] = shared.setdefault(parts, parts)
-            self.splits[m] = (old, anchor, completions)
-        return self.splits[m]
 
 
 def _forbidden_cuts(spec: PropertySpec, parent: Structure, bit_of: dict, steps: int) -> list[list]:
@@ -231,7 +198,7 @@ def _forbidden_cuts(spec: PropertySpec, parent: Structure, bit_of: dict, steps: 
     per block through v, decided lowest bit first; ``bit_of`` maps each
     tuple through v to its block's bit.  For each (m-1)-subset X of the
     parent, in increasing order, whose code over the old slots of size m
-    some forbidden code completes (see ``_ForbiddenIndex.split``), the pair
+    some forbidden code completes (see ``_ForbiddenIndex``), the pair
     (mask, patterns) holds the bits of the blocks over X + (v,) and the
     restrictions of an extension set to them that complete a forbidden code.
     It is listed under the number of bits that decide it: one more than its
@@ -245,9 +212,9 @@ def _forbidden_cuts(spec: PropertySpec, parent: Structure, bit_of: dict, steps: 
     v = parent.n + 1
     rels = parent.rel_tuples
     for m in range(1, v + 1):
-        if not index[m][1]:
+        old, anchor, completions = index[m]
+        if not completions:
             continue
-        old, anchor, completions = index.split(m)
         for xs in itertools.combinations(range(1, v), m - 1):
             patterns = completions.get(_code(old, rels, xs))
             if patterns is None:
@@ -291,12 +258,21 @@ def _code(slots, rel_tuples, xs: tuple[int, ...]) -> int:
     return code
 
 
+def _flags(slots, rel_tuples, xs: tuple[int, ...]) -> tuple[int, ...]:
+    """``_code`` as a tuple of 0/1 flags, one per slot."""
+    return tuple([int(read(xs) in rel_tuples[ri]) for ri, read, _ in slots])
+
+
 def _size_codes(language: Language, base: str, m: int, structures: tuple[Structure, ...]):
-    """The slots of size m and the codes of every labeled copy of
-    ``structures`` (all of size m): each one's code orbit under S_m,
-    m!/|Aut| codes.  A permutation p of the positions moves slot b's bit to
-    the slot whose block holds p of b's position tuple; the transposition
-    (1 2) and the m-cycle generate S_m."""
+    """(old slots, anchor slots, completions) of size m for ``structures``
+    (all of size m): the old slots avoid the last position m - 1, and
+    completions maps the old part of each code of a labeled copy to the
+    anchor parts that complete it, as 0/1 flags, one per anchor slot.  Each
+    structure's codes are its orbit under S_m, m!/|Aut| codes, marked into a
+    set that is emptied into completions.  A permutation p of the positions
+    moves slot b's bit to the slot whose block holds p of b's position
+    tuple; the transposition (1 2) and the m-cycle generate S_m.  Equal
+    anchor parts and equal lists of them are stored once."""
     slots = _slots(language, base, m)
     ident = tuple(range(m))
     bit_of = {(ri, t): bit for ri, read, bit in slots for t in _block(base, read(ident))}
@@ -305,7 +281,20 @@ def _size_codes(language: Language, base: str, m: int, structures: tuple[Structu
     codes: set[int] = set()
     for f in structures:
         _mark_orbit(codes, _code(slots, f.rel_tuples, tuple(f.elements())), moves)
-    return slots, frozenset(codes)
+    anchor = tuple(slot for slot in slots if m - 1 in slot[1](ident))
+    old = tuple(slot for slot in slots if slot not in anchor)
+    anchor_bits = sum(bit for *_, bit in anchor)
+    flags_of: dict[int, tuple[int, ...]] = {}
+    shared: dict[tuple, tuple] = {}
+    completions: dict[int, tuple] = {}
+    while codes:
+        code = codes.pop()
+        part = code & anchor_bits
+        if part not in flags_of:
+            flags_of[part] = tuple(int(part & bit != 0) for *_, bit in anchor)
+        parts = tuple(sorted(completions.get(code ^ part, ()) + (flags_of[part],)))
+        completions[code ^ part] = shared.setdefault(parts, parts)
+    return old, anchor, completions
 
 
 def forbid(structures: Iterable[Structure]) -> PropertySpec:

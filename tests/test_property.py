@@ -205,6 +205,51 @@ def labeled_bipartite(n_max: int) -> list[int]:
     return [int(c) for c in counts]
 
 
+def euler_transform(b: list[int], n_max: int) -> list[int]:
+    """a_0..a_n_max of prod_k (1 - x^k)^(-b_k), b indexed from b[1]: the
+    multisets of parts counted by b, by a_n = (1/n) sum_k c_k a_(n-k) with
+    c_k = sum_(d | k) d b_d."""
+    c = [0] + [sum(d * b[d] for d in range(1, k + 1) if k % d == 0) for k in range(1, n_max + 1)]
+    a = [1]
+    for n in range(1, n_max + 1):
+        total = sum(c[k] * a[n - k] for k in range(1, n + 1))
+        assert total % n == 0
+        a.append(total // n)
+    return a
+
+
+def labeled_forests(n_max: int) -> list[int]:
+    """Labeled forests on n = 1..n_max vertices: Cayley's n^(n-2) trees,
+    joined by the exponential formula, f_n = sum_k C(n-1, k-1) t_k f_(n-k)
+    (k: the size of the tree holding vertex 1)."""
+    trees = [0] + [k ** (k - 2) if k > 1 else 1 for k in range(1, n_max + 1)]
+    f = [1]
+    for n in range(1, n_max + 1):
+        f.append(sum(math.comb(n - 1, k - 1) * trees[k] * f[n - k] for k in range(1, n + 1)))
+    return f[1:]
+
+
+def unlabeled_forests(n_max: int) -> list[int]:
+    """Unlabeled forests on n = 1..n_max vertices: the rooted trees r_n come
+    from r_(n+1) = [x^n] prod_k (1 - x^k)^(-r_k), the unrooted trees from
+    Otter's formula t(x) = r(x) - (r(x)^2 - r(x^2)) / 2, and a forest is a
+    multiset of trees."""
+    rooted = [0, 1]
+    for n in range(1, n_max):
+        rooted.append(euler_transform(rooted, n)[n])
+    trees = [0]
+    for n in range(1, n_max + 1):
+        pairs = sum(rooted[i] * rooted[n - i] for i in range(1, n))
+        trees.append(rooted[n] - (pairs - (rooted[n // 2] if n % 2 == 0 else 0)) // 2)
+    return euler_transform(trees, n_max)[1:]
+
+
+def forests_property() -> PropertySpec:
+    """Forests: forbid every induced cycle C_m, m >= 3.  A graph with a cycle
+    has an induced one, its shortest cycle."""
+    return PropertySpec(language=GRAPH, base=BASE_GRAPH, forbidden=lambda m: (cycle(m),) if m >= 3 else ())
+
+
 # OEIS A000088 (graphs), A000595 (binary relations), A000665 (3-uniform
 # hypergraphs), A000273 (loopless digraphs), A033995 / A047864 (bipartite
 # graphs, unlabeled / labeled)
@@ -284,6 +329,19 @@ class TestCanonicalAugmentation:
         row = speed(bipartite_property(), 10, budget=10).rows[-1]
         assert (row.labeled, row.unlabeled) == (labeled_bipartite(10)[9], 5479)  # A047864, A033995
         assert row.labeled == 6433447397
+
+    def test_forests_oracle(self):
+        table = speed(forests_property(), 9)
+        assert [r.labeled for r in table.rows] == labeled_forests(9)
+        assert [r.unlabeled for r in table.rows] == unlabeled_forests(9)
+        assert (table.rows[-1].labeled, table.rows[-1].unlabeled) == (10026505, 153)
+
+    @pytest.mark.slow
+    def test_forests_oracle_n10(self):
+        # past default_budget's cap of 9 for graphs; C10 is the largest split any built-in family reaches
+        row = speed(forests_property(), 10, budget=10).rows[-1]
+        assert (row.labeled, row.unlabeled) == (labeled_forests(10)[9], unlabeled_forests(10)[9])  # A001858, A005195
+        assert (row.labeled, row.unlabeled) == (205608536, 329)
 
     def test_complete_bipartite_closed_form(self):
         # K_{a,n-a} for 0 <= a <= n/2; labeled: the 2^(n-1) unordered bipartitions
@@ -1076,22 +1134,34 @@ class TestForbiddenIndex:
 
     @pytest.mark.parametrize("lang, base", CASES, ids=["graph", "looped", "unary-binary", "uniform-3"])
     def test_codes_are_the_orbit_of_one_copy(self, lang, base):
-        """A size's codes, marked as orbits under S_m, are the codes of all m!
-        orderings of each forbidden structure."""
-        from hspeed.property import _size_codes
+        """A size's codes, marked as orbits under S_m and stored split at the
+        last position, are the codes of all m! orderings of each forbidden
+        structure, each stored once."""
+        from hspeed.property import _size_codes, _slots
 
         rng = random.Random(len(lang.relations) * 7 + len(base))
         for m in range(7):
+            slots, ident = _slots(lang, base, m), tuple(range(m))
             for count in (1, 1, 1, 1, 2, 3):
                 family = tuple(random_member_of_base(rng, lang, base, m) for _ in range(count))
-                slots, codes = _size_codes(lang, base, m, family)
-                assert codes == brute_codes(slots, family), (m, family)
+                old, anchor, completions = _size_codes(lang, base, m, family)
+                assert all(m - 1 not in read(ident) for _, read, _ in old)
+                assert all(m - 1 in read(ident) for _, read, _ in anchor)
+                assert sorted(bit for *_, bit in old + anchor) == [bit for *_, bit in slots]
+                anchor_bits = [bit for *_, bit in anchor]
+                codes = [
+                    code | sum(itertools.compress(anchor_bits, flags))
+                    for code, patterns in completions.items()
+                    for flags in patterns
+                ]
+                assert all(code & sum(anchor_bits) == 0 for code in completions)
+                assert sorted(codes) == sorted(brute_codes(slots, family)), (m, family)
 
     def test_odd_cycle_codes_are_cosets(self):
         """C_m has m!/2m labeled copies: 20,160 for C9."""
         index = bipartite_property()._forbidden_index
         for m in (3, 5, 7, 9):
-            assert len(index[m][1]) == math.factorial(m) // (2 * m)
+            assert sum(len(patterns) for patterns in index[m][2].values()) == math.factorial(m) // (2 * m)
 
     def test_codes_of_a_size_are_built_on_first_probe_at_that_size(self, monkeypatch):
         import hspeed.property
@@ -1128,16 +1198,29 @@ class TestForbiddenIndex:
         spec = bipartite_property()
         assert spec.member(cycle(6)) and not spec.member(cycle(7))
         assert built == [(3, 1), (5, 1), (7, 1)]
-        # a size with no structures stores empty slots and codes and is never scanned
+        # a size with no structures stores an empty split and is never scanned
         index = spec._forbidden_index
         assert sorted(index) == list(range(8))
-        assert [m for m in index if index[m][1]] == [3, 5, 7]
-        coded = []
-        code = hspeed.property._code
+        assert [m for m in index if index[m][2]] == [3, 5, 7]
+        coded, flagged = [], []
+        code, flags = hspeed.property._code, hspeed.property._flags
         monkeypatch.setattr(hspeed.property, "_code", lambda *args: coded.append(1) or code(*args))
-        assert spec.member(cycle(8))
-        assert index[8] == ((), frozenset()) and built == [(3, 1), (5, 1), (7, 1)]
+        monkeypatch.setattr(hspeed.property, "_flags", lambda *args: flagged.append(1) or flags(*args))
+        c8 = cycle(8)
+        assert spec.member(c8)
+        assert index[8] == ((), (), {}) and built == [(3, 1), (5, 1), (7, 1)]
+        # one old-slot read per subset, and one anchor read per subset whose
+        # first m - 1 elements some ordering of C_m also has
         assert len(coded) == math.comb(8, 3) + math.comb(8, 5) + math.comb(8, 7)
+        hits = 0
+        for m in (3, 5, 7):
+            cm = cycle(m)
+            pairs = list(itertools.combinations(range(m - 1), 2))
+            prefixes = {tuple((xs[i], xs[j]) in cm.rel_tuples[0] for i, j in pairs)
+                        for xs in itertools.permutations(cm.elements())}
+            hits += sum(tuple((ys[i], ys[j]) in c8.rel_tuples[0] for i, j in pairs) in prefixes
+                        for ys in itertools.combinations(c8.elements(), m))
+        assert len(flagged) == hits > 0
 
 
 def test_engine_imports_no_family_or_diagnostic_module():
