@@ -58,7 +58,7 @@ def _at_least(low: int):
     return parse
 
 
-_positive = _at_least(1)  # the sizes n and bounds k of the property commands
+_positive = _at_least(1)  # the sizes n and bounds k of the property commands and osc sample
 
 
 def _frac_str(value: Fraction) -> str:
@@ -461,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     member.add_argument("--mode", choices=["q", "s", "p"], default="q")
     member.add_argument("--nu", default="", help="sizes, comma-separated (--mode p)")
     blowup.add_argument("--materialize", action="store_true")
-    sample.add_argument("--k", type=int, default=3)
+    sample.add_argument("--k", type=_positive, default=3)
     sample.add_argument("--delta", default="2")
     sequence.add_argument("--eps", default="2")
     sequence.add_argument("--steps", type=_at_least(0), default=1)

@@ -93,10 +93,6 @@ class SampleBudgetExceeded(ContractError):
     code = "sample-budget-exceeded"
 
 
-class EstimatorFailed(ContractError):
-    code = "estimator-failed"
-
-
 class UnknownKind(ContractError):
     code = "unknown-kind"
 

@@ -20,7 +20,6 @@ from typing import Collection, Iterable
 from .errors import (
     BudgetExceeded,
     EmptyVertexSet,
-    EstimatorFailed,
     InfeasibleDensity,
     SampleBudgetExceeded,
     SearchBudgetExceeded,
@@ -34,9 +33,8 @@ BALANCED_V_BUDGET = 12  # find_strictly_balanced searches v <= this
 BALANCED_COMBO_BUDGET = 300_000  # ... and only edge sets of at most this many combinations
 MATERIALIZE_BUDGET = 5000  # most members blowup_members builds
 ESTIMATOR_ATTEMPTS = 8  # draws per (nu prefix, n) in _certified_bound
-SEQUENCE_SCAN_LIMIT = 600  # candidate n per build_sequence step
 ESTIMATOR_CHECK_BUDGET = 100_000  # most sets one in_P check of an estimator draw may visit
-DRAW_WORK_CAP = 100_000  # most n + edge count of one estimator draw
+STEP_WORK_CAP = 100_000  # most work of one build_sequence step: n + edge count per draw, n per skipped n
 
 
 @dataclass(frozen=True)
@@ -590,8 +588,8 @@ def sample_dense_member(
         raise ValueError("need delta > 1/c")
     if r < 2 or n < 1:
         raise ValueError("need r >= 2 and n >= 1")
-    if k * r > n:
-        raise ValueError("need k*r <= n")
+    if not 1 <= k <= n // r:
+        raise ValueError("need k >= 1 and k*r <= n")
     rng = random.Random(seed)
     p = float(n) ** (-float(delta))
     total = math.comb(n, r)
@@ -642,52 +640,55 @@ class OscSequence:
 def _edge_target(n: int, r: int, eps: Fraction) -> int:
     """M = ceil(n^(r - eps)), the edges an estimator draw at n takes: the least
     e >= 1 with e^b >= n^(rb - a) for eps = a/b, by an integer b-th root, so
-    M = 1 when rb <= a.  Raises BudgetExceeded when n + M exceeds
-    DRAW_WORK_CAP."""
+    M = 1 when rb <= a."""
     a, b = eps.numerator, eps.denominator
     power = n ** max(r * b - a, 0)
     root = _integer_kth_root(power, b)
-    m = root if root ** b == power else root + 1
-    if n + m > DRAW_WORK_CAP:
-        raise BudgetExceeded(f"at n = {n} a sequence draw takes {m} edges, so n plus its edge count "
-                             f"exceeds {DRAW_WORK_CAP}")
-    return m
+    return root if root ** b == power else root + 1
 
 
-def _certified_bound(r: int, k: int, c: Fraction, eps: Fraction, n: int, seed: int) -> dict | None:
-    """A certificate dict that log2 |P^{nu,c}_n| >= n^(r - eps), or None: the
-    first of ESTIMATOR_ATTEMPTS draws, each of exactly M = ceil(n^(r - eps))
-    r-sets of [n] with its own seed, that is a member of P^{(k),c}_n (k = max
-    nu prefix, so also of P^{nu,c}_n).  Every subgraph of a member is a
-    member, so its M edges give 2^M members.  in_P decides each draw exactly;
-    a check that would visit more than ESTIMATOR_CHECK_BUDGET sets raises
-    BudgetExceeded.  Returns None without drawing when k*r > n or
-    M > C(n, r).
-    """
+def _charged(work: int, start: int, n: int) -> int:
+    """The work of the step from ``start`` once n is charged; BudgetExceeded past STEP_WORK_CAP."""
+    if work > STEP_WORK_CAP:
+        raise BudgetExceeded(f"the sequence step from n = {start} passes its work cap {STEP_WORK_CAP} at n = {n}")
+    return work
+
+
+def _certified_bound(r: int, k: int, c: Fraction, eps: Fraction, n: int, seed: int,
+                     work: int) -> tuple[dict | None, int]:
+    """A certificate dict that log2 |P^{nu,c}_n| >= n^(r - eps), or None, and
+    the step's work after n: the first of ESTIMATOR_ATTEMPTS draws, each of
+    exactly M = ceil(n^(r - eps)) r-sets of [n] with its own seed, that is a
+    member of P^{(k),c}_n (k = max nu prefix, so also of P^{nu,c}_n).  Every
+    subgraph of a member is a member, so its M edges give 2^M members.  in_P
+    decides each draw exactly, or raises BudgetExceeded past ESTIMATOR_CHECK_BUDGET sets.
+    Each draw adds n + M to ``work`` before it is made, an n with k*r > n or
+    M > C(n, r) adds n and draws nothing, and past STEP_WORK_CAP the step
+    from r*k ends in BudgetExceeded."""
     m = _edge_target(n, r, eps)
     total = math.comb(n, r)
     if k * r > n or m > total:
-        return None
+        return None, _charged(work + n, r * k, n)
     for i in range(ESTIMATOR_ATTEMPTS):
+        work = _charged(work + n + m, r * k, n)
         draw_seed = seed * 100003 + n * 101 + i
         ranks = sorted(random.Random(draw_seed).sample(range(total), m))
         g = Hypergraph(r, n, frozenset(map(frozenset, _decode_ranks(ranks, n, r))))
         if in_P(g, range(1, k + 1), c, subset_budget=ESTIMATOR_CHECK_BUDGET):
-            return {"n": n, "edges": m, "attempts": i + 1, "seed": draw_seed, "verification": "exhaustive"}
-    return None
+            return {"n": n, "edges": m, "attempts": i + 1, "seed": draw_seed, "verification": "exhaustive"}, work
+    return None, work
 
 
 def build_sequence(r: int, c: Fraction, eps: Fraction, steps: int, seed: int = 0) -> OscSequence:
     """Greedy sequence: nu_0 = r+1; mu_k = least n > nu_k that
     _certified_bound certifies to reach 2^(n^(r-eps)); nu_{k+1} = mu_k + 1.
 
-    A step scans SEQUENCE_SCAN_LIMIT values of n from r*nu_k, the least n
-    with k*r <= n (k = nu_k).  Before the first draw, the lowest
-    start of every step follows from top <- r*top + 1 (max nu exceeds the n
-    of the step before), and a start where n plus the draw's edge count
-    exceeds DRAW_WORK_CAP raises BudgetExceeded, as does any later n of a
-    scan.
-    """
+    A step scans n upward from r*nu_k, the least n with k*r <= n (k = nu_k);
+    each n certifies or adds at least n to the step's work, so STEP_WORK_CAP
+    ends every scan.  Before the first draw, the lowest start of every step
+    follows from s <- r*(s + 1), s = r*(r + 1) (max nu exceeds the n of the
+    step before), and a start whose first draw alone, n + M, passes the cap
+    raises BudgetExceeded."""
     c = Fraction(c)
     eps = Fraction(eps)
     if r < 2:
@@ -696,23 +697,19 @@ def build_sequence(r: int, c: Fraction, eps: Fraction, steps: int, seed: int = 0
         raise ValueError("need c >= 1/(r-1)")
     if eps * c <= 1:
         raise ValueError("need eps > 1/c")
-    top = r + 1
+    low = r * (r + 1)
     for _ in range(steps):
-        _edge_target(r * top, r, eps)
-        top = r * top + 1
+        _charged(low + _edge_target(low, r, eps), low, low)
+        low = r * (low + 1)
     nu = [r + 1]
     mu: list[int] = []
     certificates: list[dict] = []
     for _ in range(steps):
-        start = r * nu[-1]
-        for n in range(start, start + SEQUENCE_SCAN_LIMIT):
-            cert = _certified_bound(r, nu[-1], c, eps, n, seed)
+        work = 0
+        for n in itertools.count(r * nu[-1]):
+            cert, work = _certified_bound(r, nu[-1], c, eps, n, seed, work)
             if cert is not None:
                 break
-        else:
-            raise EstimatorFailed(
-                f"no certified n in [{start}, {start + SEQUENCE_SCAN_LIMIT}) reaches the threshold"
-            )
         mu.append(n)
         certificates.append(cert)
         nu.append(n + 1)

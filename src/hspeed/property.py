@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
@@ -336,7 +337,7 @@ class SpeedRow:
     n: int
     labeled: int
     unlabeled: int
-    multiplicities: tuple[int, ...]  # n!/|Aut| per unlabeled class, ascending
+    aut_counts: tuple[tuple[int, int], ...]  # (|Aut|, classes with it), ascending; a class has n!/|Aut| labelings
 
 
 @dataclass(frozen=True)
@@ -369,15 +370,16 @@ def speed(spec: PropertySpec, n_max: int, budget: int | None = None) -> SpeedTab
     rows = []
     level = _root_level(spec)
     for n, level in enumerate(generate_levels(spec, n_max - 1, budget), start=1):
-        rows.append(_speed_row(n, [aut for _, aut in level]))
+        rows.append(_speed_row(n, (aut for _, aut in level)))
     if n_max >= 1:
-        rows.append(_speed_row(n_max, [aut for _, aut in _kept(spec, level, n_max, counting=True)]))
+        rows.append(_speed_row(n_max, (aut for _, aut in _kept(spec, level, n_max, counting=True))))
     return SpeedTable(tuple(rows))
 
 
-def _speed_row(n: int, auts: list[int]) -> SpeedRow:
-    mult = tuple(sorted(math.factorial(n) // aut for aut in auts))
-    return SpeedRow(n=n, labeled=sum(mult), unlabeled=len(auts), multiplicities=mult)
+def _speed_row(n: int, auts: Iterable[int]) -> SpeedRow:
+    aut_counts = tuple(sorted(Counter(auts).items()))
+    labeled = sum(math.factorial(n) // aut * count for aut, count in aut_counts)
+    return SpeedRow(n=n, labeled=labeled, unlabeled=sum(count for _, count in aut_counts), aut_counts=aut_counts)
 
 
 def generate_members(spec: PropertySpec, n: int, budget: int | None = None) -> list[Structure]:

@@ -77,7 +77,7 @@ def _growth_strings(length: int) -> list[tuple[int, ...]]:
             for v in range(top + 2):
                 nxt.append(s + (v,))
         strings = nxt
-    return [s for s in strings]
+    return strings
 
 
 def atomic_diff_from_key(language, key: str) -> AtomicDiff:

@@ -7,6 +7,7 @@ operations are pure.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -341,8 +342,6 @@ def apply_interpretation(interp: Interpretation, struct: Structure) -> Structure
     if struct.language.relations != interp.target.relations:
         raise LanguageMismatch("structure is not over the interpretation's target language")
     interp._check()
-    import itertools
-
     rel_tuples = []
     for name, arity in interp.source.relations:
         formula = interp.formula_for(name)

@@ -18,6 +18,7 @@ from hspeed.structures import GRAPH, dump_structure, graph, make_structure, stru
 from hspeed.template import template_to_json
 
 # integer options, always given and bounded, so no example runs at a costly default size
+# (each osc sequence step is bounded by one work cap, so r = 3 with 2 steps is drawn too)
 INTS = {
     "nmax": st.integers(-1, 5),
     "n": st.integers(-2, 12),
@@ -29,13 +30,6 @@ INTS = {
     "seed": st.integers(-1, 3),
     "budget": st.integers(-1, 6),
 }
-# a 3-uniform sequence certifies its first step at n = 12 on its first draw,
-# but a second step can scan for seconds before a budget ends it, so the
-# sequence fuzz draws r <= 2 with up to 2 steps, or r = 3 with at most 1
-LEAF_INTS = {("osc", "sequence"): st.one_of(
-    st.fixed_dictionaries({"r": st.integers(-1, 2), "steps": st.integers(-1, 2)}),
-    st.fixed_dictionaries({"r": st.just(3), "steps": st.integers(-1, 1)}),
-)}
 RATIONALS = st.sampled_from(["0", "1", "2", "3/2", "2/3", "1/3", "8/5", "-1", "1/0", "0/0", "x", "1.5"])
 LISTS = st.sampled_from(["", "1", "2", "1,2", "0", "3,1", "a", "1,,2"])
 TEXTS = {
@@ -86,11 +80,11 @@ def _leaves(parser, prefix=()):
 LEAVES = sorted(_leaves(build_parser()))
 
 
-def _value(action, files, ints):
+def _value(action, files):
     if action.choices is not None:
         return st.sampled_from(sorted(action.choices))
     if action.dest in INTS:
-        return (st.just(ints[action.dest]) if action.dest in ints else INTS[action.dest]).map(str)
+        return INTS[action.dest].map(str)
     if action.dest in ("c", "delta", "eps"):
         return RATIONALS
     if action.dest in ("split", "A", "nu"):
@@ -105,13 +99,12 @@ def _value(action, files, ints):
 @st.composite
 def argvs(draw, files, out):
     prefix, leaf = draw(st.sampled_from(LEAVES))
-    ints = draw(LEAF_INTS.get(prefix, st.just({})))
     argv = list(prefix)
     for action in leaf._actions:
         if isinstance(action, argparse._HelpAction):
             continue
         if not action.option_strings:
-            argv.append(draw(_value(action, files, ints)))
+            argv.append(draw(_value(action, files)))
         elif action.required or action.dest in INTS or draw(st.booleans()):
             flag = draw(st.sampled_from(action.option_strings))
             if action.nargs == 0:
@@ -119,7 +112,7 @@ def argvs(draw, files, out):
             elif action.dest == "out":
                 argv += [flag, out]
             else:
-                argv += [flag, draw(_value(action, files, ints))]
+                argv += [flag, draw(_value(action, files))]
     return argv
 
 

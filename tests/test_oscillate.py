@@ -18,9 +18,9 @@ from hspeed.errors import (
     TooSmall,
 )
 from hspeed.oscillate import (
-    DRAW_WORK_CAP,
     ESTIMATOR_ATTEMPTS,
     ESTIMATOR_CHECK_BUDGET,
+    STEP_WORK_CAP,
     Hypergraph,
     OscSequence,
     _certified_bound,
@@ -564,6 +564,16 @@ class TestSampler:
         with pytest.raises(ValueError):
             sample_dense_member(2, 20, F(2, 3), 30, F(8, 5), seed=0)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_empty_prefix_is_refused(self, k, capsys):
+        # P^{(k),c}_n with k < 1 lists no size, so a draw certifies nothing about the prefix
+        with pytest.raises(ValueError):
+            sample_dense_member(2, k, F(2, 3), 30, F(8, 5), seed=0)
+        argv = ["osc", "sample", "--k", str(k), "--n", "30", "--c", "2/3", "--delta", "8/5"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["error"] == "usage"
+
     def test_certificate_is_exhaustive(self):
         cert = sample_dense_member(2, 3, F(2, 3), 30, F(8, 5), seed=42)
         assert cert.verification == "exhaustive"
@@ -588,9 +598,9 @@ class TestSampler:
             raise AssertionError("a draw was checked at an inadmissible n")
 
         monkeypatch.setattr("hspeed.oscillate.in_P", refuse)
-        assert _certified_bound(2, 3, F(1), F(3, 2), 5, seed=0) is None
+        assert _certified_bound(2, 3, F(1), F(3, 2), 5, seed=0, work=7) == (None, 7 + 5)  # a skipped n costs n
         assert _edge_target(10, 2, F(1, 50)) == 96
-        assert _certified_bound(2, 1, F(100), F(1, 50), 10, seed=0) is None
+        assert _certified_bound(2, 1, F(100), F(1, 50), 10, seed=0, work=0) == (None, 10)
 
     def test_failed_draws_give_no_bound(self, monkeypatch):
         # at n = 14 every estimator draw has ceil(14^(1/2)) = 4 edges; each is checked, and fails
@@ -602,10 +612,15 @@ class TestSampler:
             return False
 
         monkeypatch.setattr("hspeed.oscillate.in_P", reject)
-        assert _certified_bound(2, 3, F(1), F(3, 2), 14, seed=0) is None
+        assert _certified_bound(2, 3, F(1), F(3, 2), 14, seed=0, work=0) == (None, 8 * (14 + 4))  # n + M per draw
         assert len(draws) == ESTIMATOR_ATTEMPTS == 8
         assert len(set(draws)) == 8  # one fresh seed per attempt
         assert all((g.r, g.v, g.e) == (2, 14, 4) for g in draws)
+        # the step may reach its cap exactly; a draw that would pass it is refused before it is made
+        assert _certified_bound(2, 3, F(1), F(3, 2), 14, seed=0, work=STEP_WORK_CAP - 8 * 18) == (None, STEP_WORK_CAP)
+        with pytest.raises(BudgetExceeded, match="from n = 6 .* at n = 14$"):
+            _certified_bound(2, 3, F(1), F(3, 2), 14, seed=0, work=STEP_WORK_CAP - 8 * 18 + 1)
+        assert len(draws) == 8 + 8 + 7
 
     def test_first_certifying_call_stops_the_estimator(self, monkeypatch):
         # draws 1 and 2 are not members and draw 3 is: the estimator stops there
@@ -616,8 +631,8 @@ class TestSampler:
             return len(draws) == 3
 
         monkeypatch.setattr("hspeed.oscillate.in_P", third)
-        cert = _certified_bound(2, 3, F(1), F(3, 2), 14, seed=0)
-        assert len(draws) == 3
+        cert, work = _certified_bound(2, 3, F(1), F(3, 2), 14, seed=0, work=0)
+        assert len(draws) == 3 and work == 3 * (14 + 4)
         assert cert == {"n": 14, "edges": 4, "attempts": 3, "seed": 14 * 101 + 2, "verification": "exhaustive"}
         assert draws[2].e == 4
 
@@ -625,7 +640,7 @@ class TestSampler:
         # step 2 of the r = 3, eps = 2 sequence at seed 3 starts at n = 39 with k = 13; the
         # check of its first draw (39 edges) would visit more than ESTIMATOR_CHECK_BUDGET sets
         with pytest.raises(BudgetExceeded):
-            _certified_bound(3, 13, F(1), F(2), 39, seed=3)
+            _certified_bound(3, 13, F(1), F(2), 39, seed=3, work=0)
 
     def test_edge_target_is_the_least_integer_at_the_threshold(self):
         # M = ceil(n^(r - eps)): M >= 1, M^b >= n^(rb - a), and M - 1 falls short unless M = 1
@@ -633,7 +648,7 @@ class TestSampler:
         for r in (2, 3, 4):
             for eps in epsilons:
                 a, b = eps.numerator, eps.denominator
-                for n in (n for n in range(1, 41) if n + n**r <= DRAW_WORK_CAP):  # M <= n^r
+                for n in range(1, 41):
                     power = n ** max(r * b - a, 0)
                     m = _edge_target(n, r, eps)
                     assert m >= 1 and m**b >= power, (r, eps, n)
@@ -744,12 +759,11 @@ class TestSequence:
         assert [cert["edges"] for cert in out["certificates"]] == [1, 1, 1, 1]
 
     def test_cap_admits_the_r3_step(self):
-        # r = 3, eps = 3/2: steps 1..5 start at n >= 12, 39, 120, 363, 1,092, which the cap
-        # admits; step 6 starts at n >= 3,279, where n + M = 3,279 + 187,764 is past it
-        assert [_edge_target(n, 3, F(3, 2)) for n in (12, 39, 120, 363, 1092)] == [42, 244, 1315, 6917, 36086]
-        assert 1092 + 36_086 <= DRAW_WORK_CAP < 3279 + 187_764
-        with pytest.raises(BudgetExceeded):
-            _edge_target(3279, 3, F(3, 2))
+        # r = 3, eps = 3/2: steps 1..5 start at n >= 12, 39, 120, 363, 1,092, where one draw is
+        # within the cap; step 6 starts at n >= 3,279, where n + M = 3,279 + 187,764 is past it
+        starts = (12, 39, 120, 363, 1092, 3279)
+        assert [_edge_target(n, 3, F(3, 2)) for n in starts] == [42, 244, 1315, 6917, 36086, 187_764]
+        assert 1092 + 36_086 <= STEP_WORK_CAP < 3279 + 187_764
 
     @pytest.mark.parametrize("r, c, eps", [(2, F(1), F(3, 2)), (3, F(1), F(3, 2)), (3, F(1), F(2)),
                                             (3, F(2, 3), F(2)), (3, F(1), F(8, 5)), (2, F(2), F(1)),
@@ -767,9 +781,10 @@ class TestSequence:
 
         scanned = []
 
-        def certify_first(r, k, c, eps, n, seed):
+        def certify_first(r, k, c, eps, n, seed, work):
+            assert work == 0  # a step's first n is charged from zero
             scanned.append(n)
-            return {"n": n}
+            return {"n": n}, work
 
         monkeypatch.setattr("hspeed.oscillate._certified_bound", certify_first)
         refused = 0
@@ -779,7 +794,7 @@ class TestSequence:
                 starts.append(r * top)
                 top = r * top + 1
             scanned.clear()
-            if all(n + least_m(n) <= DRAW_WORK_CAP for n in starts):
+            if all(n + least_m(n) <= STEP_WORK_CAP for n in starts):
                 assert list(build_sequence(r, c, eps, steps=steps).mu) == scanned == starts
             else:
                 refused += 1
@@ -798,6 +813,65 @@ class TestSequence:
         for r, eps, steps in [(3, F(3, 2), 6), (2, F(3, 2), 40)]:
             with pytest.raises(BudgetExceeded):
                 build_sequence(r, F(1), eps, steps=steps)
+
+    def test_step_work_charges_every_draw(self, monkeypatch):
+        # every draw refused: from n = 6, each of the 8 draws at n is charged n + ceil(sqrt(n))
+        # before it is made, and the step stops at the first charge past the cap
+        draws = []
+
+        def reject(g, nu, c, subset_budget):
+            draws.append(g.v)
+            return False
+
+        monkeypatch.setattr("hspeed.oscillate.in_P", reject)
+        work, expected = 0, []
+        for n in itertools.count(6):
+            cost = n + math.isqrt(n - 1) + 1
+            if work + ESTIMATOR_ATTEMPTS * cost > STEP_WORK_CAP:
+                break
+            work += ESTIMATOR_ATTEMPTS * cost
+            expected += [n] * ESTIMATOR_ATTEMPTS
+        expected += [n] * ((STEP_WORK_CAP - work) // cost)
+        with pytest.raises(BudgetExceeded, match=f"from n = 6 .* at n = {n}$"):
+            build_sequence(2, F(1), F(3, 2), steps=1, seed=0)
+        assert draws == expected
+
+    def test_each_step_starts_from_zero_work(self, monkeypatch):
+        # every draw is refused except at n = 140 and n = 290: each step's work is within the cap,
+        # though the two steps' work together passes it
+        def certify_at(g, nu, c, subset_budget):
+            return g.v in (140, 290)
+
+        def step_work(start, end):  # 8 draws at each n in [start, end), then one at end
+            return sum(ESTIMATOR_ATTEMPTS * (n + math.isqrt(n - 1) + 1) for n in range(start, end)) + (
+                end + math.isqrt(end - 1) + 1)
+
+        monkeypatch.setattr("hspeed.oscillate.in_P", certify_at)
+        assert max(step_work(6, 140), step_work(282, 290)) <= STEP_WORK_CAP < step_work(6, 140) + step_work(282, 290)
+        assert build_sequence(2, F(1), F(3, 2), steps=2, seed=0).mu == (140, 290)
+
+    def test_scan_without_draws_ends_at_the_cap(self, monkeypatch):
+        # r = 2, eps = 1/50: M = ceil(n^(99/50)) exceeds C(n, 2) for every n below 2^50, so each n
+        # from the start 6 is skipped and charged n, and the step ends past the cap without a draw
+        def refuse(*args, **kwargs):
+            raise AssertionError("a draw was made at an n with too few r-sets")
+
+        monkeypatch.setattr("hspeed.oscillate.in_P", refuse)
+        monkeypatch.setattr("hspeed.oscillate._decode_ranks", refuse)
+        work, n = 6, 6
+        while work <= STEP_WORK_CAP:
+            n += 1
+            work += n
+        with pytest.raises(BudgetExceeded, match=f"from n = 6 .* at n = {n}$"):
+            build_sequence(2, F(100), F(1, 50), steps=1)
+
+    @pytest.mark.parametrize("eps", ["1", "2/3"])
+    def test_r3_second_step_ends_at_the_work_cap(self, eps, capsys):
+        # no desk-scale n certifies a second 3-uniform step: it ends budget-exceeded, not by scanning on
+        argv = ["osc", "sequence", "--r", "3", "--c", "2", "--eps", eps, "--steps", "2"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["error"] == "budget-exceeded"
 
     @pytest.mark.parametrize("c, eps, edges", [(F(1), F(3, 2), 42), (F(2, 3), F(2), 12), (F(1), F(8, 5), 33)])
     def test_certified_r3_step(self, c, eps, edges, capsys):

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -544,11 +545,12 @@ class TestCanonicalAugmentation:
 
 def fully_canonized_table(spec: PropertySpec, n_max: int) -> SpeedTable:
     """The speed table read off ``generate_levels``, which canonizes every
-    kept child: n!/|Aut| per form."""
+    kept child: n!/|Aut| per form, and the |Aut| histogram of the forms."""
     rows = []
     for n, level in enumerate(generate_levels(spec, n_max, budget=n_max), start=1):
-        mult = tuple(sorted(math.factorial(n) // aut for _, aut in level))
-        rows.append(SpeedRow(n=n, labeled=sum(mult), unlabeled=len(level), multiplicities=mult))
+        labeled = sum(math.factorial(n) // aut for _, aut in level)
+        aut_counts = tuple(sorted(Counter(aut for _, aut in level).items()))
+        rows.append(SpeedRow(n=n, labeled=labeled, unlabeled=len(level), aut_counts=aut_counts))
     return SpeedTable(tuple(rows))
 
 
@@ -686,8 +688,10 @@ class TestSpeed:
     def test_multiplicities_sum(self):
         table = speed(matching_property(), 6)
         for row in table.rows:
-            assert sum(row.multiplicities) == row.labeled
-            assert len(row.multiplicities) == row.unlabeled
+            auts = [aut for aut, _ in row.aut_counts]
+            assert auts == sorted(set(auts)) and all(count >= 1 for _, count in row.aut_counts)
+            assert sum(math.factorial(row.n) // aut * count for aut, count in row.aut_counts) == row.labeled
+            assert sum(count for _, count in row.aut_counts) == row.unlabeled
 
     def test_speed_monotone_under_forbidden_inclusion(self):
         bigger_forbidden = speed(forbid([P3, K3]), 7)
