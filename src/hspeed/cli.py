@@ -33,7 +33,7 @@ from . import property as property_mod
 from . import simclass as simclass_mod
 from . import template as template_mod
 from .errors import ContractError, UsageError
-from .structures import load_structure, structure_to_json
+from .structures import json_text, load_structure, structure_to_json
 
 
 def _frac(text: str) -> Fraction:
@@ -69,14 +69,14 @@ def _frac_str(value: Fraction) -> str:
 def _emit(payload, args, csv_text: str | None = None) -> None:
     if "seed" not in payload:
         payload = dict(payload, seed=getattr(args, "seed", 0))
+    if args.format == "csv":
+        text = csv_text
+    elif args.format == "pretty":
+        text = _pretty(payload) + "\n"
+    else:
+        text = json_text(payload) + "\n"
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
-        if args.format == "csv":
-            fh.write(csv_text)
-        elif args.format == "pretty":
-            fh.write(_pretty(payload) + "\n")
-        else:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        fh.write(text)
 
 
 def _pretty(payload, indent: int = 0) -> str:

@@ -180,13 +180,16 @@ def reconstruct_atom(
     entries: frozenset[tuple[int, ...]],
     diff: AtomicDiff,
 ) -> set[tuple[int, ...]]:
-    """Expand class-index entries back into concrete structure tuples."""
+    """Expand class-index entries back into concrete structure tuples.
+
+    The classes (or parts) are pairwise disjoint, so a choice of values
+    repeats one only where its index repeats a class."""
     tuples: set[tuple[int, ...]] = set()
     for idx in entries:
-        pools = [classes[i - 1] for i in idx]
-        for values in itertools.product(*pools):
-            if len(set(values)) == len(values):
-                tuples.add(diff.expand(values))
+        values = itertools.product(*[classes[i - 1] for i in idx])
+        if len(set(idx)) < len(idx):
+            values = (v for v in values if len(set(v)) == len(v))
+        tuples.update(map(diff.expand, values))
     return tuples
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, Sequence
 
 from .canon import canonical_data, classes
@@ -452,6 +453,44 @@ def load_structure(path: str) -> Structure:
 
 def dump_structure(struct: Structure, path: str):
     with open(path, "w") as fh:
-        json.dump(structure_to_json(struct), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(json_text(structure_to_json(struct)) + "\n")
+
+
+def json_text(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=1)``, byte for byte.
+
+    The stdlib encoder runs in pure Python whenever ``indent`` is set; this
+    one joins each container's items with ``str.join``, encodes strings
+    with the C ``encode_basestring_ascii`` and exact ints with
+    ``int.__repr__``, and hands every other leaf (bool, None, float) and
+    every dict with a key that is not a string to ``json.dumps`` itself.
+    An int too long for ``int.__repr__`` raises the ``ValueError`` that
+    ``json`` raises."""
+    return _json_text(value, "\n")
+
+
+def _json_text(value, newline: str) -> str:
+    # newline: a line break followed by the indentation of value's own line
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + " "
+        if all(type(item) is int for item in value):
+            items = map(int.__repr__, value)
+        else:
+            items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        if not value:
+            return "{}"
+        inner = newline + " "
+        items = [encode_basestring_ascii(key) + ": " + _json_text(item, inner)
+                 for key, item in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    # no JSON text holds a raw line break, so re-indenting every one is exact
+    return json.dumps(value, sort_keys=True, indent=1).replace("\n", newline)
 

@@ -154,9 +154,11 @@ def template_of(struct: Structure, infinite_classes: set[int]) -> Template:
 
 
 def instantiate(template: Template, parts: tuple[frozenset[int], ...], n: int) -> Structure:
-    """Concrete structure on [n] built from an ordered partition."""
+    """Concrete structure on [n] built from an ordered partition of [n]."""
+    if sorted(itertools.chain(*parts)) != list(range(1, n + 1)):
+        raise ValueError(f"parts must partition [{n}]")
     rel_tuples = reconstruct_relations(template.language, parts, template.sigma)
-    return Structure(template.language, n, rel_tuples, ())
+    return Structure._trusted(template.language, n, rel_tuples, ())
 
 
 def is_compatible(struct: Structure, template: Template):

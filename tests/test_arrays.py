@@ -228,3 +228,32 @@ class TestProbe:
         b = bounded_array_probe(matching_property(), "E", [0], 2, 6, seed=5)
         assert [r.max_count for r in a.rows] == [r.max_count for r in b.rows]
         assert [r.witness_parameters for r in a.rows] == [r.witness_parameters for r in b.rows]
+
+    # rows of the seeded probe, recorded so that a change to the probe's search
+    # shows which rows it moves; its draws, and so every row, are deterministic
+    MATCHING_IDS = ("534edbd1", "35e1f583", "001402d6", "a9000d39", "c41a009c", "1531b7b5", "31bb701b")
+
+    def test_benchmark_argv_rows_are_pinned(self):
+        # arrays probe --property matching --rel E --split 1 --m 2 --nmax 7
+        expected = [(0, "", ())] + [(1, wid, ()) for wid in self.MATCHING_IDS[1:]]
+        for seed in range(8):
+            table = bounded_array_probe(matching_property(), "E", [0], 2, 7, seed=seed)
+            assert [(r.max_count, r.witness_id(), r.witness_parameters) for r in table.rows] == expected, seed
+
+    def test_hill_climb_rows_are_pinned(self):
+        # at m = 1 the witness parameter sets of 4 and more come from the seeded hill climb
+        climbed = {
+            0: [(1, 2, 3, 4), (2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 7)],
+            1: [(1, 3, 4, 5), (1, 2, 3, 4, 5), (1, 2, 3, 5, 6, 7)],
+            2: [(2, 3, 4, 5), (2, 3, 4, 5, 6), (1, 3, 4, 5, 6, 7)],
+            3: [(1, 3, 4, 5), (1, 2, 4, 5, 6), (1, 2, 3, 5, 6, 7)],
+            4: [(1, 2, 4, 5), (1, 3, 4, 5, 6), (1, 2, 3, 5, 6, 7)],
+            5: [(1, 2, 3, 5), (1, 2, 3, 5, 6), (1, 2, 3, 5, 6, 7)],
+            6: [(1, 2, 4, 5), (1, 3, 4, 5, 6), (1, 3, 4, 5, 6, 7)],
+            7: [(1, 3, 4, 5), (1, 2, 3, 4, 5), (1, 2, 3, 5, 6, 7)],
+        }
+        for seed, tail in climbed.items():
+            table = bounded_array_probe(matching_property(), "E", [0], 1, 7, seed=seed)
+            parameters = [(), (1,), (1, 2), (1, 2, 3)] + tail
+            expected = [(n, n, wid, A) for n, wid, A in zip(range(1, 8), self.MATCHING_IDS, parameters)]
+            assert [(r.n, r.max_count, r.witness_id(), r.witness_parameters) for r in table.rows] == expected, seed

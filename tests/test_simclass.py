@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 
 from conftest import all_graphs, random_structure
+from hspeed.corpus import BUILTIN_TEMPLATES, halfgraph_blowup
 from hspeed.errors import OutOfRange
 from hspeed.simclass import (
     AtomicDiff,
@@ -14,6 +16,7 @@ from hspeed.simclass import (
     sim_related,
 )
 from hspeed.structures import Language, Structure, apply_bijection, graph, make_structure
+from hspeed.template import _partitions
 
 
 def qftp_swap_oracle(struct: Structure, a: int, b: int) -> bool:
@@ -179,6 +182,60 @@ class TestDecomposition:
                     rng.shuffle(shuffled)
                     perm.update(dict(zip(members, shuffled)))
                 assert apply_bijection(m, perm) == m
+
+
+def product_filter_oracle(classes, entries, diff):
+    """Every value choice over the indexed classes, kept when no value repeats."""
+    tuples = set()
+    for idx in entries:
+        for values in itertools.product(*[classes[i - 1] for i in idx]):
+            if len(set(values)) == len(values):
+                tuples.add(diff.expand(values))
+    return tuples
+
+
+class TestReconstructAtom:
+    """reconstruct_atom filters repeated values only where an index repeats
+    a class; over disjoint classes it equals the product-and-filter oracle."""
+
+    def assert_matches_oracle(self, classes, sigma):
+        for diff, entries in sigma:
+            assert reconstruct_atom(classes, entries, diff) == product_filter_oracle(classes, entries, diff)
+
+    def test_builtin_templates_every_partition(self):
+        # asymmetric-two-class and inf-clique repeat class 1 in their signature
+        assert (1, 1) in dict(BUILTIN_TEMPLATES["asymmetric-two-class"]().sigma)[AtomicDiff("E", (0, 1))]
+        for make in BUILTIN_TEMPLATES.values():
+            template = make()
+            for n in range(9):
+                for parts in _partitions(template, n, [0] * template.k):
+                    self.assert_matches_oracle(tuple(frozenset(P) for P in parts), template.sigma)
+
+    def test_halfgraph_blowup_decomposition(self):
+        d = decomposition(halfgraph_blowup(8))
+        self.assert_matches_oracle(d.classes, d.sigma)
+
+    def test_random_graphs(self):
+        rng = random.Random(35)
+        for n in range(1, 9):
+            for _ in range(6):
+                pairs = [p for p in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.5]
+                d = decomposition(graph(n, pairs))
+                self.assert_matches_oracle(d.classes, d.sigma)
+
+    def test_random_ternary_signatures(self):
+        # random disjoint classes and random index tuples, repeats included
+        rng = random.Random(7)
+        diffs = atomic_diffs(Language((("R", 3),)))
+        for _ in range(40):
+            elems = list(range(1, 10))
+            rng.shuffle(elems)
+            cuts = sorted(rng.sample(range(1, 9), 2))
+            classes = (frozenset(elems[:cuts[0]]), frozenset(elems[cuts[0]:cuts[1]]), frozenset(elems[cuts[1]:]))
+            sigma = [(diff, frozenset(tuple(rng.randint(1, 3) for _ in range(diff.num_vars))
+                                      for _ in range(rng.randint(0, 5))))
+                     for diff in diffs]
+            self.assert_matches_oracle(classes, sigma)
 
 
 class TestAtomicDiffs:

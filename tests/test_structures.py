@@ -28,9 +28,11 @@ from hspeed.structures import (
     apply_interpretation,
     automorphisms,
     canonical_form,
+    dump_structure,
     graph,
     induced_substructure,
     is_isomorphic,
+    json_text,
     load_structure,
     make_structure,
     structure_from_json,
@@ -314,6 +316,74 @@ class TestJson:
         lang = Language((("E", 2),), ("c", "d"))
         m = make_structure(lang, 3, {"E": [(1, 2), (2, 1)]}, {"c": 1, "d": 3})
         assert structure_from_json(structure_to_json(m)) == m
+
+
+def stdlib_json(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=1)
+
+
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+    | st.sampled_from(["", "\n", "a\nb", '"', "\\", "\x00\x1f\x7f", "\u00e9", "\u2028", "\U0001f600"])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: (
+        st.lists(inner, max_size=5)
+        | st.lists(inner, max_size=5).map(tuple)
+        | st.lists(st.integers(), max_size=6)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=5)
+        | st.dictionaries(st.integers(-5, 5), inner, max_size=4)
+        | st.dictionaries(st.booleans(), inner, max_size=2)
+        | st.dictionaries(st.floats(allow_nan=True, allow_infinity=True), inner, max_size=3)
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonText:
+    """json_text is json.dumps(value, sort_keys=True, indent=1), byte for byte."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_JSON_VALUES)
+    def test_equals_stdlib(self, value):
+        assert json_text(value) == stdlib_json(value)
+
+    def test_examples(self):
+        for value in ([], {}, (), [[]], {"a": {}}, [1, True, None], [True, 2], (1, 2.5),
+                      {"b": [1, [2, 3]], "a": "x\ny", "\u00e9": -(10**50)},
+                      {2: [1, {"k": [3]}], 1: None}, [{1: {"z": [float("inf"), float("-inf")]}}],
+                      {True: [1], False: {}}, {None: 0}, {float("nan"): 1, 2.5: [True]},
+                      float("nan"), "\t\u2028", 0, -1, False):
+            assert json_text(value) == stdlib_json(value), value
+
+    def test_an_int_past_the_digit_limit_fails_as_json_does(self):
+        value = {"count": [1, 10**4300]}  # 4,301 digits
+        try:
+            expected = stdlib_json(value)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                json_text(value)
+            assert str(got.value) == str(exc)
+        else:  # a Python without the int-to-str digit limit
+            assert json_text(value) == expected
+
+    def test_unserializable_leaf_fails_as_json_does(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            json_text({"a": [object()]})
+
+    def test_dump_structure_writes_the_stdlib_text(self, tmp_path):
+        m = make_structure(Language((("E", 2), ("R", 3)), ("c",)), 3,
+                           {"E": [(1, 2), (2, 1)], "R": [(1, 2, 3)]}, {"c": 2})
+        path = tmp_path / "m.json"
+        dump_structure(m, str(path))
+        assert path.read_text() == stdlib_json(structure_to_json(m)) + "\n"
+        assert load_structure(str(path)) == m
 
 
 class TestLargeGroups:

@@ -275,6 +275,23 @@ class TestEnumerateOrbits:
         tripartite = templates["complete-tripartite"]
         assert len(enumerate_compatible(tripartite, 9)) == count_compatible(tripartite, 9) == 280
 
+    def test_members_equal_their_validated_rebuild(self):
+        # instantiate builds through Structure._trusted, which skips validation
+        for name, t in oracle_templates().items():
+            for n in range(9):
+                for member in enumerate_compatible(t, n):
+                    rebuilt = make_structure(member.language, member.n, dict(zip(
+                        (rel for rel, _ in member.language.relations), member.rel_tuples)))
+                    assert member == rebuilt and hash(member) == hash(rebuilt), (name, n)
+
+    def test_instantiate_refuses_parts_that_do_not_partition(self):
+        t = symmetric_bipartite_template()
+        for parts, n in (((frozenset({1, 2}), frozenset({2, 3})), 3),  # overlapping
+                         ((frozenset({1}), frozenset({2})), 3),  # 3 is left out
+                         ((frozenset({1, 2}), frozenset({3, 4})), 3)):  # 4 is outside [3]
+            with pytest.raises(ValueError, match="partition"):
+                instantiate(t, parts, n)
+
 
 def three_infinite_templates() -> dict:
     """Two templates with three infinite classes and finite classes beside them."""
