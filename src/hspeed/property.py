@@ -19,13 +19,15 @@ candidate, or that does not represent its orbit, is dropped before it is
 built, tested or canonized.  Forbidden substructures through the new
 vertex are decided inside the extension search: a branch stops as soon as
 the blocks decided so far complete a forbidden copy, so a representative
-gets only the template check at its leaf, before it is canonized.  A child
-whose new vertex is the only candidate is kept with no orbit test.
+gets only the template check at its leaf, before it is canonized.
 Labeled counts follow as n!/|Aut| per class.  At the top level, where no
-form is kept, such a child is not canonized either: its new vertex v is
-fixed by every automorphism, so by orbit-stabilizer |Aut(child)| is
-|Aut(parent)| over the size of the orbit of v's extension set, which the
-extension search marks anyway.
+form is kept, a child is not canonized when every other candidate x is
+exchangeable with the new vertex v, that is, the transposition (x v) is an
+automorphism of the child: the candidates are then the orbit of v, so
+the child is kept, and by orbit-stabilizer |Aut(child)| is |Aut(parent)|
+over the size of the orbit of v's extension set, which the extension
+search marks anyway, times the number of candidates.  A child whose new
+vertex is the only candidate is such a child.
 
 For the graph base the extension sets are the masks S of the new vertex
 v's neighbours, automorphisms act on them as bit permutations, and v is
@@ -360,12 +362,16 @@ def speed(spec: PropertySpec, n_max: int, budget: int | None = None) -> SpeedTab
     """Exact labeled/unlabeled counts for 1 <= n <= n_max: the sum of n!/|Aut|
     over the classes of each level.  Levels below n_max come from
     ``generate_levels``; the top level's children are counted, not kept.  A
-    child whose new vertex v is the only deletion candidate is counted
-    without canonization, by orbit-stabilizer: v is then the unique maximum
-    of an invariant, so every automorphism of the child fixes v, Aut(child)
-    is the stabilizer in Aut(parent) of v's extension set S, and |Aut(child)|
-    = |Aut(parent)| / |orbit of S|, the orbit the extension search marks.
-    Every other child is canonized and keep-tested as in ``generate_levels``."""
+    child whose new vertex v is exchangeable with every other deletion
+    candidate x, the transposition (x v) being an automorphism, is counted
+    without canonization, by orbit-stabilizer.  The candidate set D is
+    defined by invariants, so automorphisms map it to itself, and the
+    transpositions put all of D in v's orbit: the orbit of v is D, the child
+    is kept, and |Aut(child)| = |D| times the order of v's stabilizer.  That
+    stabilizer is the stabilizer in Aut(parent) of v's extension set S, so
+    |Aut(child)| = |Aut(parent)| / |orbit of S| * |D|, the orbit the
+    extension search marks.  When v is the only candidate, |D| = 1.  Every
+    other child is canonized and keep-tested as in ``generate_levels``."""
     _check_budget(spec, n_max, budget)
     rows = []
     level = _root_level(spec)
@@ -435,13 +441,14 @@ def _kept(spec: PropertySpec, level: _Level, n: int, counting: bool = False):
     """Yield (canonical data, |Aut|) for each kept child on n elements of the
     parents in ``level``: a child is kept when its deletion vertex, the
     candidate with the largest canonical label, lies in the automorphism
-    orbit of the new vertex n.  With ``counting``, a child whose only
-    candidate is n is kept uncanonized, as (None, |Aut(parent)| // the orbit
-    size of its extension set); see ``speed``."""
+    orbit of the new vertex n.  With ``counting``, a child whose every other
+    candidate is exchangeable with n is kept uncanonized, as (None,
+    |Aut(parent)| // the orbit size of its extension set * the number of
+    candidates); see ``speed``."""
     for parent, aut in level:
-        for child, candidates, orbit_size in _extensions(spec, parent, level.generators[parent]):
-            if counting and len(candidates) == 1:
-                yield None, aut // orbit_size
+        for child, candidates, orbit_size, exchangeable in _extensions(spec, parent, level.generators[parent]):
+            if counting and exchangeable:
+                yield None, aut // orbit_size * len(candidates)
                 continue
             data = canonical_data(child)
             deleted = max(candidates, key=data.relabel.__getitem__)
@@ -464,8 +471,10 @@ def _sort_key(struct: Structure):
 
 def _extensions(spec: PropertySpec, parent: Structure, generators):
     """The children of ``parent`` that may be kept, each with its deletion
-    candidates and the size of its extension set's orbit under the parent
-    automorphisms: by adjacency masks for the graph base, by block masks for
+    candidates, the size of its extension set's orbit under the parent
+    automorphisms, and whether every candidate x other than the new vertex v
+    is exchangeable with v, the transposition (x v) being an automorphism
+    of the child: by adjacency masks for the graph base, by block masks for
     every other base."""
     search = _graph_extensions if spec.base == BASE_GRAPH else _group_extensions
     return search(spec, parent, generators)
@@ -476,12 +485,14 @@ def _group_extensions(spec: PropertySpec, parent: Structure, generators):
     vertex is maximal under the refined invariant, one per orbit of
     extension sets under the parent automorphisms ``generators``, each with
     the elements sharing v's incidence invariant and neighbour key (the
-    candidates for the canonical deletion vertex) and the size of that
-    orbit.  An extension set is a bitmask over the blocks touching v (see
-    ``_block``), sorted by support, size first; it is chosen one block at a
-    time, out before in, and the invariants are updated as tuples are
-    chosen, before any child is built.  A branch stops as soon as the blocks
-    decided so far complete a forbidden copy (see ``_forbidden_cuts``).
+    candidates for the canonical deletion vertex), the size of that orbit,
+    and whether the transposition of v with each other candidate maps the
+    child's tuples onto themselves.  An extension set is a bitmask over the
+    blocks touching v (see ``_block``), sorted by support, size first; it is
+    chosen one block at a time, out before in, and the invariants are
+    updated as tuples are chosen, before any child is built.  A branch stops
+    as soon as the blocks decided so far complete a forbidden copy (see
+    ``_forbidden_cuts``).
     This is the search for every base; ``_graph_extensions`` gives the same
     children in the same order for the graph base.
     """
@@ -536,7 +547,7 @@ def _group_extensions(spec: PropertySpec, parent: Structure, generators):
         near.discard(x)
         return sorted([inv[y - 1] for y in near])
 
-    results: list[tuple[Structure, list[int], int]] = []
+    results: list[tuple[Structure, list[int], int, bool]] = []
 
     def rec(b: int, code: int):
         for mask, patterns in cuts[b]:
@@ -556,7 +567,8 @@ def _group_extensions(spec: PropertySpec, parent: Structure, generators):
             rel_tuples = tuple(frozenset(parent_tuples[ri] | chosen[ri]) for ri in range(len(lang.relations)))
             child = Structure._trusted(lang, v, rel_tuples, ())
             if _in_some_age(spec, child):
-                results.append((child, candidates, orbit_size))
+                exchangeable = all(_transposition_fixes(rel_tuples, x, v) for x in candidates[:-1])
+                results.append((child, candidates, orbit_size, exchangeable))
             return
         rec(b + 1, code)
         for ri, t in blocks[b]:
@@ -570,6 +582,14 @@ def _group_extensions(spec: PropertySpec, parent: Structure, generators):
     rec(0, 0)
     del rec  # it reaches itself through its closure: free the search without the cycle collector
     return results
+
+
+def _transposition_fixes(rel_tuples, x: int, v: int) -> bool:
+    """Does the transposition (x v) map every relation's tuples onto
+    themselves?  Only the tuples holding x or v move, and a bijection maps
+    a finite set into itself only onto it."""
+    swap = {x: v, v: x}
+    return all(tuple([swap.get(y, y) for y in t]) in ts for ts in rel_tuples for t in ts if x in t or v in t)
 
 
 def _mark_orbit(marked: set[int], code: int, moves: list[list[int]]) -> int:
@@ -602,8 +622,11 @@ def _graph_extensions(spec: PropertySpec, parent: Structure, generators):
     that ties is compared with v by the sorted degrees of their neighbours
     in the child.  A branch stops once the decided vertices need more
     degree than v can still reach, or complete a forbidden copy through v.
-    The two tuples of each pair {u, v} are built once per parent and shared
-    by its children."""
+    A candidate x is exchangeable with v when x's parent neighbours are
+    v's other neighbours, adj[x] == S minus x: one mask compare, where a
+    relabeled tuple check would cost more than the canonization it saves
+    on a warm canon cache.  The two tuples of each pair {u, v} are built
+    once per parent and shared by its children."""
     n = parent.n
     v = n + 1
     tuples = parent.rel_tuples[0]
@@ -612,8 +635,10 @@ def _graph_extensions(spec: PropertySpec, parent: Structure, generators):
         deg[a] += 1
     edges = set(tuples)
     near = [[] for _ in range(v)]  # the parent's neighbours of each vertex
+    adj = [0] * v  # the same, as masks
     for a, b in tuples:
         near[a].append(b)
+        adj[a] |= 1 << (b - 1)
 
     def neighbour_degrees(x: int, code: int, size: int) -> list[int]:
         """The sorted degrees of x's neighbours in the child whose new vertex
@@ -630,7 +655,7 @@ def _graph_extensions(spec: PropertySpec, parent: Structure, generators):
     cuts = _forbidden_cuts(spec, parent, {(0, (u, v)): 1 << (u - 1) for u in range(1, v)}, n)
 
     chosen: set[tuple[int, int]] = set()
-    results: list[tuple[Structure, list[int], int]] = []
+    results: list[tuple[Structure, list[int], int, bool]] = []
 
     def rec(u: int, code: int, size: int, need: int):
         # need: the largest deg(w) + [w in S] over the decided vertices w < u
@@ -648,7 +673,8 @@ def _graph_extensions(spec: PropertySpec, parent: Structure, generators):
             # a frozenset copied from a set gets the smallest table that holds it
             child = Structure._trusted(spec.language, v, (frozenset(edges | chosen),), ())
             if _in_some_age(spec, child):
-                results.append((child, candidates, orbit_size))
+                exchangeable = all(adj[x] == code & ~(1 << (x - 1)) for x in candidates[:-1])
+                results.append((child, candidates, orbit_size, exchangeable))
             return
         if need > size + v - u:
             return

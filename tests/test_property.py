@@ -11,7 +11,7 @@ import pytest
 
 from conftest import all_graphs, brute_codes, brute_group_order
 from hspeed.arrays import is_totally_bounded_upto
-from hspeed.canon import canonical_data
+from hspeed.canon import canonical_data, orbit
 from hspeed.corpus import (
     BUILTIN_PROPERTIES,
     all_graphs_property,
@@ -254,7 +254,7 @@ def forests_property() -> PropertySpec:
 # OEIS A000088 (graphs), A000595 (binary relations), A000665 (3-uniform
 # hypergraphs), A000273 (loopless digraphs), A033995 / A047864 (bipartite
 # graphs, unlabeled / labeled)
-UNLABELED_GRAPHS = [1, 2, 4, 11, 34, 156, 1044, 12346]
+UNLABELED_GRAPHS = [1, 2, 4, 11, 34, 156, 1044, 12346, 274668]
 UNLABELED_BINARY_RELATIONS = [2, 10, 104, 3044]
 UNLABELED_3_UNIFORM = [1, 1, 2, 5, 34]
 UNLABELED_DIGRAPHS = [1, 3, 16, 218]
@@ -390,14 +390,18 @@ class TestCanonicalAugmentation:
 
     def test_speed_canonizes_only_multi_candidate_children_at_the_top(self, monkeypatch):
         """``speed`` canonizes the 210 children below n=7 that
-        ``generate_levels`` does, and at n=7 only the 420 children with more
-        than one deletion candidate: none of the 670 with one."""
+        ``generate_levels`` does, and at n=7 only the 226 children with a
+        deletion candidate that is not exchangeable with the new vertex:
+        none of the 670 whose new vertex is the only candidate, and none of
+        the 194 whose other candidates are all its twins."""
         canonized = self.canonized_children(monkeypatch, all_graphs_property(), 7, speed)
         top = [child for child in canonized if child.n == 7]
-        assert (len(canonized), len(top)) == (630, 420)  # 1,300 and 1,090 through generate_levels
+        assert (len(canonized), len(top)) == (436, 226)  # 1,300 and 1,090 through generate_levels
         for child in top:
             invariants = [refined_invariant(child, x) for x in child.elements()]
-            assert invariants.count(invariants[-1]) > 1, child.rel_tuples
+            candidates = [x for x in child.elements() if invariants[x - 1] == invariants[-1]]
+            assert len(candidates) > 1, child.rel_tuples
+            assert not all(transposition_fixes(child, x, 7) for x in candidates[:-1]), child.rel_tuples
 
     @pytest.mark.parametrize(
         "spec, n, count",
@@ -458,8 +462,8 @@ class TestCanonicalAugmentation:
 
     def test_graph_search_matches_group_search(self, monkeypatch):
         """The mask search of the graph base gives the group search's children,
-        candidates and order, and leaf-tests the same children, on every
-        graph with at most 5 vertices as parent."""
+        candidates, orbit sizes, exchangeable flags and order, and leaf-tests
+        the same children, on every graph with at most 5 vertices as parent."""
         import hspeed.property
         from hspeed.property import _graph_extensions, _group_extensions, _in_some_age
 
@@ -540,7 +544,14 @@ class TestCanonicalAugmentation:
         calls.clear()
         row = speed(all_graphs_property(), 8).rows[-1]
         assert (row.unlabeled, row.labeled) == (UNLABELED_GRAPHS[7], 2 ** 28)
-        assert len(calls) == 5390  # speed canonizes no single-candidate child at n=8
+        assert len(calls) == 3956  # 5,390 when every child with more than one candidate is canonized
+
+    @pytest.mark.slow
+    def test_all_graphs_n9_oeis(self):
+        """A000088 through n=9, and 2^C(9,2) labeled graphs."""
+        table = speed(all_graphs_property(), 9)
+        assert [row.unlabeled for row in table.rows] == UNLABELED_GRAPHS
+        assert table.labeled(9) == 2 ** 36
 
 
 def fully_canonized_table(spec: PropertySpec, n_max: int) -> SpeedTable:
@@ -569,10 +580,16 @@ def ages():
             for t in (symmetric_bipartite_template, asymmetric_two_class_template, clique_plus_singleton_template)]
 
 
+def transposition_fixes(struct: Structure, x: int, v: int) -> bool:
+    """Is the transposition (x v) an automorphism of ``struct``?  By relabeling."""
+    swap = {y: y for y in struct.elements()} | {x: v, v: x}
+    return apply_bijection(struct, swap) == struct
+
+
 class TestTopLevelByOrbitStabilizer:
-    """``speed`` counts a top-level child whose new vertex is the only
-    deletion candidate as |Aut(parent)| // |orbit of its extension set|,
-    without canonizing it."""
+    """``speed`` counts a top-level child whose new vertex is exchangeable
+    with every other deletion candidate as |Aut(parent)| // |orbit of its
+    extension set| * |candidates|, without canonizing it."""
 
     @pytest.mark.parametrize(
         "spec, n_max",
@@ -607,18 +624,55 @@ class TestTopLevelByOrbitStabilizer:
     def test_single_candidate_aut_is_parent_aut_over_orbit_size(self, spec, n_max, singles):
         """For every child on at most n_max elements whose new vertex is the
         only candidate, canonization finds |Aut(parent)| // its orbit size."""
-        root = Structure(spec.language, 0, tuple(frozenset() for _ in spec.language.relations), ())
         seen = 0
-        for level in [[(root, 1)]] + list(generate_levels(spec, n_max - 1, budget=n_max)):
-            for parent, aut in level:
-                data = canonical_data(parent)
-                assert data.aut_order == aut
-                for child, candidates, orbit_size in _extensions(spec, parent, data.aut_generators):
-                    if candidates == [child.n]:
-                        seen += 1
-                        assert aut % orbit_size == 0
-                        assert canonical_data(child).aut_order == aut // orbit_size, child.rel_tuples
+        for aut, child, candidates, orbit_size, _ in children_upto(spec, n_max):
+            if candidates == [child.n]:
+                seen += 1
+                assert aut % orbit_size == 0
+                assert canonical_data(child).aut_order == aut // orbit_size, child.rel_tuples
         assert seen == singles
+
+    @pytest.mark.parametrize(
+        "spec, n_max, twins",
+        [
+            (all_graphs_property(), 7, 258),  # 194 of them at n = 7
+            (bipartite_property(), 7, 27),
+            (PropertySpec(uniform_language(3), BASE_UNIFORM), 5, 19),
+            (PropertySpec(Language((("U", 1), ("R", 2))), "none"), 3, 76),
+        ],
+        ids=["all-graphs", "bipartite", "3-graphs", "unary-binary"],
+    )
+    def test_exchangeable_candidates_multiply_the_aut(self, spec, n_max, twins):
+        """For every child on at most n_max elements, the extension search's
+        flag says whether the transposition of the new vertex v with each
+        other candidate is an automorphism, by relabeling.  For the ``twins``
+        children with more than one candidate where it is, the canonical keep
+        test keeps the child, and canonization finds |Aut(parent)| // its
+        orbit size * |candidates|."""
+        seen = 0
+        for aut, child, candidates, orbit_size, exchangeable in children_upto(spec, n_max):
+            v = child.n
+            assert exchangeable == all(transposition_fixes(child, x, v) for x in candidates[:-1]), child.rel_tuples
+            if exchangeable and len(candidates) > 1:
+                seen += 1
+                assert aut % orbit_size == 0
+                data = canonical_data(child)
+                deleted = max(candidates, key=data.relabel.__getitem__)
+                assert deleted in orbit([v], data.aut_generators), child.rel_tuples
+                assert data.aut_order == aut // orbit_size * len(candidates), child.rel_tuples
+        assert seen == twins
+
+
+def children_upto(spec: PropertySpec, n_max: int):
+    """(|Aut(parent)|, *result) for each extension search result of each
+    parent: every member on fewer than n_max elements, the root included."""
+    root = Structure(spec.language, 0, tuple(frozenset() for _ in spec.language.relations), ())
+    for level in [[(root, 1)]] + list(generate_levels(spec, n_max - 1, budget=n_max)):
+        for parent, aut in level:
+            data = canonical_data(parent)
+            assert data.aut_order == aut
+            for extension in _extensions(spec, parent, data.aut_generators):
+                yield (aut, *extension)
 
 
 def extension_identity(spec: PropertySpec, n_max: int) -> list[int]:
