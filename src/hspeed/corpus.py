@@ -1,16 +1,19 @@
 """Deterministic built-in families for tests, docs, and the CLI: graphs,
-hypergraphs, templates and hereditary properties.  ``bipartite`` forbids
-the odd cycles, because a shortest odd cycle has no chord."""
+hypergraphs (a seeded random one is the sampler's draw of exactly
+floor(p*C(v, r)) r-sets), templates and hereditary properties.
+``bipartite`` forbids the odd cycles, because a shortest odd cycle has
+no chord."""
 
 from __future__ import annotations
 
 import itertools
 import math
 import random
+from fractions import Fraction
 from typing import Callable
 
 from .errors import UnknownKind, UsageError
-from .oscillate import Hypergraph, _decode_ranks, _skip_ranks, hypergraph
+from .oscillate import Hypergraph, _draw, hypergraph
 from .property import BASE_GRAPH, PropertySpec, forbid
 from .structures import GRAPH, Structure, graph
 from .template import INF, Template, make_template
@@ -82,12 +85,16 @@ def tight_cycle(r: int, v: int) -> Hypergraph:
     return hypergraph(r, v, edges)
 
 
-def random_hypergraph(r: int, v: int, p: float, seed: int) -> Hypergraph:
-    """G^(r)(v, p), drawn by the sampler's geometric skips over r-set ranks."""
-    if r < 2 or v < 0 or not 0 <= p <= 1:
+def random_hypergraph(r: int, v: int, p: Fraction | str, seed: int) -> Hypergraph:
+    """A uniform r-graph on [v] with floor(p*C(v, r)) edges, by the sampler's
+    one draw of r-sets by rank.  p is read exactly, as a Fraction: "0.3" is 3/10."""
+    try:
+        exact = Fraction(p)
+    except (ValueError, ArithmeticError):  # nan, inf, or text that is no number
+        exact = None
+    if r < 2 or v < 0 or exact is None or not 0 <= exact <= 1:
         raise ValueError(f"a random hypergraph needs r >= 2, v >= 0 and 0 <= p <= 1, not r={r}, v={v}, p={p}")
-    ranks = _skip_ranks(random.Random(seed), math.comb(v, r), p)
-    return hypergraph(r, v, _decode_ranks(ranks, v, r))
+    return _draw(random.Random(seed), v, r, math.floor(exact * math.comb(v, r)))
 
 
 # built-in templates ----------------------------------------------------------
@@ -167,7 +174,7 @@ BUILTIN_PROPERTIES: dict[str, Callable[[], PropertySpec]] = {
 def corpus_generate(kind: str, params: dict, seed: int = 0):
     """Named family instance: a Structure, Template, or Hypergraph.  Each
     kind takes only its own parameters, each value read as the type of its
-    default."""
+    default; a random hypergraph's p stays text, which it reads exactly."""
     families = {  # kind -> (builder, its parameters with their defaults)
         "matching": (matching, {"m": 4}),
         "clique": (clique, {"n": 4}),
@@ -177,7 +184,7 @@ def corpus_generate(kind: str, params: dict, seed: int = 0):
         "triangles": (disjoint_triangles, {"m": 2}),
         "halfgraph-blowup": (halfgraph_blowup, {"m": 4}),
         "tight-cycle": (tight_cycle, {"r": 3, "v": 5}),
-        "random-hypergraph": (lambda r, v, p: random_hypergraph(r, v, p, seed), {"r": 2, "v": 8, "p": 0.3}),
+        "random-hypergraph": (lambda r, v, p: random_hypergraph(r, v, p, seed), {"r": 2, "v": 8, "p": "0.3"}),
     }
     families.update((name, (build, {})) for name, build in BUILTIN_TEMPLATES.items())
     if kind not in families:

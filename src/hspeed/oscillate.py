@@ -3,8 +3,9 @@ blow-up lower-bound construction, the random dense-member sampler, and the
 greedy oscillation sequence builder.
 
 All density comparisons are exact rationals; the min-cut excess check
-clears denominators so capacities stay integral.  Randomized paths
-take explicit seeds and are reproducible.
+clears denominators so capacities stay integral.  Every random r-graph,
+the sampler's, the sequence estimator's and corpus's, is one seeded draw
+of exactly m r-sets by rank (``_draw``), so seeded runs reproduce.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -514,31 +516,6 @@ class SampleCertificate:
     verification: str = "exhaustive"  # in_P decides membership
 
 
-def _edge_threshold_met(e: int, n: int, r: int, delta: Fraction) -> bool:
-    """Exact check of e >= n^(-delta) * C(n, r) / 2 for rational delta."""
-    a, b = delta.numerator, delta.denominator
-    return (2 * e) ** b * n ** a >= math.comb(n, r) ** b
-
-
-def _skip_ranks(rng: random.Random, total: int, p: float) -> list[int]:
-    """The ranks in [0, total) that a draw keeping each one with probability
-    p keeps, in increasing order.  Geometric skipping (Batagelj & Brandes,
-    Phys. Rev. E 71, 2005): the gap to the next kept rank is
-    floor(log U / log(1 - p)) for one uniform U in (0, 1], so a draw costs
-    one random number per kept rank, not one per rank."""
-    if p >= 1:
-        return list(range(total))
-    if p <= 0:
-        return []
-    scale = 1 / math.log1p(-p)
-    rand, log = rng.random, math.log
-    ranks = []
-    rank = -1
-    while (rank := rank + 1 + int(log(1.0 - rand()) * scale)) < total:
-        ranks.append(rank)
-    return ranks
-
-
 def _decode_ranks(ranks: Iterable[int], n: int, r: int):
     """The r-subsets of [n] at the given increasing lexicographic ranks, as
     tuples in the order of combinations(range(1, n + 1), r).
@@ -566,6 +543,27 @@ def _decode_ranks(ranks: Iterable[int], n: int, r: int):
         yield tuple(n - b for b in digits)
 
 
+def _draw(rng: random.Random, n: int, r: int, m: int) -> Hypergraph:
+    """m distinct r-sets of [n], uniformly at random: m ranks drawn by
+    ``rng.sample`` and decoded in increasing order.  A range of more than
+    sys.maxsize ranks has no len, so past that ranks are drawn by
+    ``randrange`` until m are distinct, as ``sample`` does for a large set."""
+    total = math.comb(n, r)
+    if total <= sys.maxsize:
+        ranks = rng.sample(range(total), m)
+    else:
+        ranks = set()
+        while len(ranks) < m:
+            ranks.add(rng.randrange(total))
+    return Hypergraph(r, n, frozenset(map(frozenset, _decode_ranks(sorted(ranks), n, r))))
+
+
+def _ceil_root(power: int, b: int) -> int:
+    """The least e >= 0 with e^b >= power, by an integer b-th root."""
+    root = _integer_kth_root(power, b)
+    return root if root ** b == power else root + 1
+
+
 def sample_dense_member(
     r: int,
     k: int,
@@ -575,13 +573,15 @@ def sample_dense_member(
     seed: int,
     max_attempts: int = 2000,
 ) -> SampleCertificate:
-    """Rejection-sample G(n, p), p = n^(-delta), until a member of P^{(k),c}_n
-    with e(G) >= p*C(n,r)/2 appears.  Both conditions are decided exactly,
-    membership by in_P; a draw whose membership check exceeds its budget is
-    rejected and still counts as an attempt.
+    """Draw r-graphs of exactly M edges on [n], M the least with
+    M >= n^(-delta) * C(n, r) / 2 (an integer root of (2M)^b * n^a >= C(n, r)^b
+    for delta = a/b), until one is a member of P^{(k),c}_n.  in_P decides
+    membership exactly; a draw whose check exceeds its budget is rejected
+    and still counts as an attempt.
 
-    A draw keeps r-sets by geometric skips over their lexicographic ranks
-    and is counted before it is built."""
+    The trade-off: the paper's G(n, p), p = n^(-delta), could carry more
+    edges than the threshold and so certify a higher bound; an exact-count
+    draw certifies exactly the threshold, and needs no float p."""
     c = Fraction(c)
     delta = Fraction(delta)
     if delta * c <= 1:
@@ -590,23 +590,19 @@ def sample_dense_member(
         raise ValueError("need r >= 2 and n >= 1")
     if not 1 <= k <= n // r:
         raise ValueError("need k >= 1 and k*r <= n")
+    a, b = delta.numerator, delta.denominator
+    m = (_ceil_root(-(-math.comb(n, r) ** b // n ** a), b) + 1) // 2
     rng = random.Random(seed)
-    p = float(n) ** (-float(delta))
-    total = math.comb(n, r)
     for attempt in range(1, max_attempts + 1):
-        ranks = _skip_ranks(rng, total, p)
-        e = len(ranks)
-        if not _edge_threshold_met(e, n, r, delta):
-            continue
-        g = Hypergraph(r, n, frozenset(map(frozenset, _decode_ranks(ranks, n, r))))
+        g = _draw(rng, n, r, m)
         try:
             member = in_P(g, range(1, k + 1), c)
         except BudgetExceeded:
             continue  # an unchecked draw is never certified
         if member:
-            return SampleCertificate(graph=g, edge_count=e, attempts=attempt, seed=seed)
+            return SampleCertificate(graph=g, edge_count=m, attempts=attempt, seed=seed)
     raise SampleBudgetExceeded(
-        f"no qualifying member of P^{{({k}),{c}}}_{n} in {max_attempts} attempts (p = {p:.3g})"
+        f"no qualifying member of P^{{({k}),{c}}}_{n} in {max_attempts} attempts of {m} edges"
     )
 
 
@@ -642,9 +638,7 @@ def _edge_target(n: int, r: int, eps: Fraction) -> int:
     e >= 1 with e^b >= n^(rb - a) for eps = a/b, by an integer b-th root, so
     M = 1 when rb <= a."""
     a, b = eps.numerator, eps.denominator
-    power = n ** max(r * b - a, 0)
-    root = _integer_kth_root(power, b)
-    return root if root ** b == power else root + 1
+    return _ceil_root(n ** max(r * b - a, 0), b)
 
 
 def _charged(work: int, start: int, n: int) -> int:
@@ -666,14 +660,12 @@ def _certified_bound(r: int, k: int, c: Fraction, eps: Fraction, n: int, seed: i
     M > C(n, r) adds n and draws nothing, and past STEP_WORK_CAP the step
     from r*k ends in BudgetExceeded."""
     m = _edge_target(n, r, eps)
-    total = math.comb(n, r)
-    if k * r > n or m > total:
+    if k * r > n or m > math.comb(n, r):
         return None, _charged(work + n, r * k, n)
     for i in range(ESTIMATOR_ATTEMPTS):
         work = _charged(work + n + m, r * k, n)
         draw_seed = seed * 100003 + n * 101 + i
-        ranks = sorted(random.Random(draw_seed).sample(range(total), m))
-        g = Hypergraph(r, n, frozenset(map(frozenset, _decode_ranks(ranks, n, r))))
+        g = _draw(random.Random(draw_seed), n, r, m)
         if in_P(g, range(1, k + 1), c, subset_budget=ESTIMATOR_CHECK_BUDGET):
             return {"n": n, "edges": m, "attempts": i + 1, "seed": draw_seed, "verification": "exhaustive"}, work
     return None, work

@@ -74,7 +74,7 @@ from typing import Callable, Iterable
 
 from .canon import _getter, canonical_data, orbit
 from .errors import BudgetExceeded, LanguageMismatch, TooFewRows
-from .simclass import class_count
+from .simclass import class_count, sim_related
 from .structures import GRAPH, Language, Structure
 from .template import Template, in_age
 
@@ -567,7 +567,7 @@ def _group_extensions(spec: PropertySpec, parent: Structure, generators):
             rel_tuples = tuple(frozenset(parent_tuples[ri] | chosen[ri]) for ri in range(len(lang.relations)))
             child = Structure._trusted(lang, v, rel_tuples, ())
             if _in_some_age(spec, child):
-                exchangeable = all(_transposition_fixes(rel_tuples, x, v) for x in candidates[:-1])
+                exchangeable = all(sim_related(child, x, v) for x in candidates[:-1])
                 results.append((child, candidates, orbit_size, exchangeable))
             return
         rec(b + 1, code)
@@ -582,14 +582,6 @@ def _group_extensions(spec: PropertySpec, parent: Structure, generators):
     rec(0, 0)
     del rec  # it reaches itself through its closure: free the search without the cycle collector
     return results
-
-
-def _transposition_fixes(rel_tuples, x: int, v: int) -> bool:
-    """Does the transposition (x v) map every relation's tuples onto
-    themselves?  Only the tuples holding x or v move, and a bijection maps
-    a finite set into itself only onto it."""
-    swap = {x: v, v: x}
-    return all(tuple([swap.get(y, y) for y in t]) in ts for ts in rel_tuples for t in ts if x in t or v in t)
 
 
 def _mark_orbit(marked: set[int], code: int, moves: list[list[int]]) -> int:

@@ -2,7 +2,7 @@ import itertools
 import json
 import math
 import random
-import statistics
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -25,10 +25,10 @@ from hspeed.oscillate import (
     OscSequence,
     _certified_bound,
     _decode_ranks,
+    _draw,
     _edge_target,
     _excess_subgraph,
     _maximal_matchings,
-    _skip_ranks,
     blowup_members,
     build_sequence,
     count_maximal_matchings,
@@ -556,6 +556,27 @@ class TestSampler:
             sub = hypergraph(2, 20, keep)
             assert in_P(sub, [1, 2, 3], F(2, 3))
 
+    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize("delta", [F(5, 4), F(8, 5), F(2)])
+    def test_draw_takes_exactly_the_threshold(self, r, delta):
+        # e >= n^(-delta) * C(n, r) / 2, and e - 1 falls short of it
+        a, b = delta.numerator, delta.denominator
+        for n in range(r, 41):
+            cert = sample_dense_member(r, 1, F(1), n, delta, seed=n)
+            e = cert.edge_count
+            assert cert.graph.e == e and cert.attempts == 1
+            assert (2 * e) ** b * n**a >= math.comb(n, r) ** b, (r, delta, n)
+            assert (2 * (e - 1)) ** b * n**a < math.comb(n, r) ** b, (r, delta, n)
+
+    def test_sample_past_sys_maxsize_ranks_certifies_on_the_first_draw(self, capsys):
+        # C(1000, 10) > sys.maxsize r-sets: ranks are drawn one at a time, and
+        # the one edge the threshold needs is a member on the first draw
+        argv = ["osc", "sample", "--r", "10", "--n", "1000", "--k", "1", "--c", "1", "--delta", "20"]
+        assert main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["edges"], out["attempts"], out["verification"]) == (1, 1, "exhaustive")
+        assert len(out["graph"]["edges"]) == 1
+
     def test_delta_precondition(self):
         with pytest.raises(ValueError):
             sample_dense_member(2, 3, F(2, 3), 30, F(3, 2), seed=0)  # delta = 1/c
@@ -665,17 +686,13 @@ class TestSampler:
                 ranks = sorted(rng.sample(range(len(order)), len(order) // 3))
                 assert list(_decode_ranks(ranks, n, r)) == [order[i] for i in ranks]
 
-    @pytest.mark.parametrize("r, n", [(2, 30), (3, 24)])
-    def test_skip_draw_mean_edge_count(self, r, n):
-        total = math.comb(n, r)
-        p = n ** -1.25
-        counts = []
-        for seed in range(300):
-            ranks = _skip_ranks(random.Random(seed), total, p)
-            assert all(0 <= a < b < total for a, b in zip(ranks, ranks[1:]))
-            counts.append(len(ranks))
-        sigma = math.sqrt(total * p * (1 - p) / len(counts))
-        assert abs(statistics.fmean(counts) - p * total) <= 4 * sigma
+    def test_random_hypergraph_takes_floor_of_p_times_the_r_sets(self):
+        for r in (2, 3):
+            for v in range(0, 13):
+                for p in (F(0), F(1, 7), F(3, 10), F(1, 2), F(2, 3), F(99, 100), F(1)):
+                    g = random_hypergraph(r, v, p, v)
+                    assert g.e == math.floor(p * math.comb(v, r)), (r, v, p)
+                    assert random_hypergraph(r, v, str(p), v) == g  # text is read exactly
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_skip_draw_at_probability_zero_and_one(self, r):
@@ -687,6 +704,17 @@ class TestSampler:
 
 
 class TestSequence:
+    def test_draw_past_sys_maxsize_ranks_is_certified(self, capsys):
+        # at r = 20 the first step draws at n = 420, with C(420, 20) > sys.maxsize
+        # r-sets: a range that long has no len, so its ranks are drawn one at a time
+        assert main(["osc", "sequence", "--r", "20", "--c", "1", "--eps", "20", "--steps", "1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        (cert,) = out["certificates"]
+        assert (out["nu"], cert["n"], cert["edges"]) == ([21, 421], 420, 1)
+        assert math.comb(420, 20) > sys.maxsize
+        g = _draw(random.Random(cert["seed"]), cert["n"], 20, cert["edges"])
+        assert g.e == 1 and in_P(g, range(1, 22), F(1))
+
     def test_first_point_and_interleaving(self):
         seq = build_sequence(2, F(1), F(3, 2), steps=2, seed=7)
         assert seq.nu[0] == 3  # r + 1
